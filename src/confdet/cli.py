@@ -90,6 +90,8 @@ def _parse_grid(text: str) -> list[float]:
     """'start:stop:step' inclusive grid, or a comma-separated list."""
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if step <= 0:
+            raise argparse.ArgumentTypeError(f"grid step must be > 0, got {step:g}")
         values = []
         v = start
         while v <= stop + 1e-12:
@@ -106,7 +108,10 @@ def _parse_alphas(text: str) -> list[float]:
 def _resolve_workers(flag_value: int | None) -> int:
     env = os.environ.get("CONFDET_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"CONFDET_WORKERS must be an integer, got {env!r}") from None
     if flag_value is not None:
         return max(1, flag_value)
     return os.cpu_count() or 1

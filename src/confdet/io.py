@@ -78,7 +78,7 @@ def _parse_line(line: str, lineno: int, n_classes: int | None) -> DetectionRecor
             image_id=str(doc["image_id"]),
             pred_box=BoundingBox.from_array(doc["pred_box"]),
             gt_box=BoundingBox.from_array(doc["gt_box"]),
-            gt_class=int(doc["gt_class"]),
+            gt_class=doc["gt_class"],  # validate_record rejects a non-integer
             class_probs=tuple(float(p) for p in doc["class_probs"]),
             sigma=tuple(float(s) for s in doc["sigma"]),
         )

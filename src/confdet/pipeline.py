@@ -8,14 +8,19 @@ draws its randomness from a generator seeded by ``(master_seed, run
 index)``, so reports are reproducible bit for bit regardless of how many
 worker processes execute the runs, and two experiments with the same
 master seed are paired run by run for significance testing.
+
+The regimes are data.  Each run fits the corner quantiles once, pooled
+for ``class_agnostic`` and per class otherwise; the ``_REGIME_QUANTILES``
+table then says how those quantiles reach each evaluation box and
+whether a label set is predicted, and one scorer turns the result into
+a :class:`MetricRow` for every regime.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +32,9 @@ from .classification import (
 )
 from .core import (
     AGNOSTIC,
-    SCOPE_CLASS_WISE,
     BoundingBox,
     Dataset,
     MiscoverageConfig,
-    QuantileTable,
     RAPSConfig,
     records_to_arrays,
 )
@@ -45,13 +48,11 @@ from .errors import (
 from .metrics import (
     MetricRow,
     box_interval_scores,
-    classwise_aggregate,
     coverage_events,
     iou_xyxy,
     paired_t_test,
 )
 from .regression import (
-    conformal_quantile,
     corner_intervals,
     fit_quantiles_from_scores,
     outer_inner_boxes,
@@ -85,8 +86,6 @@ class RunConfig:
     ``calibrator_fit_fraction`` carves a disjoint part out of the
     calibration split for sigma recalibration; by default the calibrator
     and the quantiles share the full calibration split.
-    ``two_step_disjoint`` fits the class threshold and the box quantiles
-    on disjoint halves of the calibration split instead of sharing it.
     """
 
     miscoverage: MiscoverageConfig
@@ -101,7 +100,6 @@ class RunConfig:
     min_per_class: int = 20
     stratified: bool | None = None
     calibrator_fit_fraction: float | None = None
-    two_step_disjoint: bool = False
 
     def __post_init__(self):
         if self.n_runs < 1:
@@ -299,7 +297,7 @@ def _effective_sigma(ctx: _Context, cal: _Arrays, ev: _Arrays, rng_key) -> tuple
     if cfg.calibrator_fit_fraction is not None and cal.n >= 2:
         rng = np.random.default_rng(rng_key)
         perm = rng.permutation(cal.n)
-        n_fit = min(max(_round_half_up(cal.n * cfg.calibrator_fit_fraction), 1), cal.n - 1)
+        n_fit = _split_sizes(cal.n, cfg.calibrator_fit_fraction)
         fit_part = cal.take(np.sort(perm[:n_fit]))
         quant_part = cal.take(np.sort(perm[n_fit:]))
     calibrator = _cal.fit_calibrator_arrays(
@@ -319,7 +317,7 @@ def _effective_sigma(ctx: _Context, cal: _Arrays, ev: _Arrays, rng_key) -> tuple
         )
     sig_q = _cal.calibrated_sigma_array(calibrator, quant_part.pred, quant_part.sigma, quant_part.classes)
     sig_ev = _cal.calibrated_sigma_array(calibrator, ev.pred, ev.sigma, ev.classes)
-    quant_part = dataclasses.replace(quant_part, sigma=sig_q)
+    quant_part = replace(quant_part, sigma=sig_q)
     return sig_ev, quant_part, warnings
 
 
@@ -332,17 +330,56 @@ def _quantile_summary(values: np.ndarray, n_groups: int) -> dict:
     }
 
 
-def _empty_metrics(extra: bool) -> MetricRow:
-    # vacuous-evaluation convention: nothing to miss, nothing to score
+def _score(cfg: RunConfig, ev: _Arrays, sig_ev, q_eval: np.ndarray, member) -> MetricRow:
+    """Metrics of one run; the set metrics only when ``member`` is given."""
+    if ev.n == 0:
+        # vacuous-evaluation convention: nothing to miss, nothing to score
+        sets = {}
+        if member is not None:
+            sets = dict(mean_set_size=0.0, class_coverage=1.0, joint_coverage=1.0)
+        return MetricRow(coverage=1.0, mean_iou=0.0, interval_score=0.0, n_eval=0, **sets)
+    lows, highs = corner_intervals(ev.pred, q_eval, sigma=sig_ev, image_bounds=cfg.image_bounds)
+    _, box_hits = coverage_events(ev.gt, lows, highs)
+    outer, _, _ = outer_inner_boxes(lows, highs)
+    iscores = box_interval_scores(lows, highs, ev.gt, cfg.miscoverage.alpha_corner)
+    sets = {}
+    if member is not None:
+        class_hits = member[np.arange(ev.n), ev.classes]
+        sets = dict(
+            mean_set_size=float(member.sum(axis=1).mean()),
+            class_coverage=float(class_hits.mean()),
+            joint_coverage=float((class_hits & box_hits).mean()),
+        )
     return MetricRow(
-        coverage=1.0,
-        mean_iou=0.0,
-        interval_score=0.0,
-        n_eval=0,
-        mean_set_size=0.0 if extra else None,
-        class_coverage=1.0 if extra else None,
-        joint_coverage=1.0 if extra else None,
+        coverage=float(box_hits.mean()),
+        mean_iou=float(iou_xyxy(ev.gt, outer).mean()),
+        interval_score=float(iscores.sum()),
+        n_eval=int(ev.n),
+        **sets,
     )
+
+
+def _two_step(q: np.ndarray, ev: _Arrays, cal: _Arrays, cfg: RunConfig):
+    scores = true_class_scores(cal.probs, cal.classes, cfg.raps)
+    qhat_class = classification_quantile(scores, cfg.miscoverage.alpha_class)
+    member, _ = prediction_set_matrix(ev.probs, qhat_class, cfg.raps)
+    # worst case over the label set: classes outside it cannot win the max
+    return np.where(member[:, :, None], q[None, :, :], -np.inf).max(axis=1), member
+
+
+# How each regime turns the fitted quantiles into per-evaluation-box
+# quantiles, plus the (n_eval, K) label-set membership for the regimes
+# that predict sets.  ``q`` is the pooled (4,) vector for class_agnostic
+# and the (K, 4) per-class table otherwise.
+_REGIME_QUANTILES = {
+    REGIME_CLASS_AGNOSTIC: lambda q, ev, cal, cfg: (q, None),
+    REGIME_CLASS_WISE: lambda q, ev, cal, cfg: (q[ev.classes], None),
+    REGIME_TWO_STEP: _two_step,
+    REGIME_NAIVE_WORST_CASE: lambda q, ev, cal, cfg: (
+        q.max(axis=0),
+        np.ones((ev.n, len(q)), dtype=bool),
+    ),
+}
 
 
 def _run_once(ctx: _Context, run_index: int) -> RunResult:
@@ -380,112 +417,25 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
     )
     warnings.extend(sigma_warnings)
 
-    alpha = cfg.miscoverage.alpha_corner
-    scaled = cfg.scaling == "scaled"
-    extra = cfg.regime in (REGIME_TWO_STEP, REGIME_NAIVE_WORST_CASE)
-
-    cls_part = quant_part
-    box_part = quant_part
-    if cfg.regime == REGIME_TWO_STEP and cfg.two_step_disjoint and quant_part.n >= 2:
-        # stratified halves: the box half must keep every class represented
-        rng = np.random.default_rng((cfg.master_seed, run_index, 9))
-        cls_sel = []
-        for k in range(ctx.n_classes):
-            members = np.flatnonzero(quant_part.classes == k)
-            perm = members[rng.permutation(members.size)]
-            cls_sel.append(perm[: members.size // 2])
-        cls_idx = np.sort(np.concatenate(cls_sel)) if cls_sel else np.array([], dtype=int)
-        box_mask = np.ones(quant_part.n, dtype=bool)
-        box_mask[cls_idx] = False
-        cls_part = quant_part.take(cls_idx) if cls_idx.size else quant_part
-        box_part = quant_part.take(np.flatnonzero(box_mask))
-
-    if cfg.regime == REGIME_CLASS_AGNOSTIC:
-        table = fit_quantiles_from_scores(
-            residual_scores(box_part.pred, box_part.gt, box_part.sigma if scaled else None),
-            alpha,
-        )
-        q_values = table.corners(AGNOSTIC)
-        q_eval = q_values
-    else:
-        table = fit_quantiles_from_scores(
-            residual_scores(box_part.pred, box_part.gt, box_part.sigma if scaled else None),
-            alpha,
-            groups=box_part.classes,
-            n_classes=ctx.n_classes,
-            min_per_class=cfg.min_per_class,
-        )
-        q_by_class = table.by_class(ctx.n_classes)
-        q_values = q_by_class.ravel()
-        if table.flagged:
-            warnings.append(
-                "classes below min_per_class: " + ",".join(str(k) for k in table.flagged)
-            )
-        if cfg.regime == REGIME_CLASS_WISE:
-            q_eval = q_by_class[ev.classes] if ev.n else np.zeros((0, 4))
-        elif cfg.regime == REGIME_NAIVE_WORST_CASE:
-            q_eval = q_by_class.max(axis=0)
-            member = np.ones((ev.n, ctx.n_classes), dtype=bool)
-            sizes = np.full(ev.n, ctx.n_classes, dtype=int)
-        else:  # two_step
-            if cfg.raps.allow_empty:
-                raise EmptySetConfig(
-                    "two_step needs non-empty prediction sets; set allow_empty=False"
-                )
-            cls_scores = true_class_scores(cls_part.probs, cls_part.classes, cfg.raps)
-            qhat_class = classification_quantile(cls_scores, cfg.miscoverage.alpha_class)
-            member, sizes = prediction_set_matrix(ev.probs, qhat_class, cfg.raps)
-            masked = np.where(member[:, :, None], q_by_class[None, :, :], -np.inf)
-            q_eval = masked.max(axis=1) if ev.n else np.zeros((0, 4))
-
-    if ev.n == 0:
-        metrics = _empty_metrics(extra)
-    else:
-        lows, highs = corner_intervals(
-            ev.pred, q_eval, sigma=sig_ev, image_bounds=cfg.image_bounds
-        )
-        _, box_hits = coverage_events(ev.gt, lows, highs)
-        outer, _, _ = outer_inner_boxes(lows, highs)
-        ious = iou_xyxy(ev.gt, outer)
-        iscores = box_interval_scores(lows, highs, ev.gt, alpha)
-
-        if cfg.regime == REGIME_CLASS_WISE:
-            rows: dict = {}
-            counts: dict = {}
-            for k in np.unique(ev.classes):
-                sel = ev.classes == k
-                counts[int(k)] = int(sel.sum())
-                rows[int(k)] = MetricRow(
-                    coverage=float(box_hits[sel].mean()),
-                    mean_iou=float(ious[sel].mean()),
-                    interval_score=float(iscores[sel].sum()),
-                    n_eval=int(sel.sum()),
-                )
-            metrics = classwise_aggregate(rows, counts)
-        elif extra:
-            class_hits = member[np.arange(ev.n), ev.classes]
-            metrics = MetricRow(
-                coverage=float(box_hits.mean()),
-                mean_iou=float(ious.mean()),
-                interval_score=float(iscores.sum()),
-                n_eval=int(ev.n),
-                mean_set_size=float(sizes.mean()),
-                class_coverage=float(class_hits.mean()),
-                joint_coverage=float((class_hits & box_hits).mean()),
-            )
-        else:
-            metrics = MetricRow(
-                coverage=float(box_hits.mean()),
-                mean_iou=float(ious.mean()),
-                interval_score=float(iscores.sum()),
-                n_eval=int(ev.n),
-            )
+    pooled = cfg.regime == REGIME_CLASS_AGNOSTIC
+    sig_q = quant_part.sigma if cfg.scaling == "scaled" else None
+    table = fit_quantiles_from_scores(
+        residual_scores(quant_part.pred, quant_part.gt, sig_q),
+        cfg.miscoverage.alpha_corner,
+        groups=None if pooled else quant_part.classes,
+        n_classes=ctx.n_classes,
+        min_per_class=cfg.min_per_class,
+    )
+    if table.flagged:
+        warnings.append("classes below min_per_class: " + ",".join(str(k) for k in table.flagged))
+    q = table.corners(AGNOSTIC) if pooled else table.by_class(ctx.n_classes)
+    q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ev, quant_part, cfg)
 
     return RunResult(
         run_index=run_index,
         seed=seed,
-        metrics=metrics,
-        quantile_summary=_quantile_summary(np.asarray(q_values, dtype=float), len(table.quantiles)),
+        metrics=_score(cfg, ev, sig_ev, q_eval, member),
+        quantile_summary=_quantile_summary(q.ravel(), len(table.quantiles)),
         warnings=tuple(warnings),
     )
 
@@ -554,7 +504,6 @@ def _config_echo(cfg: RunConfig, transfer: bool) -> dict:
         "min_per_class": cfg.min_per_class,
         "stratified": cfg.resolved_stratified,
         "calibrator_fit_fraction": cfg.calibrator_fit_fraction,
-        "two_step_disjoint": cfg.two_step_disjoint,
         "raps": {
             "penalty_a": cfg.raps.penalty_a,
             "threshold_b": cfg.raps.threshold_b,
@@ -609,18 +558,16 @@ def run_experiment(
     )
 
 
-def _with_regime(config: RunConfig, regime: str) -> RunConfig:
-    return config if config.regime == regime else dataclasses.replace(config, regime=regime)
-
-
 def run_class_agnostic(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
     """Experiment with pooled (class-agnostic) quantiles."""
-    return run_experiment(dataset, _with_regime(config, REGIME_CLASS_AGNOSTIC), eval_dataset, workers)
+    config = replace(config, regime=REGIME_CLASS_AGNOSTIC)
+    return run_experiment(dataset, config, eval_dataset, workers)
 
 
 def run_class_wise(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
     """Experiment with per-class quantiles looked up by ground-truth class."""
-    return run_experiment(dataset, _with_regime(config, REGIME_CLASS_WISE), eval_dataset, workers)
+    config = replace(config, regime=REGIME_CLASS_WISE)
+    return run_experiment(dataset, config, eval_dataset, workers)
 
 
 def run_two_step(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
@@ -629,14 +576,14 @@ def run_two_step(dataset, config, eval_dataset=None, workers: int = 1) -> RunRep
     The prediction set must not be empty, so ``config.raps.allow_empty``
     has to be False (EmptySetConfig otherwise).
     """
-    if config.raps.allow_empty:
-        raise EmptySetConfig("two_step needs non-empty prediction sets; set allow_empty=False")
-    return run_experiment(dataset, _with_regime(config, REGIME_TWO_STEP), eval_dataset, workers)
+    config = replace(config, regime=REGIME_TWO_STEP)
+    return run_experiment(dataset, config, eval_dataset, workers)
 
 
 def run_naive_worst_case(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
     """Experiment taking the worst case over every class."""
-    return run_experiment(dataset, _with_regime(config, REGIME_NAIVE_WORST_CASE), eval_dataset, workers)
+    config = replace(config, regime=REGIME_NAIVE_WORST_CASE)
+    return run_experiment(dataset, config, eval_dataset, workers)
 
 
 def recovery_sweep(
@@ -669,7 +616,7 @@ def recovery_sweep(
         sig_ev = ev.sigma if scaling == "scaled" else None
         scores = residual_scores(cal.pred, cal.gt, sig_cal)
         for alpha in alphas:
-            q = np.array([conformal_quantile(scores[:, c], alpha) for c in range(4)])
+            q = fit_quantiles_from_scores(scores, alpha).corners(AGNOSTIC)
             lows, highs = corner_intervals(ev.pred, q, sigma=sig_ev, image_bounds=image_bounds)
             outer, _, _ = outer_inner_boxes(lows, highs)
             contained = (

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,20 @@ def test_usage_error_exits_1(data_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-0.1"])
+def test_grid_step_not_positive_exits_1(data_path, grid, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recovery", "--data", data_path, "--seed", "1", "--thresholds", grid])
+    assert excinfo.value.code == 1
+    assert "grid step must be > 0" in capsys.readouterr().err
+
+
+def test_bad_workers_variable_exits_1(data_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CONFDET_WORKERS", "abc")
+    assert main(run_args(data_path, str(tmp_path / "r.json"))) == 1
+    assert "CONFDET_WORKERS" in capsys.readouterr().err
+
+
 def test_config_error_exits_1(data_path, tmp_path):
     out = str(tmp_path / "r.json")
     code = main(run_args(data_path, out, extra=["--alpha-corner", "0.4"]))
@@ -94,6 +109,17 @@ def test_missing_file_exits_2(tmp_path):
 def test_strict_load_failure_exits_2(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"image_id": "x"}\n', encoding="utf-8")
+    code = main(run_args(str(path), str(tmp_path / "r.json"), extra=["--strict"]))
+    assert code == 2
+
+
+def test_strict_non_integer_gt_class_exits_2(data_path, tmp_path):
+    path = tmp_path / "float-class.jsonl"
+    lines = Path(data_path).read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[5])
+    doc["gt_class"] = 1.7
+    lines[5] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code = main(run_args(str(path), str(tmp_path / "r.json"), extra=["--strict"]))
     assert code == 2
 

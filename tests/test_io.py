@@ -112,6 +112,20 @@ def test_strict_mode_aborts_on_first_bad_line(tmp_path):
     assert excinfo.value.line == 2
 
 
+@pytest.mark.parametrize("raw", ["1.7", "true", '"1"'])
+def test_non_integer_gt_class_is_rejected_not_coerced(tmp_path, raw):
+    bad = good_line("bad-class").replace('"gt_class": 0', f'"gt_class": {raw}')
+    path = tmp_path / "classes.jsonl"
+    path.write_text(good_line() + "\n" + bad + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (2,)
+    assert "is not an integer" in report.messages[0]
+    assert [r.image_id for r in dataset.records] == ["img-0"]
+    with pytest.raises(ValidationError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 2
+
+
 def test_empty_or_unusable_file_raises(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")

@@ -224,12 +224,17 @@ def test_all_eval_records_forced_into_calibration():
         for k in range(3)
     ]
     ds = Dataset.from_records(records)
-    config = small_config(n_runs=1, regime="class_wise", min_per_class=1)
-    report = run_experiment(ds, config)
-    row = report.per_run[0].metrics
-    assert row.n_eval == 0
-    assert row.coverage == 1.0
-    assert row.interval_score == 0.0
+    # class_agnostic is left out: its unstratified split keeps one evaluation record
+    for regime in ("class_wise", "two_step", "naive_worst_case"):
+        config = small_config(n_runs=1, regime=regime, min_per_class=1)
+        report = run_experiment(ds, config)
+        row = report.per_run[0].metrics
+        assert row.n_eval == 0
+        assert row.coverage == 1.0
+        assert row.interval_score == 0.0
+        if regime != "class_wise":
+            assert row.mean_set_size == 0.0
+            assert row.class_coverage == row.joint_coverage == 1.0
 
 
 def test_transfer_evaluation_detects_shift():
