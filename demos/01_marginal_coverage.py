@@ -21,7 +21,6 @@ from confdet import (
     corner_coverage_event,
     generate,
 )
-from confdet.core import records_to_arrays
 from confdet.regression import residual_scores
 
 N_CAL = 300
@@ -40,8 +39,7 @@ def coverage_band(alpha, resamples=RESAMPLES):
                 seed=1000 + r,
             )
         )
-        pred, gt, sigma, _, _ = records_to_arrays(dataset.records)
-        scores = residual_scores(pred, gt, sigma)
+        scores = residual_scores(dataset.pred, dataset.gt, dataset.sigma)
         qhat = np.array(
             [conformal_quantile(scores[:N_CAL, c], alpha) for c in range(4)]
         )
@@ -67,8 +65,7 @@ def main():
     dataset, _ = generate(
         OracleSpec(n_records=N_CAL + N_EVAL, n_classes=1, corner_noise=((1.0, 8.0),), seed=7)
     )
-    pred, gt, sigma, _, _ = records_to_arrays(dataset.records)
-    scores = residual_scores(pred, gt, sigma)
+    scores = residual_scores(dataset.pred, dataset.gt, dataset.sigma)
     for label, alpha in (("per-corner alpha = 0.1", 0.1),
                          ("per-corner alpha = 0.1/4", bonferroni_corner_alpha(0.1))):
         q = np.array([conformal_quantile(scores[:N_CAL, c], alpha) for c in range(4)])
@@ -77,7 +74,7 @@ def main():
 
     print("\nOne worked example at alpha_bbox = 0.1 (0.025 per corner):")
     qhat = tuple(conformal_quantile(scores[:N_CAL, c], 0.025) for c in range(4))
-    record = dataset.records[N_CAL]
+    record = dataset[N_CAL]
     box = build_conformal_box(record.pred_box, record.sigma, qhat)
 
     def fmt(bb, digits=1):

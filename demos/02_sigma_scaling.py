@@ -38,7 +38,7 @@ def main():
     )
     scales = np.array(info.true_scales)
     print(
-        f"{len(dataset.records)} synthetic detections, noise scale spread "
+        f"{len(dataset)} synthetic detections, noise scale spread "
         f"{scales.min():.1f} .. {scales.max():.1f} (log-uniform).\n"
     )
 

@@ -27,10 +27,10 @@ from confdet import (
     OracleSpec,
     RunConfig,
     apply_calibrated_sigma,
-    fit_calibrator,
     generate,
     run_experiment,
 )
+from confdet.calibration import fit_calibrator_arrays
 
 
 def main():
@@ -48,12 +48,14 @@ def main():
         "\ntrue scales 2..16 are reported as 1.4..4, compressing the range.\n"
     )
 
-    calibrator = fit_calibrator(dataset.records, scope=SCOPE_GLOBAL)
-    order = np.argsort([r.sigma[0] for r in dataset.records])
+    calibrator = fit_calibrator_arrays(
+        dataset.pred, dataset.gt, dataset.sigma, dataset.gt_class, scope=SCOPE_GLOBAL
+    )
+    order = np.argsort(dataset.sigma[:, 0])
     print("What the fitted monotone map does to the claimed sigma (corner x1):")
     print(f"  {'claimed':>9}  {'calibrated':>10}")
     for idx in (order[0], order[-1]):
-        record = dataset.records[idx]
+        record = dataset[idx]
         fixed = apply_calibrated_sigma(calibrator, record)
         print(f"  {record.sigma[0]:>9.2f}  {fixed[0]:>10.2f}")
     print("  the 2.8x claimed spread is stretched back to a ~5x spread, close")

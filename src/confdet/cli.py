@@ -21,7 +21,7 @@ import os
 import sys
 import traceback
 
-from .calibration import SCOPE_GLOBAL, SCOPES, fit_calibrator, save_calibrator
+from .calibration import SCOPE_GLOBAL, SCOPES, fit_calibrator_arrays, save_calibrator
 from .core import BoundingBox, MiscoverageConfig, RAPSConfig
 from .errors import ConfigError, DataError
 from .io import (
@@ -59,7 +59,10 @@ def _parse_bounds(text: str) -> BoundingBox:
         x0, y0, x1, y1 = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return BoundingBox(x0, y0, x1, y1)
+    bounds = BoundingBox(x0, y0, x1, y1)
+    if not bounds.is_image_extent():
+        raise argparse.ArgumentTypeError("image bounds must be finite with x0 < x1 and y0 < y1")
+    return bounds
 
 
 def _parse_noise(text: str) -> tuple:
@@ -217,7 +220,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_calibrate_sigma(args) -> int:
     dataset, _ = load_dataset(args.data, strict=args.strict)
-    calibrator = fit_calibrator(dataset.records, scope=args.scope)
+    calibrator = fit_calibrator_arrays(
+        dataset.pred, dataset.gt, dataset.sigma, dataset.gt_class, scope=args.scope
+    )
     save_calibrator(calibrator, args.out)
     return 0
 

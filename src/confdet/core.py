@@ -3,7 +3,9 @@
 Every box is an axis-aligned corner pair in pixel coordinates and every
 length-4 vector in the package (sigma, scores, quantiles, intervals)
 follows the fixed corner order ``(x0, y0, x1, y1)``.  All types are
-immutable, comparable, and safe to share across worker processes.
+frozen and safe to share across worker processes.  All but
+:class:`Dataset` compare by value; a dataset holds numpy columns and
+compares by identity, so compare its columns or ``records`` instead.
 
 Construction never validates: a ``DetectionRecord`` built from garbage is
 still a value. :func:`validate_record` reports every violation instead so
@@ -13,8 +15,8 @@ that loaders can decide whether to reject a line or abort.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -74,6 +76,10 @@ class BoundingBox:
             and other.x1 <= self.x1
             and other.y1 <= self.y1
         )
+
+    def is_image_extent(self) -> bool:
+        """True when the box can bound an image: finite, ``x0 < x1`` and ``y0 < y1``."""
+        return bool(np.isfinite(self.as_array()).all()) and self.x0 < self.x1 and self.y0 < self.y1
 
 
 #: Clamp target for vacuous (infinite) intervals when no image size is known.
@@ -296,26 +302,63 @@ class CalibrationMap:
     scope_key: object = "global"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable collection of records with a fixed class count."""
+    """Matched detections held column by column, one row per record.
 
-    records: tuple[DetectionRecord, ...]
-    n_classes: int
+    ``image_ids`` is an object array of strings; ``pred``, ``gt`` and
+    ``sigma`` are ``(n, 4)`` float arrays in corner order; ``gt_class``
+    is an ``(n,)`` int array and ``probs`` the ``(n, K)`` class
+    probabilities.  Indexing or iterating yields the rows as
+    :class:`DetectionRecord` values, built on demand.
+    """
+
+    image_ids: np.ndarray
+    pred: np.ndarray
+    gt: np.ndarray
+    sigma: np.ndarray
+    gt_class: np.ndarray
+    probs: np.ndarray
+
+    @property
+    def n_classes(self) -> int:
+        return self.probs.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.pred.shape[0]
+
+    def __getitem__(self, i) -> DetectionRecord:
+        return DetectionRecord(
+            image_id=self.image_ids[i],
+            pred_box=BoundingBox(*self.pred[i].tolist()),
+            gt_box=BoundingBox(*self.gt[i].tolist()),
+            gt_class=int(self.gt_class[i]),
+            class_probs=tuple(self.probs[i].tolist()),
+            sigma=tuple(self.sigma[i].tolist()),
+        )
+
+    def __iter__(self) -> Iterator[DetectionRecord]:
+        return (self[i] for i in range(len(self)))
+
+    @property
+    def records(self) -> tuple[DetectionRecord, ...]:
+        """Every row as a record; costs one object per row, so stream instead."""
+        return tuple(self)
+
+    def take(self, idx) -> "Dataset":
+        """The rows at ``idx`` (indices or a mask), in that order."""
+        return Dataset(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
     @classmethod
     def from_records(cls, records: Iterable[DetectionRecord]) -> "Dataset":
-        """Build a dataset, inferring the class count from the records.
+        """Build a dataset from records, inferring the class count.
 
         Raises
         ------
         ValidationError
             If the records disagree on the length of ``class_probs``.
         """
-        recs = tuple(records)
+        recs = list(records)
         if not recs:
             raise ValidationError("cannot build a dataset from zero records")
         n_classes = len(recs[0].class_probs)
@@ -326,7 +369,9 @@ class Dataset:
                     f"{n_classes} inferred from the first record",
                     line=i + 1,
                 )
-        return cls(records=recs, n_classes=n_classes)
+        pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
+        image_ids = np.array([rec.image_id for rec in recs], dtype=object)
+        return cls(image_ids, pred, gt, sigma, gt_class, probs)
 
 
 def records_to_arrays(records: Iterable[DetectionRecord]):

@@ -73,16 +73,22 @@ def _parse_line(line: str, lineno: int, n_classes: int | None) -> DetectionRecor
             raise ValidationError(f"{name} must be a list of 4 numbers", line=lineno)
     if not isinstance(doc["class_probs"], list) or not doc["class_probs"]:
         raise ValidationError("class_probs must be a non-empty list", line=lineno)
+    for name in ("pred_box", "gt_box", "sigma", "class_probs"):
+        # exact types: bool is an int subclass, and float() would parse a string
+        if not {int, float}.issuperset(map(type, doc[name])):
+            raise ValidationError(f"{name} must hold JSON numbers only", line=lineno)
+    if not isinstance(doc["image_id"], str):
+        raise ValidationError("image_id must be a string", line=lineno)
     try:
         record = DetectionRecord(
-            image_id=str(doc["image_id"]),
-            pred_box=BoundingBox.from_array(doc["pred_box"]),
-            gt_box=BoundingBox.from_array(doc["gt_box"]),
+            image_id=doc["image_id"],
+            pred_box=BoundingBox(*map(float, doc["pred_box"])),
+            gt_box=BoundingBox(*map(float, doc["gt_box"])),
             gt_class=doc["gt_class"],  # validate_record rejects a non-integer
-            class_probs=tuple(float(p) for p in doc["class_probs"]),
-            sigma=tuple(float(s) for s in doc["sigma"]),
+            class_probs=tuple(map(float, doc["class_probs"])),
+            sigma=tuple(map(float, doc["sigma"])),
         )
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:  # an integer literal beyond the float range
         raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
     if n_classes is not None and len(record.class_probs) != n_classes:
         raise ValidationError(
@@ -133,8 +139,7 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
         raise EmptyFile(f"{path}: no usable records")
     if rejected:
         logger.warning("%s: rejected %d line(s): %s", path, len(rejected), rejected[:20])
-    dataset = Dataset(records=tuple(records), n_classes=n_classes)
-    return dataset, LoadReport(
+    return Dataset.from_records(records), LoadReport(
         n_loaded=len(records),
         rejected_lines=tuple(rejected),
         messages=tuple(messages),
@@ -155,7 +160,7 @@ def record_to_dict(record: DetectionRecord) -> dict:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset as JSONL (full float precision, round-trip exact)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in dataset.records:
+        for record in dataset:
             fh.write(json.dumps(record_to_dict(record), sort_keys=True))
             fh.write("\n")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundingBox, Dataset, DetectionRecord
+from .core import Dataset
 from .errors import InvalidSpec
 
 #: Supported sigma-bias function tags.
@@ -190,17 +190,12 @@ def generate(spec: OracleSpec) -> tuple[Dataset, OracleInfo]:
     probs = np.exp(logits)
     probs /= probs.sum(axis=1, keepdims=True)
 
-    records = []
-    for i in range(n):
-        records.append(
-            DetectionRecord(
-                image_id=f"synthetic-{spec.seed}-{i:06d}",
-                pred_box=BoundingBox.from_array(pred[i]),
-                gt_box=BoundingBox.from_array(gt[i]),
-                gt_class=int(gt_class[i]),
-                class_probs=tuple(float(v) for v in probs[i]),
-                sigma=(float(sigma[i]),) * 4,
-            )
-        )
-    dataset = Dataset(records=tuple(records), n_classes=k)
+    dataset = Dataset(
+        image_ids=np.array([f"synthetic-{spec.seed}-{i:06d}" for i in range(n)], dtype=object),
+        pred=pred,
+        gt=gt,
+        sigma=np.repeat(sigma[:, None], 4, axis=1),
+        gt_class=gt_class,
+        probs=probs,
+    )
     return dataset, OracleInfo(true_scales=true_scale, base_scales=base_scale)

@@ -36,7 +36,6 @@ from .core import (
     Dataset,
     MiscoverageConfig,
     RAPSConfig,
-    records_to_arrays,
 )
 from .errors import (
     EmptyCalibration,
@@ -114,6 +113,8 @@ class RunConfig:
             )
         if self.regime not in REGIMES:
             raise OutOfRange(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if self.image_bounds is not None and not self.image_bounds.is_image_extent():
+            raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {self.image_bounds}")
         if self.min_per_class < 0:
             raise OutOfRange(f"min_per_class must be >= 0, got {self.min_per_class}")
         if self.calibrator_fit_fraction is not None and not 0.0 < self.calibrator_fit_fraction < 1.0:
@@ -197,18 +198,6 @@ def random_split(
     n = len(dataset)
     if n == 0:
         raise EmptyCalibration("cannot split an empty dataset")
-    classes = np.array([r.gt_class for r in dataset.records], dtype=int)
-    return _split_indices(n, classes, dataset.n_classes, calib_fraction, seed, stratified)
-
-
-def _split_indices(
-    n: int,
-    classes: np.ndarray,
-    n_classes: int,
-    calib_fraction: float,
-    seed,
-    stratified: bool,
-) -> DatasetSplit:
     rng = np.random.default_rng(seed)
     if not stratified:
         perm = rng.permutation(n)
@@ -221,8 +210,8 @@ def _split_indices(
     eval_parts = []
     missing_eval = []
     forced = []
-    for k in range(n_classes):
-        members = np.flatnonzero(classes == k)
+    for k in range(dataset.n_classes):
+        members = np.flatnonzero(dataset.gt_class == k)
         if members.size == 0:
             raise StratificationImpossible(
                 f"class {k} has no records; a stratified split cannot represent it"
@@ -243,41 +232,13 @@ def _split_indices(
 
 
 @dataclass(frozen=True, eq=False)
-class _Arrays:
-    pred: np.ndarray
-    gt: np.ndarray
-    sigma: np.ndarray
-    classes: np.ndarray
-    probs: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.pred.shape[0]
-
-    def take(self, idx: np.ndarray) -> "_Arrays":
-        return _Arrays(
-            pred=self.pred[idx],
-            gt=self.gt[idx],
-            sigma=self.sigma[idx],
-            classes=self.classes[idx],
-            probs=self.probs[idx],
-        )
-
-
-def _dataset_arrays(dataset: Dataset) -> _Arrays:
-    pred, gt, sigma, classes, probs = records_to_arrays(dataset.records)
-    return _Arrays(pred, gt, sigma, classes, probs)
-
-
-@dataclass(frozen=True, eq=False)
 class _Context:
-    arrays: _Arrays
-    n_classes: int
+    data: Dataset
     config: RunConfig
-    eval_arrays: _Arrays | None = None
+    eval_data: Dataset | None = None
 
 
-def _effective_sigma(ctx: _Context, cal: _Arrays, ev: _Arrays, rng_key) -> tuple:
+def _effective_sigma(ctx: _Context, cal: Dataset, ev: Dataset, rng_key) -> tuple:
     """Sigma arrays for scoring, after optional recalibration.
 
     Returns ``(sig_ev, cal_for_quantiles, warnings)``: the evaluation-side
@@ -294,17 +255,17 @@ def _effective_sigma(ctx: _Context, cal: _Arrays, ev: _Arrays, rng_key) -> tuple
 
     fit_part = cal
     quant_part = cal
-    if cfg.calibrator_fit_fraction is not None and cal.n >= 2:
+    if cfg.calibrator_fit_fraction is not None and len(cal) >= 2:
         rng = np.random.default_rng(rng_key)
-        perm = rng.permutation(cal.n)
-        n_fit = _split_sizes(cal.n, cfg.calibrator_fit_fraction)
+        perm = rng.permutation(len(cal))
+        n_fit = _split_sizes(len(cal), cfg.calibrator_fit_fraction)
         fit_part = cal.take(np.sort(perm[:n_fit]))
         quant_part = cal.take(np.sort(perm[n_fit:]))
     calibrator = _cal.fit_calibrator_arrays(
         fit_part.pred,
         fit_part.gt,
         fit_part.sigma,
-        fit_part.classes,
+        fit_part.gt_class,
         scope=cfg.calibration_scope,
         min_class_fit=_cal.MIN_CLASS_FIT,
     )
@@ -315,8 +276,8 @@ def _effective_sigma(ctx: _Context, cal: _Arrays, ev: _Arrays, rng_key) -> tuple
             "calibrator fell back to the global map for classes "
             + ",".join(str(k) for k in calibrator.fallback_keys)
         )
-    sig_q = _cal.calibrated_sigma_array(calibrator, quant_part.pred, quant_part.sigma, quant_part.classes)
-    sig_ev = _cal.calibrated_sigma_array(calibrator, ev.pred, ev.sigma, ev.classes)
+    sig_q = _cal.calibrated_sigma_array(calibrator, quant_part.pred, quant_part.sigma, quant_part.gt_class)
+    sig_ev = _cal.calibrated_sigma_array(calibrator, ev.pred, ev.sigma, ev.gt_class)
     quant_part = replace(quant_part, sigma=sig_q)
     return sig_ev, quant_part, warnings
 
@@ -330,9 +291,9 @@ def _quantile_summary(values: np.ndarray, n_groups: int) -> dict:
     }
 
 
-def _score(cfg: RunConfig, ev: _Arrays, sig_ev, q_eval: np.ndarray, member) -> MetricRow:
+def _score(cfg: RunConfig, ev: Dataset, sig_ev, q_eval: np.ndarray, member) -> MetricRow:
     """Metrics of one run; the set metrics only when ``member`` is given."""
-    if ev.n == 0:
+    if len(ev) == 0:
         # vacuous-evaluation convention: nothing to miss, nothing to score
         sets = {}
         if member is not None:
@@ -344,7 +305,7 @@ def _score(cfg: RunConfig, ev: _Arrays, sig_ev, q_eval: np.ndarray, member) -> M
     iscores = box_interval_scores(lows, highs, ev.gt, cfg.miscoverage.alpha_corner)
     sets = {}
     if member is not None:
-        class_hits = member[np.arange(ev.n), ev.classes]
+        class_hits = member[np.arange(len(ev)), ev.gt_class]
         sets = dict(
             mean_set_size=float(member.sum(axis=1).mean()),
             class_coverage=float(class_hits.mean()),
@@ -354,13 +315,13 @@ def _score(cfg: RunConfig, ev: _Arrays, sig_ev, q_eval: np.ndarray, member) -> M
         coverage=float(box_hits.mean()),
         mean_iou=float(iou_xyxy(ev.gt, outer).mean()),
         interval_score=float(iscores.sum()),
-        n_eval=int(ev.n),
+        n_eval=len(ev),
         **sets,
     )
 
 
-def _two_step(q: np.ndarray, ev: _Arrays, cal: _Arrays, cfg: RunConfig):
-    scores = true_class_scores(cal.probs, cal.classes, cfg.raps)
+def _two_step(q: np.ndarray, ev: Dataset, cal: Dataset, cfg: RunConfig):
+    scores = true_class_scores(cal.probs, cal.gt_class, cfg.raps)
     qhat_class = classification_quantile(scores, cfg.miscoverage.alpha_class)
     member, _ = prediction_set_matrix(ev.probs, qhat_class, cfg.raps)
     # worst case over the label set: classes outside it cannot win the max
@@ -373,11 +334,11 @@ def _two_step(q: np.ndarray, ev: _Arrays, cal: _Arrays, cfg: RunConfig):
 # and the (K, 4) per-class table otherwise.
 _REGIME_QUANTILES = {
     REGIME_CLASS_AGNOSTIC: lambda q, ev, cal, cfg: (q, None),
-    REGIME_CLASS_WISE: lambda q, ev, cal, cfg: (q[ev.classes], None),
+    REGIME_CLASS_WISE: lambda q, ev, cal, cfg: (q[ev.gt_class], None),
     REGIME_TWO_STEP: _two_step,
     REGIME_NAIVE_WORST_CASE: lambda q, ev, cal, cfg: (
         q.max(axis=0),
-        np.ones((ev.n, len(q)), dtype=bool),
+        np.ones((len(ev), len(q)), dtype=bool),
     ),
 }
 
@@ -388,24 +349,16 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
     warnings: list[str] = []
     stratified = cfg.resolved_stratified
 
-    if ctx.eval_arrays is None:
-        split = _split_indices(
-            ctx.arrays.n, ctx.arrays.classes, ctx.n_classes, cfg.calib_fraction, seed, stratified
-        )
-        cal = ctx.arrays.take(split.calib_idx)
-        ev = ctx.arrays.take(split.eval_idx)
+    if ctx.eval_data is None:
+        split = random_split(ctx.data, cfg.calib_fraction, seed, stratified)
+        cal = ctx.data.take(split.calib_idx)
+        ev = ctx.data.take(split.eval_idx)
         missing_eval = split.missing_eval_classes
     else:
-        split_a = _split_indices(
-            ctx.arrays.n, ctx.arrays.classes, ctx.n_classes, cfg.calib_fraction,
-            (cfg.master_seed, run_index, 0), stratified,
-        )
-        split_b = _split_indices(
-            ctx.eval_arrays.n, ctx.eval_arrays.classes, ctx.n_classes, cfg.calib_fraction,
-            (cfg.master_seed, run_index, 1), stratified,
-        )
-        cal = ctx.arrays.take(split_a.calib_idx)
-        ev = ctx.eval_arrays.take(split_b.eval_idx)
+        split_a = random_split(ctx.data, cfg.calib_fraction, (cfg.master_seed, run_index, 0), stratified)
+        split_b = random_split(ctx.eval_data, cfg.calib_fraction, (cfg.master_seed, run_index, 1), stratified)
+        cal = ctx.data.take(split_a.calib_idx)
+        ev = ctx.eval_data.take(split_b.eval_idx)
         missing_eval = split_b.missing_eval_classes
     if missing_eval:
         warnings.append(
@@ -422,13 +375,13 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
     table = fit_quantiles_from_scores(
         residual_scores(quant_part.pred, quant_part.gt, sig_q),
         cfg.miscoverage.alpha_corner,
-        groups=None if pooled else quant_part.classes,
-        n_classes=ctx.n_classes,
+        groups=None if pooled else quant_part.gt_class,
+        n_classes=ctx.data.n_classes,
         min_per_class=cfg.min_per_class,
     )
     if table.flagged:
         warnings.append("classes below min_per_class: " + ",".join(str(k) for k in table.flagged))
-    q = table.corners(AGNOSTIC) if pooled else table.by_class(ctx.n_classes)
+    q = table.corners(AGNOSTIC) if pooled else table.by_class(ctx.data.n_classes)
     q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ev, quant_part, cfg)
 
     return RunResult(
@@ -537,12 +490,7 @@ def run_experiment(
         raise SeedMismatch(
             f"evaluation dataset has {eval_dataset.n_classes} classes, expected {dataset.n_classes}"
         )
-    ctx = _Context(
-        arrays=_dataset_arrays(dataset),
-        n_classes=dataset.n_classes,
-        config=config,
-        eval_arrays=None if eval_dataset is None else _dataset_arrays(eval_dataset),
-    )
+    ctx = _Context(data=dataset, config=config, eval_data=eval_dataset)
     if workers > 1 and config.n_runs > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)
@@ -603,12 +551,9 @@ def recovery_sweep(
     one row dict per ``(scaling, alpha, threshold)``; the rate is None
     when no record falls below the threshold.
     """
-    arrays = _dataset_arrays(dataset)
-    split = _split_indices(
-        arrays.n, arrays.classes, dataset.n_classes, calib_fraction, seed, stratified=False
-    )
-    cal = arrays.take(split.calib_idx)
-    ev = arrays.take(split.eval_idx)
+    split = random_split(dataset, calib_fraction, seed, stratified=False)
+    cal = dataset.take(split.calib_idx)
+    ev = dataset.take(split.eval_idx)
     pred_iou = iou_xyxy(ev.pred, ev.gt)
     rows = []
     for scaling in SCALINGS:

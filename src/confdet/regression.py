@@ -27,7 +27,7 @@ from .core import (
     QuantileTable,
     records_to_arrays,
 )
-from .errors import EmptyCalibration, MissingClass, NonPositiveSigma, OutOfRange
+from .errors import DataError, EmptyCalibration, MissingClass, NonPositiveSigma, OutOfRange
 
 logger = logging.getLogger(__name__)
 
@@ -105,6 +105,8 @@ def conformal_quantile(scores, alpha: float) -> float:
     n = s.size
     if n == 0:
         raise EmptyCalibration("conformal_quantile needs at least one score")
+    if np.isnan(s).any():  # NaN sorts last, so it would silently shift the rank
+        raise DataError("conformal_quantile got NaN scores")
     rank = _order_rank(n, alpha)
     if rank > n:
         return math.inf
@@ -276,7 +278,9 @@ def corner_intervals(
     """
     pred = np.asarray(pred, dtype=float)
     q = np.asarray(quantiles, dtype=float)
-    if np.any(q < 0):
+    if not np.isfinite(pred).all():
+        raise DataError("predicted corners must be finite")
+    if not np.all(q >= 0):
         raise OutOfRange("corner quantiles must be >= 0")
     if sigma is None:
         half = np.broadcast_to(q, np.broadcast_shapes(pred.shape, q.shape)).copy()

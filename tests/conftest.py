@@ -55,4 +55,4 @@ def make_dataset(n, n_classes=1, noise=5.0, seed=0, one_hot_probs=False):
                 image_id=f"img-{i}",
             )
         )
-    return Dataset(records=tuple(records), n_classes=n_classes)
+    return Dataset.from_records(records)

@@ -89,6 +89,17 @@ def test_grid_step_not_positive_exits_1(data_path, grid, capsys):
     assert "grid step must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", ["2000,2000,0,0", "0,0,0,10", "0,0,inf,10", "nan,0,10,10"])
+def test_bad_image_bounds_exit_1(tmp_path, bounds, capsys):
+    args = ["simulate", "--records", "200", "--classes", "2", "--regime", "class_wise"]
+    args += ["--seed", "1", "--runs", "2", "--workers", "1", "--out", str(tmp_path / "r.json")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(args + ["--image-bounds", bounds])
+    assert excinfo.value.code == 1
+    assert "x0 < x1 and y0 < y1" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_bad_workers_variable_exits_1(data_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CONFDET_WORKERS", "abc")
     assert main(run_args(data_path, str(tmp_path / "r.json"))) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from confdet.core import (
     AGNOSTIC,
@@ -141,3 +141,46 @@ def test_records_to_arrays_shapes():
     assert probs.shape == (5, 2)
     assert gt_class.dtype.kind == "i"
     assert np.all(gt_class == 1)
+
+
+def distinct_records(n):
+    """Records that differ in every field, so a row mix-up shows."""
+    return [
+        make_record(
+            pred=(i, 2.0 * i, i + 10.0, 2.0 * i + 20.0),
+            gt=(i + 0.5, 2.0 * i, i + 9.5, 2.0 * i + 21.0),
+            gt_class=i % 3,
+            class_probs=(0.1 * i, 0.5, 0.5 - 0.1 * i),
+            sigma=(1.0, 2.0, 3.0, 1.0 + i),
+            image_id=f"img-{i}",
+        )
+        for i in range(n)
+    ]
+
+
+def test_dataset_columns_round_trip_records():
+    recs = distinct_records(5)
+    ds = Dataset.from_records(recs)
+    assert len(ds) == 5
+    assert ds.n_classes == 3
+    assert ds.records == tuple(recs)
+    assert list(ds) == recs
+    assert ds[3] == recs[3]
+    assert ds.pred.shape == ds.gt.shape == ds.sigma.shape == (5, 4)
+    assert ds.probs.shape == (5, 3)
+    assert ds.gt_class.dtype.kind == "i"
+    assert ds.image_ids.dtype == object
+
+
+def test_dataset_take_keeps_row_order_in_every_column():
+    recs = distinct_records(5)
+    ds = Dataset.from_records(recs)
+    idx = np.array([4, 0, 2])
+    sub = ds.take(idx)
+    assert sub.records == tuple(recs[i] for i in idx)
+    for name in ("image_ids", "pred", "gt", "sigma", "gt_class", "probs"):
+        assert_array_equal(getattr(sub, name), getattr(ds, name)[idx])
+    empty = ds.take(np.array([], dtype=int))
+    assert len(empty) == 0
+    assert empty.n_classes == 3
+    assert list(empty) == []

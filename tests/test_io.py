@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -124,6 +125,62 @@ def test_non_integer_gt_class_is_rejected_not_coerced(tmp_path, raw):
     with pytest.raises(ValidationError) as excinfo:
         load_dataset(path, strict=True)
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pred_box", ["0", "0", "10", "10"], "pred_box must hold JSON numbers only"),
+        ("pred_box", [True, 0.0, 10.0, 10.0], "pred_box must hold JSON numbers only"),
+        ("gt_box", [1.0, 1.0, 9.0, None], "gt_box must hold JSON numbers only"),
+        ("class_probs", ["0.75", 0.25], "class_probs must hold JSON numbers only"),
+        ("sigma", ["1", 1, 1, 1], "sigma must hold JSON numbers only"),
+        ("image_id", None, "image_id must be a string"),
+        ("image_id", 7, "image_id must be a string"),
+        ("gt_box", [10**400, 1.0, 9.0, 9.0], "malformed field value"),
+    ],
+)
+def test_field_types_are_rejected_not_coerced(tmp_path, field, value, message):
+    doc = json.loads(good_line("bad-type"))
+    doc[field] = value
+    path = tmp_path / "types.jsonl"
+    path.write_text(good_line() + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (2,)
+    assert message in report.messages[0]
+    assert [r.image_id for r in dataset.records] == ["img-0"]
+    with pytest.raises(ValidationError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 2
+
+
+def test_integer_coordinates_load_as_floats(tmp_path):
+    doc = json.loads(good_line())
+    doc["pred_box"] = [0, 0, 10, 10]
+    doc["sigma"] = [1, 1, 1, 1]
+    path = tmp_path / "ints.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path, strict=True)
+    assert report.n_loaded == 1
+    assert dataset.pred.tolist() == [[0.0, 0.0, 10.0, 10.0]]
+    assert dataset.sigma.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+
+
+def test_save_dataset_bytes_match_recorded_digest(tmp_path):
+    # recorded when datasets were still stored as records: the columnar
+    # form must write the same bytes (valid for numpy 2.4.6's generator)
+    spec = OracleSpec(
+        n_records=40,
+        n_classes=3,
+        corner_noise=((2.0, 20.0), 5.0, (1.0, 3.0)),
+        classifier_accuracy=0.8,
+        prob_temperature=2.0,
+        seed=36,
+    )
+    path = tmp_path / "synthetic.jsonl"
+    save_dataset(generate(spec)[0], path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "fba7315589f48c23f4c403ec63c90f18b8b022be9d4482adfd8b46b8bb0c710e"
 
 
 def test_empty_or_unusable_file_raises(tmp_path):

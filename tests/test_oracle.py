@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from confdet.core import validate_record
+from confdet.core import Dataset, validate_record
 from confdet.errors import InvalidSpec
 from confdet.oracle import OracleSpec, generate
 
@@ -182,3 +182,22 @@ def test_spec_validation():
         OracleSpec(**{**ok, "box_size": (400.0, 80.0)})
     with pytest.raises(InvalidSpec):
         OracleSpec(**{**ok, "image_size": (100.0, 100.0)})
+
+
+def test_generate_columns_equal_record_round_trip():
+    dataset, _ = generate(
+        OracleSpec(
+            n_records=200,
+            n_classes=3,
+            corner_noise=((2.0, 20.0), 5.0, (1.0, 3.0)),
+            classifier_accuracy=0.8,
+            seed=12,
+        )
+    )
+    again = Dataset.from_records(dataset.records)
+    assert dataset.n_classes == again.n_classes == 3
+    for name in ("image_ids", "pred", "gt", "sigma", "gt_class", "probs"):
+        ours, theirs = getattr(dataset, name), getattr(again, name)
+        assert ours.shape == theirs.shape
+        assert ours.dtype.kind == theirs.dtype.kind
+        assert_array_equal(ours, theirs)

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from confdet.core import Dataset, MiscoverageConfig, RAPSConfig
+from confdet.core import BoundingBox, Dataset, MiscoverageConfig, RAPSConfig
 from confdet.errors import (
+    DataError,
     EmptySetConfig,
     OutOfRange,
     SeedMismatch,
@@ -269,9 +271,30 @@ def test_run_config_validation():
         RunConfig(miscoverage=mc, calibration_scope="classwise")
     with pytest.raises(OutOfRange):
         RunConfig(miscoverage=mc, calibrator_fit_fraction=0.0)
+    for bounds in (
+        (2000.0, 2000.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 10.0),
+        (0.0, 5.0, 10.0, 5.0),
+        (0.0, 0.0, math.inf, 10.0),
+        (math.nan, 0.0, 10.0, 10.0),
+    ):
+        with pytest.raises(OutOfRange):
+            RunConfig(miscoverage=mc, image_bounds=BoundingBox(*bounds))
+    RunConfig(miscoverage=mc, image_bounds=BoundingBox(-10.0, -10.0, 640.0, 480.0))
     for regime in REGIMES:
         cfg = RunConfig(miscoverage=mc, regime=regime)
         assert cfg.resolved_stratified is (regime != "class_agnostic")
+
+
+def test_hand_built_dataset_with_nan_prediction_is_rejected():
+    # a Dataset built from columns skips validate_record; the kernels must not
+    ds = make_dataset(100, n_classes=2, seed=22)
+    pred = ds.pred.copy()
+    pred[7, 0] = math.nan
+    bad = dataclasses.replace(ds, pred=pred)
+    for scaling in ("unscaled", "scaled"):
+        with pytest.raises(DataError):
+            run_experiment(bad, small_config(n_runs=2, scaling=scaling))
 
 
 def test_class_wise_quantile_summary_counts_groups():

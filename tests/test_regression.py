@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from confdet.core import AGNOSTIC, BoundingBox
 from confdet.errors import (
+    DataError,
     EmptyCalibration,
     MissingClass,
     NonPositiveSigma,
@@ -115,6 +116,24 @@ def test_conformal_quantile_input_validation():
         conformal_quantile([1.0], 0.0)
     with pytest.raises(OutOfRange):
         conformal_quantile([1.0], 1.0)
+
+
+@pytest.mark.parametrize("n_nan", [1, 2])
+def test_conformal_quantile_rejects_nan(n_nan):
+    # NaN sorts last, so it used to shift the order statistic silently
+    scores = [1.0, 2.0] + [math.nan] * n_nan + [3.0] * 30
+    with pytest.raises(DataError):
+        conformal_quantile(scores, 0.1)
+
+
+def test_corner_intervals_rejects_nan():
+    pred = np.array([[0.0, 0.0, 10.0, 10.0], [math.nan, 0.0, 10.0, 10.0]])
+    with pytest.raises(DataError):
+        corner_intervals(pred, np.ones(4))
+    with pytest.raises(DataError):
+        corner_intervals(pred, np.ones(4), sigma=np.ones((2, 4)))
+    with pytest.raises(OutOfRange):
+        corner_intervals(pred[:1], np.array([math.nan, 1.0, 1.0, 1.0]))
 
 
 def test_bonferroni_corner_alpha():
