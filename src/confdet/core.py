@@ -356,7 +356,8 @@ class Dataset:
         Raises
         ------
         ValidationError
-            If the records disagree on the length of ``class_probs``.
+            If the records disagree on the length of ``class_probs``, or a
+            ``gt_class`` is not an integer.
         """
         recs = list(records)
         if not recs:
@@ -369,6 +370,8 @@ class Dataset:
                     f"{n_classes} inferred from the first record",
                     line=i + 1,
                 )
+            if isinstance(rec.gt_class, bool) or not isinstance(rec.gt_class, (int, np.integer)):
+                raise ValidationError(f"gt_class {rec.gt_class!r} is not an integer", line=i + 1)
         pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
         image_ids = np.array([rec.image_id for rec in recs], dtype=object)
         return cls(image_ids, pred, gt, sigma, gt_class, probs)

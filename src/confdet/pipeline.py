@@ -262,12 +262,7 @@ def _effective_sigma(ctx: _Context, cal: Dataset, ev: Dataset, rng_key) -> tuple
         fit_part = cal.take(np.sort(perm[:n_fit]))
         quant_part = cal.take(np.sort(perm[n_fit:]))
     calibrator = _cal.fit_calibrator_arrays(
-        fit_part.pred,
-        fit_part.gt,
-        fit_part.sigma,
-        fit_part.gt_class,
-        scope=cfg.calibration_scope,
-        min_class_fit=_cal.MIN_CLASS_FIT,
+        fit_part.pred, fit_part.gt, fit_part.sigma, fit_part.gt_class, scope=cfg.calibration_scope
     )
     if calibrator.n_excluded:
         warnings.append(f"calibrator skipped {calibrator.n_excluded} degenerate box(es)")
@@ -551,6 +546,8 @@ def recovery_sweep(
     one row dict per ``(scaling, alpha, threshold)``; the rate is None
     when no record falls below the threshold.
     """
+    if image_bounds is not None and not image_bounds.is_image_extent():
+        raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {image_bounds}")
     split = random_split(dataset, calib_fraction, seed, stratified=False)
     cal = dataset.take(split.calib_idx)
     ev = dataset.take(split.eval_idx)

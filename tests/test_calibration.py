@@ -1,8 +1,13 @@
+import time
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from confdet.calibration import (
+    DIMENSION_EPS,
     SCOPE_GLOBAL,
     SCOPE_PER_CLASS,
     SCOPE_RAW,
@@ -11,6 +16,8 @@ from confdet.calibration import (
     calibrated_sigma_array,
     evaluate_map,
     fit_calibrator,
+    fit_calibrator_arrays,
+    isotonic_fit,
     load_calibrator,
     normalize_sigma,
     pava_fit,
@@ -24,6 +31,81 @@ from conftest import make_record
 
 def unit_pairs(xs, ys):
     return [(x, y, 1.0) for x, y in zip(xs, ys)]
+
+
+def _reference_pava(pairs):
+    """The pure-Python block-stack fit that the array kernel replaced.
+
+    Sorts by x, merges duplicate x by weighted mean, then keeps a stack of
+    blocks and merges the top two while their means decrease.
+    """
+    pts = sorted(((float(x), float(y), float(w)) for x, y, w in pairs), key=lambda t: t[0])
+    xs: list[float] = []
+    ys: list[float] = []
+    ws: list[float] = []
+    for x, y, w in pts:
+        if xs and x == xs[-1]:
+            tot = ws[-1] + w
+            ys[-1] = (ys[-1] * ws[-1] + y * w) / tot
+            ws[-1] = tot
+        else:
+            xs.append(x)
+            ys.append(y)
+            ws.append(w)
+    val: list[float] = []
+    wgt: list[float] = []
+    start: list[int] = []
+    for i, (y, w) in enumerate(zip(ys, ws)):
+        val.append(y)
+        wgt.append(w)
+        start.append(i)
+        while len(val) > 1 and val[-2] > val[-1]:
+            merged_w = wgt[-2] + wgt[-1]
+            merged_v = (val[-2] * wgt[-2] + val[-1] * wgt[-1]) / merged_w
+            val[-2:] = [merged_v]
+            wgt[-2:] = [merged_w]
+            start[-2:] = [start[-2]]
+    return CalibrationMap(breakpoints=tuple(xs[i] for i in start), values=tuple(val))
+
+
+def _reference_per_class_sigma(calibrator, pred, sigma, gt_class):
+    """The per-(class, corner) ``evaluate_map`` loop that ``calibrated_sigma_array`` replaced."""
+    width = pred[:, 2] - pred[:, 0]
+    height = pred[:, 3] - pred[:, 1]
+    usable = (width > DIMENSION_EPS) & (height > DIMENSION_EPS)
+    dims = np.stack([width, height, width, height], axis=-1)[usable]
+    x = sigma[usable] / dims
+    cls = gt_class[usable]
+    mapped = np.empty_like(x)
+    for corner in range(4):
+        for k in np.unique(cls):
+            sel = cls == k
+            cmap = calibrator.maps.get((int(k), corner), calibrator.global_map)
+            mapped[sel, corner] = evaluate_map(cmap, x[sel, corner])
+    out = sigma.copy()
+    out[usable] = np.maximum(mapped * dims, SIGMA_FLOOR)
+    return out
+
+
+def assert_same_step_function(cmap, ref, probes):
+    """Equal maps: same breakpoints, except one of two adjacent blocks whose
+    values are equal up to the last bits (kept apart by one fit, pooled by
+    the other), and values within 1e-12 at every probe."""
+    for a, b in ((cmap, ref), (ref, cmap)):
+        for j, bp in enumerate(a.breakpoints):
+            if bp not in b.breakpoints:
+                assert j > 0 and a.values[j] == pytest.approx(a.values[j - 1], rel=1e-12, abs=1e-12)
+    assert_allclose(evaluate_map(cmap, probes), evaluate_map(ref, probes), rtol=1e-12, atol=1e-12)
+
+
+def random_points(rng, n):
+    """Points with tied x, tied (rounded) y and unit or non-unit weights."""
+    x = rng.integers(0, max(1, n // 3), size=n).astype(float) if rng.random() < 0.5 else rng.uniform(0, 10, size=n)
+    y = rng.uniform(0, 5) * x + rng.normal(size=n) * 10  # a trend leaves many blocks
+    if rng.random() < 0.5:
+        y = np.round(y)
+    w = np.ones(n) if rng.random() < 0.5 else rng.uniform(0.1, 5.0, size=n)
+    return x, y, w
 
 
 # ---------------------------------------------------------------- pava
@@ -92,6 +174,120 @@ def test_pava_input_validation():
         pava_fit([])
     with pytest.raises(OutOfRange):
         pava_fit([(1.0, 1.0, 0.0)])
+
+
+def test_isotonic_fit_matches_reference_pava():
+    rng = np.random.default_rng(11)
+    n_breakpoints_differ = 0
+    for _ in range(300):
+        x, y, w = random_points(rng, int(rng.integers(1, 400)))
+        cmap = isotonic_fit(x, y, w)
+        ref = _reference_pava(zip(x, y, w))
+        n_breakpoints_differ += cmap.breakpoints != ref.breakpoints
+        probes = np.concatenate([x, rng.uniform(x.min() - 1, x.max() + 1, size=50)])
+        assert_same_step_function(cmap, ref, probes)
+    # the equal-value edge is rare; if every fit hit it, the kernel would be wrong
+    assert n_breakpoints_differ < 30
+
+
+def test_isotonic_fit_linear_on_one_pool_per_pass_input():
+    # the last point drags every other into its block, but each pass pools
+    # only the last two blocks, so passes alone would be quadratic (n passes,
+    # minutes at this n); the block stack must take over after the first pass
+    n = 200_000
+    y = np.concatenate([np.arange(n, dtype=float), [-float(n) ** 2]])
+    start = time.perf_counter()
+    cmap = isotonic_fit(np.arange(n + 1, dtype=float), y)
+    assert time.perf_counter() - start < 10.0
+    assert cmap.breakpoints == (0.0,)
+    assert cmap.values[0] == (n * (n - 1) / 2 - n**2) / (n + 1)
+
+
+def test_isotonic_fit_input_validation():
+    with pytest.raises(EmptyFit):
+        isotonic_fit([], [])
+    with pytest.raises(OutOfRange):
+        isotonic_fit([1.0, 2.0], [1.0])
+    for bad in ((float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, float("nan")), (1.0, 1.0, -1.0)):
+        with pytest.raises(OutOfRange):
+            isotonic_fit([bad[0]], [bad[1]], [bad[2]])
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+weighted_points = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 8).map(float), finite),
+        st.one_of(finite.map(round), finite),
+        st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def fitted_at_inputs(points):
+    x, y, w = (np.array(col) for col in zip(*points))
+    return x, y, w, evaluate_map(isotonic_fit(x, y, w), x)
+
+
+@PROPERTY
+@given(weighted_points)
+def test_property_fit_is_non_decreasing(points):
+    x, _, _, fitted = fitted_at_inputs(points)
+    order = np.argsort(x, kind="stable")
+    assert (np.diff(fitted[order]) >= 0).all()
+
+
+@PROPERTY
+@given(weighted_points)
+def test_property_refit_is_idempotent(points):
+    x, _, w, fitted = fitted_at_inputs(points)
+    refit = evaluate_map(isotonic_fit(x, fitted, w), x)
+    assert_allclose(refit, fitted, rtol=1e-12, atol=1e-9)
+
+
+@PROPERTY
+@given(weighted_points)
+def test_property_fit_keeps_weighted_mean(points):
+    _, y, w, fitted = fitted_at_inputs(points)
+    scale = float(np.sum(w * np.abs(y))) + 1.0
+    assert float(np.sum(w * fitted)) == pytest.approx(float(np.sum(w * y)), rel=1e-9, abs=1e-9 * scale)
+
+
+@PROPERTY
+@given(weighted_points)
+def test_property_pava_fit_wraps_isotonic_fit(points):
+    x, y, w = (np.array(col) for col in zip(*points))
+    wrapped = pava_fit(points)
+    direct = isotonic_fit(x, y, w)
+    assert wrapped.breakpoints == direct.breakpoints
+    assert wrapped.values == direct.values
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 30))
+def test_property_per_class_sigma_matches_loop(seed, n_classes, min_class_fit):
+    # min_class_fit up to 30 of about 20 records per class makes fallback classes
+    # common; evaluating on one class more than fitted adds a class without maps
+    rng = np.random.default_rng(seed)
+    n = 20 * n_classes
+    x0 = rng.uniform(0, 500, size=(n, 2))
+    wh = rng.uniform(0, 200, size=(n, 2))
+    wh[rng.random(n) < 0.05, 0] = 0.0  # some degenerate boxes keep raw sigma
+    pred = np.hstack([x0, x0 + wh])
+    gt = pred + rng.normal(scale=5.0, size=(n, 4))
+    sigma = np.round(rng.uniform(0.5, 5.0, size=(n, 4)), 1)
+    gt_class = rng.integers(0, n_classes, size=n)
+    calibrator = fit_calibrator_arrays(pred, gt, sigma, gt_class, SCOPE_PER_CLASS, min_class_fit)
+    eval_class = rng.integers(0, n_classes + 1, size=n)
+    assert_array_equal(
+        calibrated_sigma_array(calibrator, pred, sigma, eval_class),
+        _reference_per_class_sigma(calibrator, pred, sigma, eval_class),
+    )
 
 
 # ---------------------------------------------------------------- evaluation

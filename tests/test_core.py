@@ -121,6 +121,17 @@ def test_dataset_from_records_infers_k():
     assert len(ds) == 3
 
 
+def test_dataset_from_records_rejects_non_integer_class():
+    # a dtype=int column once truncated 1.7 and True to class 1 without a word
+    for bad in (1.7, True, np.float64(1.0), "1"):
+        recs = [make_record(class_probs=(0.5, 0.5), gt_class=0), make_record(class_probs=(0.5, 0.5), gt_class=bad)]
+        with pytest.raises(ValidationError) as exc_info:
+            Dataset.from_records(recs)
+        assert exc_info.value.line == 2
+    ds = Dataset.from_records([make_record(class_probs=(0.5, 0.5), gt_class=np.int64(1))])
+    assert_array_equal(ds.gt_class, [1])
+
+
 def test_dataset_from_records_rejects_k_mismatch():
     recs = [
         make_record(class_probs=(0.5, 0.5), gt_class=0),

@@ -381,3 +381,13 @@ def test_recovery_sweep_vacuous_quantiles_recover_all():
     for row in rows:
         assert row["n_below"] > 0
         assert row["recovery_rate"] == 1.0
+
+
+def test_recovery_sweep_rejects_inverted_image_bounds():
+    # inverted bounds once gave recovery_rate 0.0 on every row, with no error
+    ds = make_dataset(200, noise=30.0, seed=24)
+    for bounds in ((2000.0, 2000.0, 0.0, 0.0), (0.0, 0.0, float("inf"), 100.0)):
+        with pytest.raises(OutOfRange):
+            recovery_sweep(ds, alphas=(0.05,), thresholds=(0.5,), image_bounds=BoundingBox(*bounds))
+    rows = recovery_sweep(ds, alphas=(0.05,), thresholds=(0.5,), image_bounds=BoundingBox(0.0, 0.0, 2000.0, 2000.0))
+    assert len(rows) == 2
