@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import X_CORNERS, CalibrationMap, DetectionRecord, records_to_arrays
-from .errors import DegenerateBox, EmptyFit, OutOfRange
+from .errors import DegenerateBox, EmptyFit, MalformedFile, OutOfRange
 
 logger = logging.getLogger(__name__)
 
@@ -293,11 +293,20 @@ def _map_to_dict(cmap: CalibrationMap) -> dict:
 
 
 def _map_from_dict(d: dict, scope_key) -> CalibrationMap:
-    return CalibrationMap(
-        breakpoints=tuple(float(v) for v in d["breakpoints"]),
-        values=tuple(float(v) for v in d["values"]),
-        scope_key=scope_key,
-    )
+    """A map read from a file, checked to be a non-decreasing step function."""
+    bp = np.asarray(d["breakpoints"], dtype=float)
+    values = np.asarray(d["values"], dtype=float)
+    if bp.ndim != 1 or bp.shape != values.shape or bp.size == 0:
+        problem = "needs non-empty breakpoints and values of equal length"
+    elif not (np.isfinite(bp).all() and np.isfinite(values).all()):
+        problem = "has non-finite entries"
+    elif (np.diff(bp) <= 0).any():
+        problem = "has breakpoints that are not strictly ascending"
+    elif (np.diff(values) < 0).any():
+        problem = "has decreasing values"
+    else:
+        return CalibrationMap(tuple(bp.tolist()), tuple(values.tolist()), scope_key)
+    raise MalformedFile(f"calibration map {scope_key} {problem}")
 
 
 def save_calibrator(calibrator: SigmaCalibrator, path) -> None:
@@ -318,19 +327,29 @@ def save_calibrator(calibrator: SigmaCalibrator, path) -> None:
 
 
 def load_calibrator(path) -> SigmaCalibrator:
-    """Load a calibrator previously written by :func:`save_calibrator`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    maps = {
-        (int(entry["class"]), int(entry["corner"])): _map_from_dict(
-            entry, (int(entry["class"]), int(entry["corner"]))
+    """Load a calibrator previously written by :func:`save_calibrator`.
+
+    Raises :class:`MalformedFile` if the file is not such a calibrator, or
+    if a map is not a step function with strictly ascending breakpoints and
+    finite, non-decreasing values.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if doc["scope"] not in SCOPES:
+            raise MalformedFile(f"unknown scope {doc['scope']!r}")
+        if doc["scope"] != SCOPE_RAW and doc.get("global") is None:
+            raise MalformedFile(f"scope {doc['scope']} needs a global map")
+        maps = {}
+        for entry in doc.get("maps", []):
+            key = (int(entry["class"]), int(entry["corner"]))
+            maps[key] = _map_from_dict(entry, key)
+        return SigmaCalibrator(
+            scope=doc["scope"],
+            global_map=None if doc.get("global") is None else _map_from_dict(doc["global"], "global"),
+            maps=maps,
+            fallback_keys=tuple(int(k) for k in doc.get("fallback_classes", [])),
+            n_excluded=int(doc.get("n_excluded", 0)),
         )
-        for entry in doc.get("maps", [])
-    }
-    return SigmaCalibrator(
-        scope=doc["scope"],
-        global_map=None if doc.get("global") is None else _map_from_dict(doc["global"], "global"),
-        maps=maps,
-        fallback_keys=tuple(int(k) for k in doc.get("fallback_classes", [])),
-        n_excluded=int(doc.get("n_excluded", 0)),
-    )
+    except (KeyError, TypeError, ValueError, MalformedFile) as exc:
+        raise MalformedFile(f"{path}: not a sigma calibrator: {exc}") from exc

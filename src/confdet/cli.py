@@ -14,8 +14,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _stdio
 import json
 import os
 import sys
@@ -26,6 +24,7 @@ from .core import BoundingBox, MiscoverageConfig, RAPSConfig
 from .errors import ConfigError, DataError
 from .io import (
     REPORT_FORMATS,
+    csv_text,
     emit_report,
     load_dataset,
     load_report,
@@ -158,10 +157,20 @@ def _run_config(args) -> RunConfig:
     )
 
 
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _emit(args, report) -> None:
+    # emit_report writes --out itself, so the byte count perfbench/tracer.py takes there covers reports
     text = emit_report(report, format=args.format, path=args.out)
     if args.out is None:
-        sys.stdout.write(text)
+        _write(None, text)
 
 
 def _cmd_run(args) -> int:
@@ -209,12 +218,7 @@ def _normalized_noise(noise: tuple, n_classes: int) -> tuple:
 
 def _cmd_compare(args) -> int:
     table = compare_reports(load_report(args.report_a), load_report(args.report_b))
-    text = json.dumps(table, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(table, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -237,26 +241,8 @@ def _cmd_recovery(args) -> int:
         seed=args.seed,
         image_bounds=args.image_bounds,
     )
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scaling", "alpha_corner", "iou_threshold", "recovery_rate", "n_below"])
-    for row in rows:
-        rate = row["recovery_rate"]
-        writer.writerow(
-            [
-                row["scaling"],
-                f"{row['alpha_corner']:.6g}",
-                f"{row['iou_threshold']:.6g}",
-                "" if rate is None else f"{rate:.6g}",
-                row["n_below"],
-            ]
-        )
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    columns = ("scaling", "alpha_corner", "iou_threshold", "recovery_rate", "n_below")
+    _write(args.out, csv_text(columns, ([row[c] for c in columns] for row in rows)))
     return 0
 
 

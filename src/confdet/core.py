@@ -25,11 +25,8 @@ from .errors import OutOfRange, ValidationError
 #: Index of the group key used by class-agnostic quantile tables.
 AGNOSTIC = "agnostic"
 
-#: Corner indices that live on the x axis / y axis.
+#: Corner indices that live on the x axis.
 X_CORNERS = (0, 2)
-Y_CORNERS = (1, 3)
-
-CORNER_NAMES = ("x0", "y0", "x1", "y1")
 
 #: Absolute tolerance for the class-probability sum check.
 PROB_SUM_TOL = 1e-6
@@ -232,9 +229,6 @@ class QuantileTable:
     n_per_group: Mapping[object, int]
     alpha_corner: float
     flagged: tuple = ()
-
-    def groups(self) -> list:
-        return list(self.quantiles)
 
     def corners(self, group) -> np.ndarray:
         """Corner quantiles for one group as a length-4 array."""

@@ -78,6 +78,10 @@ class EmptyFile(DataError):
     """A dataset file contained no usable records."""
 
 
+class MalformedFile(DataError):
+    """A report or calibrator file does not hold what its loader expects."""
+
+
 class ParseError(DataError):
     """A line in a dataset file is not valid JSON.
 

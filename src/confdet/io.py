@@ -20,13 +20,13 @@ import io as _stdio
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import BoundingBox, Dataset, DetectionRecord, validate_record
-from .errors import EmptyFile, OutOfRange, ParseError, ValidationError
-from .metrics import MetricRow
+from .errors import EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
+from .metrics import METRICS, MetricRow
 from .pipeline import RunReport, RunResult
 
 logger = logging.getLogger(__name__)
@@ -35,17 +35,7 @@ RECORD_FIELDS = ("image_id", "pred_box", "gt_box", "gt_class", "class_probs", "s
 
 REPORT_FORMATS = ("json", "csv")
 
-CSV_COLUMNS = (
-    "run",
-    "seed",
-    "coverage",
-    "mean_iou",
-    "interval_score",
-    "mean_set_size",
-    "class_coverage",
-    "joint_coverage",
-    "n_eval",
-)
+CSV_COLUMNS = ("run", "seed", *METRICS, "n_eval")
 
 
 @dataclass(frozen=True)
@@ -199,18 +189,6 @@ def _round_floats(obj):
     return obj
 
 
-def _metrics_dict(row: MetricRow) -> dict:
-    return {
-        "coverage": row.coverage,
-        "mean_iou": row.mean_iou,
-        "interval_score": row.interval_score,
-        "n_eval": row.n_eval,
-        "mean_set_size": row.mean_set_size,
-        "class_coverage": row.class_coverage,
-        "joint_coverage": row.joint_coverage,
-    }
-
-
 def report_to_dict(report: RunReport) -> dict:
     """JSON-ready representation of a report (floats rounded)."""
     doc = {
@@ -220,7 +198,7 @@ def report_to_dict(report: RunReport) -> dict:
             {
                 "run": r.run_index,
                 "seed": list(r.seed),
-                "metrics": _metrics_dict(r.metrics),
+                "metrics": asdict(r.metrics),
                 "quantiles": r.quantile_summary,
                 "warnings": list(r.warnings),
             }
@@ -232,36 +210,6 @@ def report_to_dict(report: RunReport) -> dict:
     return _round_floats(doc)
 
 
-def report_from_dict(doc: dict) -> RunReport:
-    per_run = []
-    for entry in doc["per_run"]:
-        m = entry["metrics"]
-        per_run.append(
-            RunResult(
-                run_index=int(entry["run"]),
-                seed=tuple(int(v) for v in entry["seed"]),
-                metrics=MetricRow(
-                    coverage=m["coverage"],
-                    mean_iou=m["mean_iou"],
-                    interval_score=m["interval_score"],
-                    n_eval=int(m["n_eval"]),
-                    mean_set_size=m.get("mean_set_size"),
-                    class_coverage=m.get("class_coverage"),
-                    joint_coverage=m.get("joint_coverage"),
-                ),
-                quantile_summary=entry.get("quantiles", {}),
-                warnings=tuple(entry.get("warnings", ())),
-            )
-        )
-    return RunReport(
-        regime=doc["regime"],
-        config=doc.get("config", {}),
-        per_run=tuple(per_run),
-        aggregate=doc.get("aggregate", {}),
-        significance=doc.get("significance"),
-    )
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -270,50 +218,28 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def report_to_csv(report: RunReport) -> str:
-    """CSV rendering: one row per run plus one aggregate row."""
+def csv_text(columns, rows) -> str:
+    """CSV text: a header of ``columns``, then one line per row.
+
+    Floats are written with 6 significant digits and None as an empty cell.
+    """
     buf = _stdio.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in report.per_run:
-        m = r.metrics
-        writer.writerow(
-            [
-                r.run_index,
-                "-".join(str(v) for v in r.seed),
-                _csv_cell(m.coverage),
-                _csv_cell(m.mean_iou),
-                _csv_cell(m.interval_score),
-                _csv_cell(m.mean_set_size),
-                _csv_cell(m.class_coverage),
-                _csv_cell(m.joint_coverage),
-                m.n_eval,
-            ]
-        )
-    agg = report.aggregate
-
-    def agg_mean(name):
-        entry = agg.get(name)
-        return None if entry is None else entry.get("mean")
-
-    writer.writerow(
-        [
-            "aggregate",
-            "",
-            _csv_cell(agg_mean("coverage")),
-            _csv_cell(agg_mean("mean_iou")),
-            _csv_cell(agg_mean("interval_score")),
-            _csv_cell(agg_mean("mean_set_size")),
-            _csv_cell(agg_mean("class_coverage")),
-            _csv_cell(agg_mean("joint_coverage")),
-            agg.get("n_eval_total", ""),
-        ]
-    )
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def report_to_json(report: RunReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+def report_to_csv(report: RunReport) -> str:
+    """CSV rendering: one row per run plus one aggregate row."""
+    rows = [
+        [r.run_index, "-".join(map(str, r.seed)), *(getattr(r.metrics, m) for m in METRICS), r.metrics.n_eval]
+        for r in report.per_run
+    ]
+    agg = report.aggregate
+    means = (agg.get(m, {}).get("mean") for m in METRICS)
+    rows.append(["aggregate", "", *means, agg.get("n_eval_total", "")])
+    return csv_text(CSV_COLUMNS, rows)
 
 
 def emit_report(report: RunReport, format: str = "json", path=None) -> str:
@@ -324,7 +250,10 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
     """
     if format not in REPORT_FORMATS:
         raise OutOfRange(f"format must be one of {REPORT_FORMATS}, got {format!r}")
-    text = report_to_json(report) if format == "json" else report_to_csv(report)
+    if format == "json":
+        text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    else:
+        text = report_to_csv(report)
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -332,6 +261,29 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
 
 
 def load_report(path) -> RunReport:
-    """Load a JSON report written by :func:`emit_report`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+    """Load a JSON report written by :func:`emit_report`.
+
+    Raises :class:`MalformedFile` if the file is not JSON or not such a report.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        per_run = tuple(
+            RunResult(
+                run_index=int(entry["run"]),
+                seed=tuple(int(v) for v in entry["seed"]),
+                metrics=MetricRow(**entry["metrics"]),
+                quantile_summary=entry.get("quantiles", {}),
+                warnings=tuple(entry.get("warnings", ())),
+            )
+            for entry in doc["per_run"]
+        )
+        return RunReport(
+            regime=doc["regime"],
+            config=doc.get("config", {}),
+            per_run=per_run,
+            aggregate=doc.get("aggregate", {}),
+            significance=doc.get("significance"),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedFile(f"{path}: not a confdet report ({type(exc).__name__}: {exc})") from exc

@@ -12,7 +12,7 @@ reported per-run value is the sum over the evaluated records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import special
@@ -21,6 +21,7 @@ from .core import BoundingBox, ConformalBox
 from .errors import LengthMismatch, MismatchedKeys, OutOfRange, TooFewPairs
 
 __all__ = [
+    "METRICS",
     "MetricRow",
     "corner_coverage_event",
     "coverage_events",
@@ -53,6 +54,11 @@ class MetricRow:
     mean_set_size: float | None = None
     class_coverage: float | None = None
     joint_coverage: float | None = None
+
+
+#: Names of the reported metrics in report column order: every
+#: :class:`MetricRow` field but the ``n_eval`` count.
+METRICS = tuple(f.name for f in fields(MetricRow) if f.name != "n_eval")
 
 
 def corner_coverage_event(gt_box: BoundingBox, corner_intervals) -> tuple[tuple[bool, bool, bool, bool], bool]:
@@ -183,21 +189,15 @@ def classwise_aggregate(rows: dict, class_counts: dict) -> MetricRow:
     if total <= 0:
         raise OutOfRange("class counts must sum to a positive total")
 
-    def wmean(getter) -> float | None:
-        pairs = [(getter(rows[k]), class_counts[k]) for k in rows]
-        if any(v is None for v, _ in pairs):
+    def combine(name: str) -> float | None:
+        values = [getattr(rows[k], name) for k in rows]
+        if name == "interval_score":
+            return float(sum(values))
+        if any(v is None for v in values):
             return None
-        return sum(v * c for v, c in pairs) / total
+        return sum(v * class_counts[k] for v, k in zip(values, rows)) / total
 
-    return MetricRow(
-        coverage=wmean(lambda r: r.coverage),
-        mean_iou=wmean(lambda r: r.mean_iou),
-        interval_score=float(sum(rows[k].interval_score for k in rows)),
-        n_eval=int(total),
-        mean_set_size=wmean(lambda r: r.mean_set_size),
-        class_coverage=wmean(lambda r: r.class_coverage),
-        joint_coverage=wmean(lambda r: r.joint_coverage),
-    )
+    return MetricRow(n_eval=int(total), **{name: combine(name) for name in METRICS})
 
 
 def two_sided_t_pvalue(t: float, df: int) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .errors import (
     StratificationImpossible,
 )
 from .metrics import (
+    METRICS,
     MetricRow,
     box_interval_scores,
     coverage_events,
@@ -401,9 +402,6 @@ def _worker_run(run_index: int) -> RunResult:
     return _run_once(_WORKER_CTX, run_index)
 
 
-OPTIONAL_METRICS = ("mean_set_size", "class_coverage", "joint_coverage")
-
-
 def _aggregate(results: list[RunResult], cfg: RunConfig) -> dict:
     n = len(results)
 
@@ -414,9 +412,7 @@ def _aggregate(results: list[RunResult], cfg: RunConfig) -> dict:
         return {"mean": mean, "std": sd}
 
     agg: dict = {}
-    for name in ("coverage", "mean_iou", "interval_score"):
-        agg[name] = stats([getattr(r.metrics, name) for r in results])
-    for name in OPTIONAL_METRICS:
+    for name in METRICS:
         values = [getattr(r.metrics, name) for r in results]
         if all(v is not None for v in values):
             agg[name] = stats(values)
@@ -439,28 +435,15 @@ def _aggregate(results: list[RunResult], cfg: RunConfig) -> dict:
 
 
 def _config_echo(cfg: RunConfig, transfer: bool) -> dict:
-    bounds = cfg.image_bounds
-    return {
-        "regime": cfg.regime,
-        "alpha_corner": cfg.miscoverage.alpha_corner,
-        "alpha_class": cfg.miscoverage.alpha_class,
-        "scaling": cfg.scaling,
-        "calibration_scope": cfg.calibration_scope,
-        "n_runs": cfg.n_runs,
-        "calib_fraction": cfg.calib_fraction,
-        "master_seed": cfg.master_seed,
-        "min_per_class": cfg.min_per_class,
-        "stratified": cfg.resolved_stratified,
-        "calibrator_fit_fraction": cfg.calibrator_fit_fraction,
-        "raps": {
-            "penalty_a": cfg.raps.penalty_a,
-            "threshold_b": cfg.raps.threshold_b,
-            "allow_empty": cfg.raps.allow_empty,
-            "penalty_at_inference": cfg.raps.penalty_at_inference,
-        },
-        "image_bounds": None if bounds is None else [bounds.x0, bounds.y0, bounds.x1, bounds.y1],
-        "transfer_evaluation": transfer,
-    }
+    """Every :class:`RunConfig` field, with ``miscoverage`` flattened and ``stratified`` resolved."""
+    echo = asdict(cfg)
+    echo.update(echo.pop("miscoverage"))
+    echo.update(
+        stratified=cfg.resolved_stratified,
+        image_bounds=None if cfg.image_bounds is None else list(astuple(cfg.image_bounds)),
+        transfer_evaluation=transfer,
+    )
+    return echo
 
 
 def run_experiment(
@@ -601,7 +584,7 @@ def compare_reports(report_a: RunReport, report_b: RunReport) -> dict:
         raise SeedMismatch("per-run seeds differ; reports are not paired")
 
     table: dict = {"n_runs": len(runs_a), "metrics": {}}
-    for name in ("coverage", "mean_iou", "interval_score") + OPTIONAL_METRICS:
+    for name in METRICS:
         a = [getattr(r.metrics, name) for r in runs_a]
         b = [getattr(r.metrics, name) for r in runs_b]
         if any(v is None for v in a) or any(v is None for v in b):

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from confdet.calibration import (
     save_calibrator,
 )
 from confdet.core import CalibrationMap
-from confdet.errors import DegenerateBox, EmptyFit, OutOfRange
+from confdet.errors import DataError, DegenerateBox, EmptyFit, OutOfRange
 
 from conftest import make_record
 
@@ -470,3 +471,60 @@ def test_save_load_round_trip(tmp_path):
     key = (0, 2)
     assert loaded.maps[key].breakpoints == calibrator.maps[key].breakpoints
     assert loaded.maps[key].values == calibrator.maps[key].values
+
+
+def _saved_doc(tmp_path):
+    calibrator = fit_calibrator(doubling_records(300, seed=8, n_classes=2), scope=SCOPE_PER_CLASS)
+    save_calibrator(calibrator, tmp_path / "maps.json")
+    return json.loads((tmp_path / "maps.json").read_text(encoding="utf-8"))
+
+
+def _set_global(**entries):
+    def edit(doc):
+        doc["global"].update(entries)
+    return edit
+
+
+def _set_class_map(**entries):
+    def edit(doc):
+        doc["maps"][3].update(entries)
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, names",
+    [
+        (lambda doc: doc.update(scope="per_box"), "per_box"),
+        (lambda doc: doc.update(**{"global": None}), "global map"),
+        (_set_global(breakpoints=[0.02, 0.01], values=[0.05, 0.1]), "map global"),
+        (_set_global(breakpoints=[0.01, 0.02], values=[float("nan"), 0.05]), "map global"),
+        (_set_global(breakpoints=[0.01, float("inf")], values=[0.05, 0.1]), "map global"),
+        (_set_global(breakpoints=[0.01, 0.01], values=[0.05, 0.1]), "map global"),
+        (_set_global(breakpoints=[0.01, 0.02], values=[0.1, 0.05]), "map global"),
+        (_set_global(breakpoints=[0.01, 0.02], values=[0.05, 0.1, 0.2]), "map global"),
+        (_set_global(breakpoints=[], values=[]), "map global"),
+        (_set_class_map(breakpoints=[0.01, 0.02], values=[0.1, 0.05]), "map (0, 3)"),
+        (lambda doc: doc.pop("scope"), "scope"),
+    ],
+    ids=[
+        "unknown-scope",
+        "no-global-map",
+        "descending-breakpoints",
+        "nan-value",
+        "infinite-breakpoint",
+        "tied-breakpoints",
+        "decreasing-values",
+        "unequal-lengths",
+        "empty",
+        "decreasing-class-map",
+        "no-scope",
+    ],
+)
+def test_load_calibrator_rejects_malformed_maps(tmp_path, edit, names):
+    doc = _saved_doc(tmp_path)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="bad.json") as excinfo:
+        load_calibrator(path)
+    assert names in str(excinfo.value)

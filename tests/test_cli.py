@@ -278,6 +278,35 @@ def test_compare_unpaired_reports_exits_2(data_path, tmp_path, capsys):
     assert main(["compare", out_a, out_c]) == 2
 
 
+def _renamed_metric(text: str) -> str:
+    doc = json.loads(text)
+    metrics = doc["per_run"][0]["metrics"]
+    metrics["cover"] = metrics.pop("coverage")
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "make_text",
+    [
+        lambda report: '{"a": 1}',
+        lambda report: "nope",
+        lambda report: "[1,2]",
+        _renamed_metric,
+    ],
+    ids=["no-per-run", "not-json", "list", "renamed-metric"],
+)
+def test_compare_on_a_non_report_exits_2(data_path, tmp_path, capsys, make_text):
+    good = tmp_path / "good.json"
+    assert main(run_args(data_path, str(good))) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(make_text(good.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(bad) in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------- calibrate-sigma
 
 

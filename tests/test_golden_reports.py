@@ -17,8 +17,9 @@ from functools import lru_cache
 
 import pytest
 
+from confdet.cli import main
 from confdet.core import MiscoverageConfig
-from confdet.io import emit_report
+from confdet.io import emit_report, save_dataset
 from confdet.oracle import OracleSpec, generate
 from confdet.pipeline import REGIMES, RunConfig, run_experiment
 
@@ -134,3 +135,84 @@ def report_digests(case) -> tuple[str, str]:
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_report_bytes_match_golden(case):
     assert report_digests(case) == GOLDEN[_case_id(case)]
+
+
+# Whole-text digests: the JSON report including ``config``, and the
+# bytes the command line writes, so that the option echo and the CLI
+# writers are guarded as well as the results.  They were recorded before
+# the metric and option lists were derived from `MetricRow` and `RunConfig`.
+WHOLE_JSON = {
+    "class_agnostic-unscaled": "df91e687c2df2431001fe293c5f36f23a7de6014494c6e811bc360407d896e48",
+    "class_agnostic-scaled-raw": "59acde9a1c526c4c6882f197e0bb5feb12609b9fa57cd66a036ba450954fae1a",
+    "class_agnostic-scaled-recal": "05bd12feab38185ffce23034181a16f8db72816919adf00a276651a79a71366b",
+    "class_wise-unscaled": "fffbe7bd4b6f3e1f97f968f18b52ddff7f084f3bc0c60117236b03ed77372eb5",
+    "class_wise-scaled-raw": "09f5c350f14353acb3186d756639277f19a9d469e2ee07502eeac07988265b13",
+    "class_wise-scaled-recal": "248dd1dad69f1631bc63e490bd4b0492a207e6a9bc7ea14266c93450b3680241",
+    "two_step-unscaled": "88ce75b9114f8f17923ea74b7be8945c8f87789c6bae10c426110e8d179ad0de",
+    "two_step-scaled-raw": "b67609a7e244ac796f5900d5ed84e77da4afecdf2869429e9fd14669dbeba39b",
+    "two_step-scaled-recal": "7c00b9c2ff85c53cc20a2a64e02d35bcda3c89c8bf5d19ae518e415bb7ce9225",
+    "naive_worst_case-unscaled": "00f3f649d86fb0b4e67e3151d26bdc6508da61a9b258e8d3efb97b8952bac59b",
+    "naive_worst_case-scaled-raw": "7bef9a042c50803aaf259e8e708cbca9e6d5cdfbf0ec0f084036006a44ac1d4e",
+    "naive_worst_case-scaled-recal": "02805226f557996327eddccfca3edd5eb8575379b22a53ea81ec55724d5a94bf",
+    "two_step-scaled-raw-transfer": "a2a6c752d2d43fff0b8f08a5ef499b249841f4ba55ce14d0110f4e75aae088ea",
+}
+
+CLI_GOLDEN = {
+    "run-csv-stdout": "0ca5afa8ed892e6bcd45b42f21add4892d9b958b7bf70ac05ccfad2fef787753",
+    "run-two_step-unscaled-json": "1a32c55b1ab46c4b3990c92bec0e9df3d99266cbc91dbd17287b2b14e31f0998",
+    "run-two_step-scaled-json": "a58ef7705f13a5f8270e407dbc23ae5cc2965265b9b7531c4dc9cf8199b57861",
+    "compare-json": "83205ca9922b4f07e19b271efd000d81f086c17f2d36f54bf5d3d108b77cdb39",
+    "recovery-csv": "b9bb8d3f85ca237767644b315a8a39c78fd4fe1f07f986e85de89ad44fcd66ea",
+}
+
+
+def whole_json_digest(case) -> str:
+    regime, variant, transfer = case
+    config = RunConfig(
+        miscoverage=MiscoverageConfig(alpha_corner=0.025, alpha_class=0.05),
+        n_runs=5,
+        regime=regime,
+        master_seed=11,
+        min_per_class=20,
+        **VARIANTS[variant],
+    )
+    report = run_experiment(
+        _data(3), config, eval_dataset=_data(4, shift=1.5) if transfer else None
+    )
+    return hashlib.sha256(emit_report(report, "json").encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_whole_json_report_bytes_match_golden(case):
+    assert whole_json_digest(case) == WHOLE_JSON[_case_id(case)]
+
+
+def cli_digests(tmp_path, capsys) -> dict:
+    data = tmp_path / "data.jsonl"
+    save_dataset(_data(3), data)
+    run = ["run", "--data", str(data), "--seed", "11", "--runs", "5", "--workers", "1"]
+    texts = {}
+
+    assert main([*run, "--format", "csv"]) == 0
+    texts["run-csv-stdout"] = capsys.readouterr().out
+
+    reports = []
+    for scaling in ("unscaled", "scaled"):
+        path = tmp_path / f"{scaling}.json"
+        assert main([*run, "--regime", "two_step", "--scaling", scaling, "--out", str(path)]) == 0
+        reports.append(str(path))
+        texts[f"run-two_step-{scaling}-json"] = path.read_text(encoding="utf-8")
+    compared = tmp_path / "compare.json"
+    assert main(["compare", *reports, "--out", str(compared)]) == 0
+    texts["compare-json"] = compared.read_text(encoding="utf-8")
+    assert main(["compare", *reports]) == 0
+    assert capsys.readouterr().out == texts["compare-json"]
+
+    rec = ["recovery", "--data", str(data), "--seed", "2", "--alpha-corner", "0.025,0.1"]
+    assert main([*rec, "--thresholds", "0.01,0.3,0.5,0.7"]) == 0
+    texts["recovery-csv"] = capsys.readouterr().out
+    return {k: hashlib.sha256(v.encode()).hexdigest() for k, v in texts.items()}
+
+
+def test_cli_output_bytes_match_golden(tmp_path, capsys):
+    assert cli_digests(tmp_path, capsys) == CLI_GOLDEN
