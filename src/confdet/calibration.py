@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import X_CORNERS, CalibrationMap, DetectionRecord, records_to_arrays
+from .core import CalibrationMap, DetectionRecord, records_to_arrays
 from .errors import DegenerateBox, EmptyFit, MalformedFile, OutOfRange
 
 logger = logging.getLogger(__name__)
@@ -109,18 +109,25 @@ def evaluate_map(cmap: CalibrationMap, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+def _corner_dims(pred: np.ndarray) -> np.ndarray:
+    """Each corner's predicted-box dimension: the width for x corners, the height for y."""
+    return (pred[..., 2:] - pred[..., :2])[..., [0, 1, 0, 1]]
+
+
 def _normalize(pred: np.ndarray, sigma):
     """Rows whose predicted box is wider and taller than ``DIMENSION_EPS``, their
-    per-corner dimension (width for x corners, height for y) and sigma over it."""
-    width = pred[:, 2] - pred[:, 0]
-    height = pred[:, 3] - pred[:, 1]
-    usable = (width > DIMENSION_EPS) & (height > DIMENSION_EPS)
-    dims = np.stack([width, height, width, height], axis=-1)[usable]
+    per-corner dimensions and sigma over them."""
+    dims = _corner_dims(pred)
+    usable = (dims[:, 0] > DIMENSION_EPS) & (dims[:, 1] > DIMENSION_EPS)
+    dims = dims[usable]
     return usable, dims, np.asarray(sigma, dtype=float)[usable] / dims
 
 
 def normalize_sigma(record: DetectionRecord, corner: int) -> float:
     """Sigma of one corner divided by the matching predicted-box dimension.
+
+    Only that dimension is checked, so a box of zero width still
+    normalizes its y corners.
 
     Raises
     ------
@@ -129,7 +136,7 @@ def normalize_sigma(record: DetectionRecord, corner: int) -> float:
     """
     if corner not in range(4):
         raise OutOfRange(f"corner must be in 0..3, got {corner!r}")
-    dim = record.pred_box.width if corner in X_CORNERS else record.pred_box.height
+    dim = float(_corner_dims(record.pred_box.as_array())[corner])
     if dim <= DIMENSION_EPS:
         raise DegenerateBox(
             f"predicted box dimension {dim!r} too small to normalize corner {corner}"

@@ -35,14 +35,6 @@ def class_order(class_probs: np.ndarray) -> np.ndarray:
     return np.argsort(-p, axis=-1, kind="stable")
 
 
-def _check_class(class_probs, true_class) -> None:
-    k = len(class_probs)
-    if isinstance(true_class, bool) or not isinstance(true_class, (int, np.integer)):
-        raise InvalidClass(f"true_class must be an integer, got {true_class!r}")
-    if not 0 <= true_class < k:
-        raise InvalidClass(f"true_class {true_class} outside [0, {k})")
-
-
 def aps_score(class_probs, true_class: int) -> float:
     """Adaptive score: probability mass from the top class down to the truth.
 
@@ -50,11 +42,7 @@ def aps_score(class_probs, true_class: int) -> float:
     rank of the true class (inclusive).  Low scores mean the true class
     sits near the top of the ranking.
     """
-    _check_class(class_probs, true_class)
-    p = np.asarray(class_probs, dtype=float)
-    order = class_order(p)
-    rank = int(np.nonzero(order == true_class)[0][0])  # 0-based
-    return float(p[order[: rank + 1]].sum())
+    return float(true_class_scores(np.asarray(class_probs, dtype=float)[None, :], [true_class])[0])
 
 
 def raps_score(class_probs, true_class: int, config: RAPSConfig) -> float:
@@ -65,20 +53,21 @@ def raps_score(class_probs, true_class: int, config: RAPSConfig) -> float:
     grows with depth, so deep tail classes become expensive and the fitted
     threshold stops admitting them.
     """
-    base = aps_score(class_probs, true_class)
-    p = np.asarray(class_probs, dtype=float)
-    rank = int(np.nonzero(class_order(p) == true_class)[0][0]) + 1
-    return base + config.penalty_a * max(0, rank - config.threshold_b)
+    return float(true_class_scores(np.asarray(class_probs, dtype=float)[None, :], [true_class], config)[0])
 
 
 def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig | None = None) -> np.ndarray:
     """Vectorized scores of the true class for an ``(n, K)`` batch.
 
-    ``config=None`` gives plain adaptive scores (no penalty).
+    ``config=None`` gives plain adaptive scores (no penalty).  The labels
+    must be integers in ``[0, K)``; bool and float labels are rejected,
+    not truncated.
     """
     p = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     n, k = p.shape
+    if labels.dtype.kind not in "iu":
+        raise InvalidClass(f"labels must be integers, got dtype {labels.dtype}")
     if np.any((labels < 0) | (labels >= k)):
         raise InvalidClass("labels must lie in [0, K)")
     order = class_order(p)
@@ -103,16 +92,6 @@ def classification_quantile(scores, alpha: float) -> float:
     return conformal_quantile(scores, alpha)
 
 
-def _running_totals(sorted_p: np.ndarray, config: RAPSConfig) -> np.ndarray:
-    """Cumulative totals used by the set rule, penalty included if configured."""
-    csum = np.cumsum(sorted_p, axis=-1)
-    if config.penalty_a > 0 and config.penalty_at_inference:
-        k = sorted_p.shape[-1]
-        penalty = config.penalty_a * np.maximum(0, np.arange(1, k + 1) - config.threshold_b)
-        csum = csum + penalty
-    return csum
-
-
 def build_prediction_set(class_probs, qhat: float, config: RAPSConfig) -> PredictionSet:
     """Assemble the prediction set for one probability vector.
 
@@ -131,21 +110,8 @@ def build_prediction_set(class_probs, qhat: float, config: RAPSConfig) -> Predic
     p = np.asarray(class_probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise OutOfRange("class_probs must be a non-empty vector")
-    if math.isnan(qhat) or qhat < 0:
-        raise OutOfRange(f"qhat must be >= 0, got {qhat!r}")
-    order = class_order(p)
-    k_total = p.size
-    if math.isinf(qhat):
-        return PredictionSet(classes=tuple(int(c) for c in order), qhat_class=qhat)
-    totals = _running_totals(p[order], config)
-    if config.allow_empty:
-        size = int(np.count_nonzero(totals <= qhat))
-    elif qhat > 0:
-        # the running total before admitting rank r is totals[r-2], zero for r=1
-        size = min(1 + int(np.count_nonzero(totals[:-1] < qhat)), k_total)
-    else:
-        size = 1  # a zero threshold admits nothing; keep the top class
-    return PredictionSet(classes=tuple(int(c) for c in order[:size]), qhat_class=float(qhat))
+    _, sizes = prediction_set_matrix(p[None, :], qhat, config)
+    return PredictionSet(classes=tuple(class_order(p)[: sizes[0]].tolist()), qhat_class=float(qhat))
 
 
 def prediction_set_matrix(probs: np.ndarray, qhat: float, config: RAPSConfig):
@@ -165,7 +131,9 @@ def prediction_set_matrix(probs: np.ndarray, qhat: float, config: RAPSConfig):
         member = np.ones((n, k_total), dtype=bool)
         return member, np.full(n, k_total, dtype=int)
     order = class_order(p)
-    totals = _running_totals(np.take_along_axis(p, order, axis=1), config)
+    totals = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
+    if config.penalty_a > 0 and config.penalty_at_inference:
+        totals = totals + config.penalty_a * np.maximum(0, np.arange(1, k_total + 1) - config.threshold_b)
     if config.allow_empty:
         sizes = (totals <= qhat).sum(axis=1)
     else:

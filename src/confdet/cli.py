@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -88,18 +89,20 @@ def _parse_bias(text: str) -> tuple:
     return (kind, float(param))
 
 
+#: Most points a 'start:stop:step' grid may hold.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
     """'start:stop:step' inclusive grid, or a comma-separated list."""
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
         if step <= 0:
             raise argparse.ArgumentTypeError(f"grid step must be > 0, got {step:g}")
-        values = []
-        v = start
-        while v <= stop + 1e-12:
-            values.append(round(v, 12))
-            v += step
-        return values
+        span = (stop - start + 1e-12) / step  # the last point sits at index floor(span)
+        if not span < MAX_GRID_POINTS:  # also catches an infinite or NaN bound
+            raise argparse.ArgumentTypeError(f"grid {text} must be finite with at most {MAX_GRID_POINTS} points")
+        return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
     return [float(v) for v in text.split(",")]
 
 

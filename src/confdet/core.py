@@ -25,9 +25,6 @@ from .errors import OutOfRange, ValidationError
 #: Index of the group key used by class-agnostic quantile tables.
 AGNOSTIC = "agnostic"
 
-#: Corner indices that live on the x axis.
-X_CORNERS = (0, 2)
-
 #: Absolute tolerance for the class-probability sum check.
 PROB_SUM_TOL = 1e-6
 
@@ -67,16 +64,18 @@ class BoundingBox:
 
     def contains(self, other: "BoundingBox") -> bool:
         """True when ``other`` lies fully inside this box (bounds inclusive)."""
-        return (
-            self.x0 <= other.x0
-            and self.y0 <= other.y0
-            and other.x1 <= self.x1
-            and other.y1 <= self.y1
-        )
+        return bool(contains_xyxy(self.as_array(), other.as_array()))
 
     def is_image_extent(self) -> bool:
         """True when the box can bound an image: finite, ``x0 < x1`` and ``y0 < y1``."""
         return bool(np.isfinite(self.as_array()).all()) and self.x0 < self.x1 and self.y0 < self.y1
+
+
+def contains_xyxy(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """True where box ``inner`` lies fully inside ``outer`` (bounds inclusive), broadcasting."""
+    outer = np.asarray(outer, dtype=float)
+    inner = np.asarray(inner, dtype=float)
+    return (outer[..., :2] <= inner[..., :2]).all(axis=-1) & (inner[..., 2:] <= outer[..., 2:]).all(axis=-1)
 
 
 #: Clamp target for vacuous (infinite) intervals when no image size is known.

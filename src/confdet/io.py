@@ -260,6 +260,23 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
     return text
 
 
+def _run_result(entry: dict) -> RunResult:
+    """One ``per_run`` entry of a report; seeds must be integers, metrics numbers or null."""
+    seed, metrics = tuple(entry["seed"]), MetricRow(**entry["metrics"])
+    # exact types, as in _parse_line: bool is an int subclass, and int() would parse a string
+    if not {int}.issuperset(map(type, seed)):
+        raise TypeError(f"seed {list(seed)!r} does not hold integers")
+    if not {int, float, type(None)}.issuperset(map(type, vars(metrics).values())):
+        raise TypeError(f"metrics {vars(metrics)!r} are not all numbers or null")
+    return RunResult(
+        run_index=int(entry["run"]),
+        seed=seed,
+        metrics=metrics,
+        quantile_summary=entry.get("quantiles", {}),
+        warnings=tuple(entry.get("warnings", ())),
+    )
+
+
 def load_report(path) -> RunReport:
     """Load a JSON report written by :func:`emit_report`.
 
@@ -268,16 +285,7 @@ def load_report(path) -> RunReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        per_run = tuple(
-            RunResult(
-                run_index=int(entry["run"]),
-                seed=tuple(int(v) for v in entry["seed"]),
-                metrics=MetricRow(**entry["metrics"]),
-                quantile_summary=entry.get("quantiles", {}),
-                warnings=tuple(entry.get("warnings", ())),
-            )
-            for entry in doc["per_run"]
-        )
+        per_run = tuple(_run_result(entry) for entry in doc["per_run"])
         return RunReport(
             regime=doc["regime"],
             config=doc.get("config", {}),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import special
 
-from .core import BoundingBox, ConformalBox
+from .core import BoundingBox, ConformalBox, contains_xyxy
 from .errors import LengthMismatch, MismatchedKeys, OutOfRange, TooFewPairs
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "interval_score",
     "box_interval_scores",
     "recovery_rate",
+    "recovery_counts",
     "classwise_aggregate",
     "paired_t_test",
     "two_sided_t_pvalue",
@@ -70,14 +71,12 @@ def corner_coverage_event(gt_box: BoundingBox, corner_intervals) -> tuple[tuple[
     trivially).
     """
     if isinstance(corner_intervals, ConformalBox):
-        pairs = [corner_intervals.corner_interval(i) for i in range(4)]
-    else:
-        pairs = [(float(lo), float(hi)) for lo, hi in corner_intervals]
-    if any(lo > hi for lo, hi in pairs):
+        corner_intervals = zip(corner_intervals.lows, corner_intervals.highs)
+    lows, highs = np.array(list(corner_intervals), dtype=float).T
+    if np.any(lows > highs):
         raise OutOfRange("corner intervals must satisfy low <= high")
-    corners = gt_box.as_array()
-    hits = tuple(bool(lo <= c <= hi) for c, (lo, hi) in zip(corners, pairs))
-    return hits, all(hits)
+    corner_hits, box_hit = coverage_events(gt_box.as_array(), lows, highs)
+    return tuple(corner_hits.tolist()), bool(box_hit)
 
 
 def coverage_events(gt: np.ndarray, lows: np.ndarray, highs: np.ndarray):
@@ -115,12 +114,9 @@ def interval_score(low: float, high: float, value: float, alpha: float) -> float
     Lower is better; the score is proper, so the expected-score minimizer
     is the central ``1 - alpha`` interval of the predictive distribution.
     """
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
     if low > high:
         raise OutOfRange("interval must satisfy low <= high")
-    width = high - low
-    return float(width + 2.0 / alpha * max(low - value, 0.0) + 2.0 / alpha * max(value - high, 0.0))
+    return float(box_interval_scores([low], [high], [value], alpha))
 
 
 def box_interval_scores(lows: np.ndarray, highs: np.ndarray, gt: np.ndarray, alpha: float) -> np.ndarray:
@@ -150,21 +146,29 @@ def recovery_rate(records, boxes, iou_threshold: float) -> float | None:
     fully inside the outer conformal box (bounds inclusive).  Returns
     None when no record falls below the threshold.
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise OutOfRange(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
     records = list(records)
     boxes = list(boxes)
     if len(records) != len(boxes):
         raise LengthMismatch(f"{len(records)} records vs {len(boxes)} boxes")
-    low_iou = [
-        (rec, box)
-        for rec, box in zip(records, boxes)
-        if iou(rec.pred_box, rec.gt_box) < iou_threshold
-    ]
-    if not low_iou:
-        return None
-    recovered = sum(1 for rec, box in low_iou if box.outer.contains(rec.gt_box))
-    return recovered / len(low_iou)
+    pred = np.array([r.pred_box.as_array() for r in records]).reshape(-1, 4)
+    gt = np.array([r.gt_box.as_array() for r in records]).reshape(-1, 4)
+    outer = np.array([b.outer.as_array() for b in boxes]).reshape(-1, 4)
+    rate, _ = recovery_counts(iou_xyxy(pred, gt), contains_xyxy(outer, gt), iou_threshold)
+    return rate
+
+
+def recovery_counts(pred_iou: np.ndarray, contained: np.ndarray, iou_threshold: float) -> tuple[float | None, int]:
+    """Recovery rate and the number of records below ``iou_threshold``.
+
+    ``pred_iou`` holds each record's IoU between prediction and ground
+    truth and ``contained`` whether its outer box holds the ground truth.
+    The rate is None when no record falls below the threshold.
+    """
+    if not 0.0 < iou_threshold <= 1.0:
+        raise OutOfRange(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
+    below = np.asarray(pred_iou) < iou_threshold
+    n_below = int(below.sum())
+    return (float(np.asarray(contained)[below].mean()) if n_below else None), n_below
 
 
 def classwise_aggregate(rows: dict, class_counts: dict) -> MetricRow:

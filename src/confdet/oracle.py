@@ -84,6 +84,8 @@ class OracleSpec:
             raise InvalidSpec(f"n_records must be >= 1, got {self.n_records}")
         if self.n_classes < 1:
             raise InvalidSpec(f"n_classes must be >= 1, got {self.n_classes}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
         if len(self.corner_noise) != self.n_classes:
             raise InvalidSpec(
                 f"corner_noise needs one entry per class ({self.n_classes}), "

@@ -36,6 +36,7 @@ from .core import (
     Dataset,
     MiscoverageConfig,
     RAPSConfig,
+    contains_xyxy,
 )
 from .errors import (
     EmptyCalibration,
@@ -51,6 +52,7 @@ from .metrics import (
     coverage_events,
     iou_xyxy,
     paired_t_test,
+    recovery_counts,
 )
 from .regression import (
     corner_intervals,
@@ -114,6 +116,8 @@ class RunConfig:
             )
         if self.regime not in REGIMES:
             raise OutOfRange(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if self.master_seed < 0:
+            raise OutOfRange(f"master_seed must be >= 0, got {self.master_seed}")
         if self.image_bounds is not None and not self.image_bounds.is_image_extent():
             raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {self.image_bounds}")
         if self.min_per_class < 0:
@@ -484,34 +488,6 @@ def run_experiment(
     )
 
 
-def run_class_agnostic(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
-    """Experiment with pooled (class-agnostic) quantiles."""
-    config = replace(config, regime=REGIME_CLASS_AGNOSTIC)
-    return run_experiment(dataset, config, eval_dataset, workers)
-
-
-def run_class_wise(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
-    """Experiment with per-class quantiles looked up by ground-truth class."""
-    config = replace(config, regime=REGIME_CLASS_WISE)
-    return run_experiment(dataset, config, eval_dataset, workers)
-
-
-def run_two_step(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
-    """Experiment taking the worst case over a conformal label set.
-
-    The prediction set must not be empty, so ``config.raps.allow_empty``
-    has to be False (EmptySetConfig otherwise).
-    """
-    config = replace(config, regime=REGIME_TWO_STEP)
-    return run_experiment(dataset, config, eval_dataset, workers)
-
-
-def run_naive_worst_case(dataset, config, eval_dataset=None, workers: int = 1) -> RunReport:
-    """Experiment taking the worst case over every class."""
-    config = replace(config, regime=REGIME_NAIVE_WORST_CASE)
-    return run_experiment(dataset, config, eval_dataset, workers)
-
-
 def recovery_sweep(
     dataset: Dataset,
     alphas,
@@ -531,6 +507,8 @@ def recovery_sweep(
     """
     if image_bounds is not None and not image_bounds.is_image_extent():
         raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {image_bounds}")
+    if seed < 0:
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     split = random_split(dataset, calib_fraction, seed, stratified=False)
     cal = dataset.take(split.calib_idx)
     ev = dataset.take(split.eval_idx)
@@ -544,16 +522,9 @@ def recovery_sweep(
             q = fit_quantiles_from_scores(scores, alpha).corners(AGNOSTIC)
             lows, highs = corner_intervals(ev.pred, q, sigma=sig_ev, image_bounds=image_bounds)
             outer, _, _ = outer_inner_boxes(lows, highs)
-            contained = (
-                (outer[:, 0] <= ev.gt[:, 0])
-                & (outer[:, 1] <= ev.gt[:, 1])
-                & (ev.gt[:, 2] <= outer[:, 2])
-                & (ev.gt[:, 3] <= outer[:, 3])
-            )
+            contained = contains_xyxy(outer, ev.gt)
             for thr in thresholds:
-                below = pred_iou < thr
-                n_below = int(below.sum())
-                rate = float(contained[below].mean()) if n_below else None
+                rate, n_below = recovery_counts(pred_iou, contained, thr)
                 rows.append(
                     {
                         "scaling": scaling,

@@ -38,7 +38,7 @@ MIN_PER_CLASS = 20
 
 def score_unscaled(pred_box: BoundingBox, gt_box: BoundingBox) -> np.ndarray:
     """Absolute corner residuals ``|pred - gt|`` as a length-4 array."""
-    return np.abs(pred_box.as_array() - gt_box.as_array())
+    return residual_scores(pred_box.as_array(), gt_box.as_array())
 
 
 def score_scaled(pred_box: BoundingBox, gt_box: BoundingBox, sigma) -> np.ndarray:
@@ -50,22 +50,19 @@ def score_scaled(pred_box: BoundingBox, gt_box: BoundingBox, sigma) -> np.ndarra
     Raises
     ------
     NonPositiveSigma
-        If any sigma entry is not strictly positive.
+        If ``sigma`` is not four strictly positive entries.
     """
     s = np.asarray(sigma, dtype=float)
     if s.shape != (4,):
         raise NonPositiveSigma(f"sigma must have 4 entries, got shape {s.shape}")
-    if not np.all(np.isfinite(s) & (s > 0)):
-        raise NonPositiveSigma(f"sigma entries must be > 0, got {sigma!r}")
-    return np.abs(pred_box.as_array() - gt_box.as_array()) / s
+    return residual_scores(pred_box.as_array(), gt_box.as_array(), s)
 
 
 def residual_scores(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
     """Vectorized corner scores for ``(n, 4)`` coordinate arrays.
 
     With ``sigma=None`` this is the unscaled score, otherwise the scaled
-    one.  Used by the experiment pipeline; the record-level functions
-    above are the convenient single-pair entry points.
+    one.  The record-level functions above are one-pair adapters over it.
     """
     resid = np.abs(np.asarray(pred, dtype=float) - np.asarray(gt, dtype=float))
     if sigma is None:
@@ -206,6 +203,14 @@ def fit_quantiles_from_scores(
     )
 
 
+def _record_scores(records, scaling: str, caller: str):
+    """Corner scores, class ids and class count of a list of records."""
+    pred, gt, sigma, gt_class, probs = records_to_arrays(records)
+    if pred.shape[0] == 0:
+        raise EmptyCalibration(f"{caller} needs at least one record")
+    return residual_scores(pred, gt, sigma if scaling == "scaled" else None), gt_class, probs.shape[1]
+
+
 def fit_class_agnostic(records, alpha_corner: float, scaling: str = "unscaled") -> QuantileTable:
     """Fit one quantile per corner from all records pooled together.
 
@@ -218,10 +223,7 @@ def fit_class_agnostic(records, alpha_corner: float, scaling: str = "unscaled") 
     scaling : {"unscaled", "scaled"}
         Score family; ``"scaled"`` divides residuals by the record sigma.
     """
-    pred, gt, sigma, _, _ = records_to_arrays(records)
-    if pred.shape[0] == 0:
-        raise EmptyCalibration("fit_class_agnostic needs at least one record")
-    scores = residual_scores(pred, gt, sigma if scaling == "scaled" else None)
+    scores, _, _ = _record_scores(records, scaling, "fit_class_agnostic")
     return fit_quantiles_from_scores(scores, alpha_corner)
 
 
@@ -243,16 +245,12 @@ def fit_class_wise(
     MissingClass
         If any class id in ``[0, K)`` has zero calibration records.
     """
-    records = list(records)
-    if not records:
-        raise EmptyCalibration("fit_class_wise needs at least one record")
-    pred, gt, sigma, gt_class, probs = records_to_arrays(records)
-    scores = residual_scores(pred, gt, sigma if scaling == "scaled" else None)
+    scores, gt_class, n_classes = _record_scores(records, scaling, "fit_class_wise")
     return fit_quantiles_from_scores(
         scores,
         alpha_corner,
         groups=gt_class,
-        n_classes=probs.shape[1],
+        n_classes=n_classes,
         min_per_class=min_per_class,
     )
 

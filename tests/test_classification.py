@@ -15,6 +15,8 @@ from confdet.classification import (
 from confdet.core import RAPSConfig
 from confdet.errors import EmptyCalibration, InvalidClass, OutOfRange
 
+import reference
+
 APS = RAPSConfig(penalty_a=0.0, threshold_b=0)
 
 
@@ -74,10 +76,10 @@ def test_true_class_scores_matches_scalar():
     labels = rng.integers(0, 6, size=40)
     batch = true_class_scores(probs, labels, cfg)
     for i in range(40):
-        assert batch[i] == pytest.approx(raps_score(probs[i], int(labels[i]), cfg))
+        assert batch[i] == pytest.approx(reference.raps_score(probs[i], int(labels[i]), cfg))
     plain = true_class_scores(probs, labels, None)
     for i in range(40):
-        assert plain[i] == pytest.approx(aps_score(probs[i], int(labels[i])))
+        assert plain[i] == pytest.approx(reference.aps_score(probs[i], int(labels[i])))
 
 
 def test_true_class_scores_rejects_bad_labels():
@@ -165,7 +167,7 @@ def test_prediction_set_matrix_matches_scalar():
         for qhat in (0.0, 0.4, 0.8, 1.05, math.inf):
             member, sizes = prediction_set_matrix(probs, qhat, cfg)
             for i in range(30):
-                s = build_prediction_set(probs[i], qhat, cfg)
+                s = reference.build_prediction_set(probs[i], qhat, cfg)
                 assert sizes[i] == len(s)
                 assert set(np.flatnonzero(member[i])) == set(s.classes)
 
@@ -192,3 +194,12 @@ def test_aps_coverage_matches_quantile_membership():
         score = raps_score(p, c, cfg)
         member = c in build_prediction_set(p, qhat, cfg)
         assert member == (score <= qhat)
+
+
+@pytest.mark.parametrize("label", [1.7, 1.0, True, np.float64(1.0)])
+def test_non_integer_labels_are_rejected_not_truncated(label):
+    # these labels once scored class 1, without a word
+    with pytest.raises(InvalidClass):
+        true_class_scores([[0.6, 0.3, 0.1]], [label])
+    with pytest.raises(InvalidClass):
+        aps_score([0.6, 0.3, 0.1], label)

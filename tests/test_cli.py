@@ -89,6 +89,40 @@ def test_grid_step_not_positive_exits_1(data_path, grid, capsys):
     assert "grid step must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0.5:0.9:1e-17", "0.1:0.9:1e-5", "0.1:inf:0.1", "nan:0.9:0.1"])
+def test_grid_too_many_points_exits_1(data_path, grid, capsys):
+    # 0.5 + 1e-17 == 0.5, so a grid built by adding up steps never reached its end
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recovery", "--data", data_path, "--seed", "1", "--thresholds", grid])
+    assert excinfo.value.code == 1
+    assert "at most 10000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thresholds", ["0,2.5,-1", "0:1:0.25", "0.5,1.5", "nan"])
+def test_threshold_outside_unit_interval_exits_1(data_path, thresholds, capsys):
+    assert main(["recovery", "--data", data_path, "--seed", "1", "--thresholds", thresholds]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "iou_threshold must lie in (0, 1]" in captured.err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--data", "DATA", "--seed", "-1", "--runs", "2", "--workers", "1"],
+        ["simulate", "--records", "100", "--seed", "-2", "--runs", "2", "--workers", "1"],
+        ["simulate", "--records", "100", "--seed", "2", "--oracle-seed", "-2", "--runs", "2", "--workers", "1"],
+        ["recovery", "--data", "DATA", "--seed", "-3"],
+    ],
+    ids=["run", "simulate", "simulate-oracle-seed", "recovery"],
+)
+def test_negative_seed_exits_1(data_path, args, capsys):
+    assert main([data_path if a == "DATA" else a for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "seed must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize("bounds", ["2000,2000,0,0", "0,0,0,10", "0,0,inf,10", "nan,0,10,10"])
 def test_bad_image_bounds_exit_1(tmp_path, bounds, capsys):
     args = ["simulate", "--records", "200", "--classes", "2", "--regime", "class_wise"]
@@ -285,6 +319,12 @@ def _renamed_metric(text: str) -> str:
     return json.dumps(doc)
 
 
+def _string_metric(text: str) -> str:
+    doc = json.loads(text)
+    doc["per_run"][0]["metrics"]["coverage"] = "x"
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "make_text",
     [
@@ -292,8 +332,9 @@ def _renamed_metric(text: str) -> str:
         lambda report: "nope",
         lambda report: "[1,2]",
         _renamed_metric,
+        _string_metric,
     ],
-    ids=["no-per-run", "not-json", "list", "renamed-metric"],
+    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric"],
 )
 def test_compare_on_a_non_report_exits_2(data_path, tmp_path, capsys, make_text):
     good = tmp_path / "good.json"

@@ -23,6 +23,7 @@ from confdet.metrics import (
 from confdet.regression import build_conformal_box
 
 from conftest import make_record
+import reference
 
 
 # ---------------------------------------------------------------- coverage
@@ -84,7 +85,7 @@ def test_coverage_events_matches_scalar():
     highs = np.maximum(highs, lows)
     corner_hits, box_hits = coverage_events(gt, lows, highs)
     for i in range(40):
-        hits, event = corner_coverage_event(
+        hits, event = reference.corner_coverage_event(
             BoundingBox(*gt[i]), list(zip(lows[i], highs[i]))
         )
         assert tuple(corner_hits[i]) == hits
@@ -162,7 +163,7 @@ def test_box_interval_scores_sum_corners():
     highs = np.array([[10.0, 10.0, 10.0, 10.0]])
     gt = np.array([[5.0, -4.0, 12.0, 10.0]])
     expected = sum(
-        interval_score(lo, hi, v, 0.2)
+        reference.interval_score(lo, hi, v, 0.2)
         for lo, hi, v in zip(lows[0], highs[0], gt[0])
     )
     assert_allclose(box_interval_scores(lows, highs, gt, 0.2), [expected])

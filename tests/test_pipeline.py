@@ -20,11 +20,7 @@ from confdet.pipeline import (
     compare_reports,
     random_split,
     recovery_sweep,
-    run_class_agnostic,
-    run_class_wise,
     run_experiment,
-    run_naive_worst_case,
-    run_two_step,
 )
 
 from conftest import make_dataset, make_record
@@ -126,7 +122,7 @@ def test_stratified_split_requires_every_class():
 def test_run_report_shape_and_config_echo():
     ds = make_dataset(200, n_classes=2, seed=8)
     config = small_config()
-    report = run_class_agnostic(ds, config)
+    report = run_experiment(ds, dataclasses.replace(config, regime="class_agnostic"))
     assert report.regime == "class_agnostic"
     assert len(report.per_run) == 3
     for i, run in enumerate(report.per_run):
@@ -174,8 +170,8 @@ def test_parallel_workers_match_serial():
 def test_single_class_class_wise_matches_agnostic():
     ds = make_dataset(120, n_classes=1, seed=11)
     config = small_config(min_per_class=5)
-    agnostic = run_class_agnostic(ds, config)
-    wise = run_class_wise(ds, config)
+    agnostic = run_experiment(ds, dataclasses.replace(config, regime="class_agnostic"))
+    wise = run_experiment(ds, dataclasses.replace(config, regime="class_wise"))
     for a, w in zip(agnostic.per_run, wise.per_run):
         assert w.metrics.coverage == a.metrics.coverage
         assert w.metrics.mean_iou == pytest.approx(a.metrics.mean_iou, rel=1e-12)
@@ -189,8 +185,8 @@ def test_two_step_with_one_hot_probs_matches_class_wise():
     # the set is just the ground-truth class quantile
     ds = make_dataset(240, n_classes=3, seed=12, one_hot_probs=True)
     config = small_config(min_per_class=5, miscoverage=MiscoverageConfig(alpha_corner=0.05))
-    wise = run_class_wise(ds, config)
-    two_step = run_two_step(ds, config)
+    wise = run_experiment(ds, dataclasses.replace(config, regime="class_wise"))
+    two_step = run_experiment(ds, dataclasses.replace(config, regime="two_step"))
     for w, t in zip(wise.per_run, two_step.per_run):
         assert t.metrics.mean_set_size == 1.0
         assert t.metrics.class_coverage == 1.0
@@ -204,8 +200,8 @@ def test_two_step_with_one_hot_probs_matches_class_wise():
 def test_naive_worst_case_covers_at_least_class_wise():
     ds = make_dataset(300, n_classes=2, seed=13)
     config = small_config(n_runs=4, min_per_class=10)
-    wise = run_class_wise(ds, config)
-    naive = run_naive_worst_case(ds, config)
+    wise = run_experiment(ds, dataclasses.replace(config, regime="class_wise"))
+    naive = run_experiment(ds, dataclasses.replace(config, regime="naive_worst_case"))
     for w, nv in zip(wise.per_run, naive.per_run):
         assert nv.metrics.coverage >= w.metrics.coverage
     assert naive.per_run[0].metrics.mean_set_size == 2.0
@@ -217,7 +213,7 @@ def test_two_step_rejects_empty_set_rule():
     with pytest.raises(EmptySetConfig):
         run_experiment(ds, config)
     with pytest.raises(EmptySetConfig):
-        run_two_step(ds, small_config(raps=RAPSConfig(allow_empty=True)))
+        run_experiment(ds, dataclasses.replace(small_config(raps=RAPSConfig(allow_empty=True)), regime="two_step"))
 
 
 def test_all_eval_records_forced_into_calibration():
@@ -309,7 +305,7 @@ def test_class_wise_quantile_summary_counts_groups():
 
 def test_compare_report_with_itself():
     ds = make_dataset(150, n_classes=2, seed=18)
-    report = run_class_agnostic(ds, small_config())
+    report = run_experiment(ds, dataclasses.replace(small_config(), regime="class_agnostic"))
     table = compare_reports(report, report)
     assert table["n_runs"] == 3
     for entry in table["metrics"].values():
@@ -325,8 +321,8 @@ def test_compare_reports_antisymmetric():
     config_b = small_config(
         n_runs=8, miscoverage=MiscoverageConfig(alpha_corner=0.1)
     )
-    rep_a = run_class_agnostic(ds, config_a)
-    rep_b = run_class_agnostic(ds, config_b)
+    rep_a = run_experiment(ds, dataclasses.replace(config_a, regime="class_agnostic"))
+    rep_b = run_experiment(ds, dataclasses.replace(config_b, regime="class_agnostic"))
     ab = compare_reports(rep_a, rep_b)
     ba = compare_reports(rep_b, rep_a)
     for name, entry in ab["metrics"].items():
@@ -338,11 +334,11 @@ def test_compare_reports_antisymmetric():
 
 def test_compare_reports_rejects_unpaired():
     ds = make_dataset(150, n_classes=2, seed=20)
-    rep_a = run_class_agnostic(ds, small_config(n_runs=3))
-    rep_b = run_class_agnostic(ds, small_config(n_runs=4))
+    rep_a = run_experiment(ds, dataclasses.replace(small_config(n_runs=3), regime="class_agnostic"))
+    rep_b = run_experiment(ds, dataclasses.replace(small_config(n_runs=4), regime="class_agnostic"))
     with pytest.raises(SeedMismatch):
         compare_reports(rep_a, rep_b)
-    rep_c = run_class_agnostic(ds, small_config(n_runs=3, master_seed=99))
+    rep_c = run_experiment(ds, dataclasses.replace(small_config(n_runs=3, master_seed=99), regime="class_agnostic"))
     with pytest.raises(SeedMismatch):
         compare_reports(rep_a, rep_c)
 

@@ -26,6 +26,7 @@ from confdet.regression import (
 )
 
 from conftest import make_record
+import reference
 
 
 def oracle_quantile(scores, alpha):
@@ -79,7 +80,7 @@ def test_residual_scores_matches_record_level():
     sigma = rng.uniform(0.5, 2.0, size=(10, 4))
     batch = residual_scores(pred, gt, sigma)
     for i in range(10):
-        single = score_scaled(BoundingBox(*pred[i]), BoundingBox(*gt[i]), sigma[i])
+        single = reference.score_scaled(BoundingBox(*pred[i]), BoundingBox(*gt[i]), sigma[i])
         assert_allclose(batch[i], single)
 
 
