@@ -26,6 +26,8 @@ __all__ = [
     "classification_quantile",
     "build_prediction_set",
     "prediction_set_matrix",
+    "set_totals",
+    "sets_from_totals",
 ]
 
 
@@ -60,12 +62,14 @@ def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig 
     """Vectorized scores of the true class for an ``(n, K)`` batch.
 
     ``config=None`` gives plain adaptive scores (no penalty).  The labels
-    must be integers in ``[0, K)``; bool and float labels are rejected,
-    not truncated.
+    must be ``n`` integers in ``[0, K)``; bool and float labels are
+    rejected, not truncated.
     """
     p = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
     n, k = p.shape
+    if labels.shape != (n,):
+        raise InvalidClass(f"labels must have one entry per row, got shape {labels.shape} for {n} rows")
     if labels.dtype.kind not in "iu":
         raise InvalidClass(f"labels must be integers, got dtype {labels.dtype}")
     if np.any((labels < 0) | (labels >= k)):
@@ -117,23 +121,47 @@ def build_prediction_set(class_probs, qhat: float, config: RAPSConfig) -> Predic
 def prediction_set_matrix(probs: np.ndarray, qhat: float, config: RAPSConfig):
     """Vectorized set assembly for an ``(n, K)`` probability batch.
 
+    The composition of :func:`set_totals` and :func:`sets_from_totals`;
+    callers that threshold the same batch at many ``qhat`` call the two
+    halves themselves.
+
     Returns
     -------
     member : ndarray of bool, shape (n, K)
         ``member[i, c]`` is True when class ``c`` is in record ``i``'s set.
     sizes : ndarray of int, shape (n,)
     """
+    return sets_from_totals(*set_totals(probs, config), qhat, config)
+
+
+def set_totals(probs: np.ndarray, config: RAPSConfig):
+    """Class order and running totals of an ``(n, K)`` probability batch.
+
+    Returns ``(order, totals)``, both ``(n, K)``: ``order[i]`` ranks the
+    classes of record ``i`` by :func:`class_order`, and ``totals[i, j]`` is
+    the probability mass of its top ``j + 1`` classes, plus the rank
+    penalty when ``config.penalty_at_inference`` is set.
+    """
     p = np.asarray(probs, dtype=float)
-    n, k_total = p.shape
+    k_total = p.shape[1]
+    order = class_order(p)
+    totals = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
+    if config.penalty_a > 0 and config.penalty_at_inference:
+        totals = totals + config.penalty_a * np.maximum(0, np.arange(1, k_total + 1) - config.threshold_b)
+    return order, totals
+
+
+def sets_from_totals(order: np.ndarray, totals: np.ndarray, qhat: float, config: RAPSConfig):
+    """Set membership and sizes for a threshold ``qhat`` over :func:`set_totals`.
+
+    Returns ``(member, sizes)`` as :func:`prediction_set_matrix` does.
+    """
+    n, k_total = totals.shape
     if math.isnan(qhat) or qhat < 0:
         raise OutOfRange(f"qhat must be >= 0, got {qhat!r}")
     if math.isinf(qhat):
         member = np.ones((n, k_total), dtype=bool)
         return member, np.full(n, k_total, dtype=int)
-    order = class_order(p)
-    totals = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
-    if config.penalty_a > 0 and config.penalty_at_inference:
-        totals = totals + config.penalty_a * np.maximum(0, np.arange(1, k_total + 1) - config.threshold_b)
     if config.allow_empty:
         sizes = (totals <= qhat).sum(axis=1)
     else:

@@ -102,6 +102,8 @@ def _parse_grid(text: str) -> list[float]:
         span = (stop - start + 1e-12) / step  # the last point sits at index floor(span)
         if not span < MAX_GRID_POINTS:  # also catches an infinite or NaN bound
             raise argparse.ArgumentTypeError(f"grid {text} must be finite with at most {MAX_GRID_POINTS} points")
+        if span < 0:
+            raise argparse.ArgumentTypeError(f"grid {text} has no points: stop {stop:g} lies below start {start:g}")
         return [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
     return [float(v) for v in text.split(",")]
 

@@ -350,7 +350,7 @@ class Dataset:
         ------
         ValidationError
             If the records disagree on the length of ``class_probs``, or a
-            ``gt_class`` is not an integer.
+            ``gt_class`` is not an integer (see :func:`records_to_arrays`).
         """
         recs = list(records)
         if not recs:
@@ -363,8 +363,6 @@ class Dataset:
                     f"{n_classes} inferred from the first record",
                     line=i + 1,
                 )
-            if isinstance(rec.gt_class, bool) or not isinstance(rec.gt_class, (int, np.integer)):
-                raise ValidationError(f"gt_class {rec.gt_class!r} is not an integer", line=i + 1)
         pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
         image_ids = np.array([rec.image_id for rec in recs], dtype=object)
         return cls(image_ids, pred, gt, sigma, gt_class, probs)
@@ -375,8 +373,17 @@ def records_to_arrays(records: Iterable[DetectionRecord]):
 
     Returns ``(pred, gt, sigma, gt_class, class_probs)`` with shapes
     ``(n, 4)``, ``(n, 4)``, ``(n, 4)``, ``(n,)`` and ``(n, K)``.
+
+    Raises
+    ------
+    ValidationError
+        If a ``gt_class`` is not an integer (bools and floats included),
+        with the 1-based record number as its line.
     """
     recs = list(records)
+    for i, rec in enumerate(recs):
+        if isinstance(rec.gt_class, bool) or not isinstance(rec.gt_class, (int, np.integer)):
+            raise ValidationError(f"gt_class {rec.gt_class!r} is not an integer", line=i + 1)
     pred = np.array([[r.pred_box.x0, r.pred_box.y0, r.pred_box.x1, r.pred_box.y1] for r in recs], dtype=float)
     gt = np.array([[r.gt_box.x0, r.gt_box.y0, r.gt_box.x1, r.gt_box.y1] for r in recs], dtype=float)
     sigma = np.array([r.sigma for r in recs], dtype=float)

@@ -14,6 +14,14 @@ for ``class_agnostic`` and per class otherwise; the ``_REGIME_QUANTILES``
 table then says how those quantiles reach each evaluation box and
 whether a label set is predicted, and one scorer turns the result into
 a :class:`MetricRow` for every regime.
+
+Scores that depend on one record only are computed once per experiment,
+not once per run: the corner residual scores of the calibration source
+(unless sigma is recalibrated, which changes them in every run), and for
+``two_step`` the RAPS true-class scores of the calibration source and
+the class order and running totals of the evaluation source.  A run
+indexes these arrays with its split and is left with the order
+statistics, the label sets for its threshold, and the scoring.
 """
 
 from __future__ import annotations
@@ -27,7 +35,8 @@ import numpy as np
 from . import calibration as _cal
 from .classification import (
     classification_quantile,
-    prediction_set_matrix,
+    set_totals,
+    sets_from_totals,
     true_class_scores,
 )
 from .core import (
@@ -238,36 +247,67 @@ def random_split(
 
 @dataclass(frozen=True, eq=False)
 class _Context:
+    """An experiment's inputs plus the arrays that no split changes.
+
+    Each array is indexed by the rows of its source, and is None where
+    the regime does not use it: ``residuals`` are the corner scores of
+    ``data`` (only when sigma is not recalibrated), ``class_scores`` the
+    RAPS true-class scores of ``data``, and ``set_order``/``set_totals``
+    the class order and running totals of the evaluation source.
+    """
+
     data: Dataset
     config: RunConfig
     eval_data: Dataset | None = None
+    residuals: np.ndarray | None = None
+    class_scores: np.ndarray | None = None
+    set_order: np.ndarray | None = None
+    set_totals: np.ndarray | None = None
+
+    @property
+    def eval_source(self) -> Dataset:
+        return self.data if self.eval_data is None else self.eval_data
 
 
-def _effective_sigma(ctx: _Context, cal: Dataset, ev: Dataset, rng_key) -> tuple:
-    """Sigma arrays for scoring, after optional recalibration.
+def _context(data: Dataset, cfg: RunConfig, eval_data: Dataset | None) -> _Context:
+    """Score once per experiment what every run would otherwise rescore."""
+    ctx = _Context(data=data, config=cfg, eval_data=eval_data)
+    arrays = {}
+    if cfg.scaling != "scaled" or cfg.calibration_scope == _cal.SCOPE_RAW:
+        sigma = data.sigma if cfg.scaling == "scaled" else None
+        arrays["residuals"] = residual_scores(data.pred, data.gt, sigma)
+    if cfg.regime == REGIME_TWO_STEP:
+        arrays["class_scores"] = true_class_scores(data.probs, data.gt_class, cfg.raps)
+        arrays["set_order"], arrays["set_totals"] = set_totals(ctx.eval_source.probs, cfg.raps)
+    return replace(ctx, **arrays)
 
-    Returns ``(sig_ev, cal_for_quantiles, warnings)``: the evaluation-side
-    sigma (None when unscaled) and the calibration part to fit quantiles
-    on, carrying its own (possibly recalibrated) sigma.  With a disjoint
-    calibrator fit fraction the quantile part is a subset of ``cal``.
+
+def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev: Dataset, rng_key) -> tuple:
+    """Corner scores to fit quantiles on, after optional sigma recalibration.
+
+    Returns ``(quant_idx, scores, sig_ev, warnings)``: the rows of
+    ``ctx.data`` the quantiles are fitted on, their ``(n, 4)`` scores, and
+    the evaluation-side sigma (None when unscaled).  With a disjoint
+    calibrator fit fraction ``quant_idx`` is a subset of ``cal_idx``.
+    Without recalibration the scores are rows of ``ctx.residuals``.
     """
     cfg = ctx.config
     warnings: list[str] = []
-    if cfg.scaling != "scaled":
-        return None, cal, warnings
-    if cfg.calibration_scope == _cal.SCOPE_RAW:
-        return ev.sigma, cal, warnings
+    if ctx.residuals is not None:
+        sig_ev = ev.sigma if cfg.scaling == "scaled" else None
+        return cal_idx, ctx.residuals[cal_idx], sig_ev, warnings
 
-    fit_part = cal
-    quant_part = cal
-    if cfg.calibrator_fit_fraction is not None and len(cal) >= 2:
+    fit_idx = quant_idx = cal_idx
+    if cfg.calibrator_fit_fraction is not None and len(cal_idx) >= 2:
         rng = np.random.default_rng(rng_key)
-        perm = rng.permutation(len(cal))
-        n_fit = _split_sizes(len(cal), cfg.calibrator_fit_fraction)
-        fit_part = cal.take(np.sort(perm[:n_fit]))
-        quant_part = cal.take(np.sort(perm[n_fit:]))
+        perm = rng.permutation(len(cal_idx))
+        n_fit = _split_sizes(len(cal_idx), cfg.calibrator_fit_fraction)
+        fit_idx = cal_idx[np.sort(perm[:n_fit])]
+        quant_idx = cal_idx[np.sort(perm[n_fit:])]
+    data = ctx.data
     calibrator = _cal.fit_calibrator_arrays(
-        fit_part.pred, fit_part.gt, fit_part.sigma, fit_part.gt_class, scope=cfg.calibration_scope
+        data.pred[fit_idx], data.gt[fit_idx], data.sigma[fit_idx], data.gt_class[fit_idx],
+        scope=cfg.calibration_scope,
     )
     if calibrator.n_excluded:
         warnings.append(f"calibrator skipped {calibrator.n_excluded} degenerate box(es)")
@@ -276,10 +316,10 @@ def _effective_sigma(ctx: _Context, cal: Dataset, ev: Dataset, rng_key) -> tuple
             "calibrator fell back to the global map for classes "
             + ",".join(str(k) for k in calibrator.fallback_keys)
         )
-    sig_q = _cal.calibrated_sigma_array(calibrator, quant_part.pred, quant_part.sigma, quant_part.gt_class)
+    pred_q = data.pred[quant_idx]
+    sig_q = _cal.calibrated_sigma_array(calibrator, pred_q, data.sigma[quant_idx], data.gt_class[quant_idx])
     sig_ev = _cal.calibrated_sigma_array(calibrator, ev.pred, ev.sigma, ev.gt_class)
-    quant_part = replace(quant_part, sigma=sig_q)
-    return sig_ev, quant_part, warnings
+    return quant_idx, residual_scores(pred_q, data.gt[quant_idx], sig_q), sig_ev, warnings
 
 
 def _quantile_summary(values: np.ndarray, n_groups: int) -> dict:
@@ -320,10 +360,10 @@ def _score(cfg: RunConfig, ev: Dataset, sig_ev, q_eval: np.ndarray, member) -> M
     )
 
 
-def _two_step(q: np.ndarray, ev: Dataset, cal: Dataset, cfg: RunConfig):
-    scores = true_class_scores(cal.probs, cal.gt_class, cfg.raps)
-    qhat_class = classification_quantile(scores, cfg.miscoverage.alpha_class)
-    member, _ = prediction_set_matrix(ev.probs, qhat_class, cfg.raps)
+def _two_step(q: np.ndarray, ctx: _Context, quant_idx: np.ndarray, ev_idx: np.ndarray):
+    cfg = ctx.config
+    qhat_class = classification_quantile(ctx.class_scores[quant_idx], cfg.miscoverage.alpha_class)
+    member, _ = sets_from_totals(ctx.set_order[ev_idx], ctx.set_totals[ev_idx], qhat_class, cfg.raps)
     # worst case over the label set: classes outside it cannot win the max
     return np.where(member[:, :, None], q[None, :, :], -np.inf).max(axis=1), member
 
@@ -331,14 +371,16 @@ def _two_step(q: np.ndarray, ev: Dataset, cal: Dataset, cfg: RunConfig):
 # How each regime turns the fitted quantiles into per-evaluation-box
 # quantiles, plus the (n_eval, K) label-set membership for the regimes
 # that predict sets.  ``q`` is the pooled (4,) vector for class_agnostic
-# and the (K, 4) per-class table otherwise.
+# and the (K, 4) per-class table otherwise; ``quant_idx`` indexes the
+# calibration rows of ``ctx.data`` and ``ev_idx`` the evaluation rows of
+# ``ctx.eval_source``.
 _REGIME_QUANTILES = {
-    REGIME_CLASS_AGNOSTIC: lambda q, ev, cal, cfg: (q, None),
-    REGIME_CLASS_WISE: lambda q, ev, cal, cfg: (q[ev.gt_class], None),
+    REGIME_CLASS_AGNOSTIC: lambda q, ctx, quant_idx, ev_idx: (q, None),
+    REGIME_CLASS_WISE: lambda q, ctx, quant_idx, ev_idx: (q[ctx.eval_source.gt_class[ev_idx]], None),
     REGIME_TWO_STEP: _two_step,
-    REGIME_NAIVE_WORST_CASE: lambda q, ev, cal, cfg: (
+    REGIME_NAIVE_WORST_CASE: lambda q, ctx, quant_idx, ev_idx: (
         q.max(axis=0),
-        np.ones((len(ev), len(q)), dtype=bool),
+        np.ones((len(ev_idx), len(q)), dtype=bool),
     ),
 }
 
@@ -351,38 +393,36 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
 
     if ctx.eval_data is None:
         split = random_split(ctx.data, cfg.calib_fraction, seed, stratified)
-        cal = ctx.data.take(split.calib_idx)
-        ev = ctx.data.take(split.eval_idx)
+        cal_idx, ev_idx = split.calib_idx, split.eval_idx
         missing_eval = split.missing_eval_classes
     else:
         split_a = random_split(ctx.data, cfg.calib_fraction, (cfg.master_seed, run_index, 0), stratified)
         split_b = random_split(ctx.eval_data, cfg.calib_fraction, (cfg.master_seed, run_index, 1), stratified)
-        cal = ctx.data.take(split_a.calib_idx)
-        ev = ctx.eval_data.take(split_b.eval_idx)
+        cal_idx, ev_idx = split_a.calib_idx, split_b.eval_idx
         missing_eval = split_b.missing_eval_classes
     if missing_eval:
         warnings.append(
             "classes absent from evaluation: " + ",".join(str(k) for k in missing_eval)
         )
+    ev = ctx.eval_source.take(ev_idx)
 
-    sig_ev, quant_part, sigma_warnings = _effective_sigma(
-        ctx, cal, ev, (cfg.master_seed, run_index, 7)
+    quant_idx, scores, sig_ev, sigma_warnings = _calibration_scores(
+        ctx, cal_idx, ev, (cfg.master_seed, run_index, 7)
     )
     warnings.extend(sigma_warnings)
 
     pooled = cfg.regime == REGIME_CLASS_AGNOSTIC
-    sig_q = quant_part.sigma if cfg.scaling == "scaled" else None
     table = fit_quantiles_from_scores(
-        residual_scores(quant_part.pred, quant_part.gt, sig_q),
+        scores,
         cfg.miscoverage.alpha_corner,
-        groups=None if pooled else quant_part.gt_class,
+        groups=None if pooled else ctx.data.gt_class[quant_idx],
         n_classes=ctx.data.n_classes,
         min_per_class=cfg.min_per_class,
     )
     if table.flagged:
         warnings.append("classes below min_per_class: " + ",".join(str(k) for k in table.flagged))
     q = table.corners(AGNOSTIC) if pooled else table.by_class(ctx.data.n_classes)
-    q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ev, quant_part, cfg)
+    q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ctx, quant_idx, ev_idx)
 
     return RunResult(
         run_index=run_index,
@@ -472,7 +512,7 @@ def run_experiment(
         raise SeedMismatch(
             f"evaluation dataset has {eval_dataset.n_classes} classes, expected {dataset.n_classes}"
         )
-    ctx = _Context(data=dataset, config=config, eval_data=eval_dataset)
+    ctx = _context(dataset, config, eval_dataset)
     if workers > 1 and config.n_runs > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker, initargs=(ctx,)

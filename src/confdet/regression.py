@@ -10,6 +10,7 @@ exchangeability between calibration and test records.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from decimal import Decimal
@@ -96,18 +97,31 @@ def conformal_quantile(scores, alpha: float) -> float:
     float
         The calibrated quantile, possibly ``+inf``.
     """
+    s = np.asarray(scores, dtype=float).ravel()
+    return float(column_quantiles(s[:, None], alpha)[0])
+
+
+def column_quantiles(scores, alpha: float) -> np.ndarray:
+    """:func:`conformal_quantile` of each column of an ``(n, m)`` score matrix.
+
+    All ``m`` order statistics come from one partition along the rows.
+    Returns an ``(m,)`` array, ``+inf`` everywhere when the rank exceeds
+    ``n``.
+    """
     if not 0.0 < alpha < 1.0:
         raise OutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    s = np.asarray(scores, dtype=float).ravel()
-    n = s.size
+    s = np.asarray(scores, dtype=float)
+    if s.ndim != 2:
+        raise OutOfRange(f"scores must be an (n, m) matrix, got shape {s.shape}")
+    n = s.shape[0]
     if n == 0:
         raise EmptyCalibration("conformal_quantile needs at least one score")
     if np.isnan(s).any():  # NaN sorts last, so it would silently shift the rank
         raise DataError("conformal_quantile got NaN scores")
     rank = _order_rank(n, alpha)
     if rank > n:
-        return math.inf
-    return float(np.partition(s, rank - 1)[rank - 1])
+        return np.full(s.shape[1], math.inf)
+    return np.partition(s, rank - 1, axis=0)[rank - 1]
 
 
 def bonferroni_corner_alpha(alpha_bbox: float) -> float:
@@ -121,14 +135,12 @@ def bonferroni_corner_alpha(alpha_bbox: float) -> float:
     return alpha_bbox / 4.0
 
 
-def _corner_quantiles(scores: np.ndarray, alpha: float) -> tuple[float, float, float, float]:
-    return tuple(conformal_quantile(scores[:, c], alpha) for c in range(4))
-
-
+@functools.lru_cache(maxsize=4096)
 def _order_rank(n: int, alpha: float) -> int:
     # alpha is taken at its shortest round-trip decimal and the ceil is
-    # exact: the float product grazes integers at levels like 0.3 with
-    # n = 9, where ceil(10 * 0.7) must be 7, not 8
+    # exact: the float product grazes integers at levels like 0.7 with
+    # n = 9, where ceil(10 * 0.3) must be 3, not 4.  Memoised: every run
+    # of an experiment asks for the same few (n, alpha) pairs
     exact = Fraction(Decimal(repr(float(alpha))))
     return math.ceil((n + 1) * (1 - exact))
 
@@ -160,7 +172,7 @@ def fit_quantiles_from_scores(
         n = scores.shape[0]
         return QuantileTable(
             scope=SCOPE_CLASS_AGNOSTIC,
-            quantiles={AGNOSTIC: _corner_quantiles(scores, alpha_corner)},
+            quantiles={AGNOSTIC: tuple(column_quantiles(scores, alpha_corner).tolist())},
             level={AGNOSTIC: _order_level(n, alpha_corner)},
             n_per_group={AGNOSTIC: n},
             alpha_corner=alpha_corner,
@@ -183,7 +195,7 @@ def fit_quantiles_from_scores(
             )
         if n_k < min_per_class:
             flagged.append(k)
-        quantiles[k] = _corner_quantiles(scores[mask], alpha_corner)
+        quantiles[k] = tuple(column_quantiles(scores[mask], alpha_corner).tolist())
         level[k] = _order_level(n_k, alpha_corner)
         n_per_group[k] = n_k
     if flagged:

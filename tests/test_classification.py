@@ -87,6 +87,14 @@ def test_true_class_scores_rejects_bad_labels():
         true_class_scores(np.ones((2, 3)) / 3, np.array([0, 3]))
 
 
+@pytest.mark.parametrize("labels", [[0], [0, 1], [0, 1, 0, 1], [[0], [1], [0]], 0])
+def test_true_class_scores_rejects_label_count_mismatch(labels):
+    # one label once broadcast over all rows and scored [0.9, 1.0, 0.5]
+    probs = [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+    with pytest.raises(InvalidClass, match="one entry per row"):
+        true_class_scores(probs, labels)
+
+
 # ---------------------------------------------------------------- quantile
 
 

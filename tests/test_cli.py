@@ -89,6 +89,16 @@ def test_grid_step_not_positive_exits_1(data_path, grid, capsys):
     assert "grid step must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0.9:0.1:0.1", "0.5:0.499:0.1", "1:-inf:0.5"])
+def test_grid_without_points_exits_1(data_path, grid, capsys):
+    # stop below start once gave an empty grid and a header-only CSV, exit 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["recovery", "--data", data_path, "--seed", "1", "--thresholds", grid])
+    assert excinfo.value.code == 1
+    assert "has no points" in capsys.readouterr().err
+    assert _parse_grid("0.5:0.5:0.1") == [0.5]
+
+
 @pytest.mark.parametrize("grid", ["0.5:0.9:1e-17", "0.1:0.9:1e-5", "0.1:inf:0.1", "nan:0.9:0.1"])
 def test_grid_too_many_points_exits_1(data_path, grid, capsys):
     # 0.5 + 1e-17 == 0.5, so a grid built by adding up steps never reached its end

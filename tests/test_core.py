@@ -12,7 +12,9 @@ from confdet.core import (
     records_to_arrays,
     validate_record,
 )
+from confdet.calibration import apply_calibrated_sigma, fit_calibrator
 from confdet.errors import OutOfRange, ValidationError
+from confdet.regression import fit_class_agnostic, fit_class_wise
 
 from conftest import make_record
 
@@ -130,6 +132,39 @@ def test_dataset_from_records_rejects_non_integer_class():
         assert exc_info.value.line == 2
     ds = Dataset.from_records([make_record(class_probs=(0.5, 0.5), gt_class=np.int64(1))])
     assert_array_equal(ds.gt_class, [1])
+
+
+def _records_with_classes(classes):
+    return [make_record(class_probs=(0.5, 0.5), gt_class=k, image_id=f"img-{i}") for i, k in enumerate(classes)]
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        records_to_arrays,
+        Dataset.from_records,
+        lambda recs: fit_class_agnostic(recs, 0.1),
+        lambda recs: fit_class_wise(recs, 0.1, min_per_class=0),
+        fit_calibrator,
+    ],
+    ids=["records_to_arrays", "from_records", "fit_class_agnostic", "fit_class_wise", "fit_calibrator"],
+)
+def test_record_paths_reject_non_integer_class(caller):
+    # fit_class_wise once counted 1.7 and True as class 1: n_per_group {0: 3, 1: 3}
+    with pytest.raises(ValidationError, match="gt_class 1.7 is not an integer") as exc_info:
+        caller(_records_with_classes([0, 1.7, True, 0, 1, 0]))
+    assert exc_info.value.line == 2
+    with pytest.raises(ValidationError) as exc_info:
+        caller(_records_with_classes([0, 1, True, 0, 1, 0]))
+    assert exc_info.value.line == 3
+    caller(_records_with_classes([0, np.int64(1), 1, 0, 1, 0]))
+
+
+def test_apply_calibrated_sigma_rejects_non_integer_class():
+    calibrator = fit_calibrator(_records_with_classes([0] * 6))
+    for bad in (1.7, True):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            apply_calibrated_sigma(calibrator, make_record(class_probs=(0.5, 0.5), gt_class=bad))
 
 
 def test_dataset_from_records_rejects_k_mismatch():

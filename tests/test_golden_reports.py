@@ -18,7 +18,7 @@ from functools import lru_cache
 import pytest
 
 from confdet.cli import main
-from confdet.core import MiscoverageConfig
+from confdet.core import MiscoverageConfig, RAPSConfig
 from confdet.io import emit_report, save_dataset
 from confdet.oracle import OracleSpec, generate
 from confdet.pipeline import REGIMES, RunConfig, run_experiment
@@ -31,6 +31,8 @@ _BASE = dict(
     classifier_accuracy=0.85,
 )
 
+_SET_LEVELS = MiscoverageConfig(alpha_corner=0.025, alpha_class=0.15)
+
 VARIANTS = {
     "unscaled": dict(scaling="unscaled"),
     "scaled-raw": dict(scaling="scaled"),
@@ -39,10 +41,27 @@ VARIANTS = {
         calibration_scope="per_coordinate_per_class_relative",
         calibrator_fit_fraction=0.5,
     ),
+    # RAPS settings the default leaves idle: with 4 classes and
+    # threshold_b=5 the rank penalty never fires, and at alpha_class=0.05
+    # nearly every set holds all classes.  These lower both.
+    "raps-no-penalty": dict(miscoverage=_SET_LEVELS, raps=RAPSConfig(penalty_a=0.0, threshold_b=1)),
+    "raps-penalty": dict(miscoverage=_SET_LEVELS, raps=RAPSConfig(penalty_a=0.05, threshold_b=1)),
+    "raps-calibration-penalty-only": dict(
+        miscoverage=_SET_LEVELS,
+        raps=RAPSConfig(penalty_a=0.05, threshold_b=1, penalty_at_inference=False),
+    ),
 }
 
-CASES = [(regime, variant, False) for regime in REGIMES for variant in VARIANTS]
-CASES.append(("two_step", "scaled-raw", True))
+SCALING_VARIANTS = ("unscaled", "scaled-raw", "scaled-recal")
+CASES = [(regime, variant, False) for regime in REGIMES for variant in SCALING_VARIANTS]
+CASES += [
+    ("two_step", "scaled-raw", True),
+    ("two_step", "raps-no-penalty", False),
+    ("two_step", "raps-penalty", False),
+    ("two_step", "raps-calibration-penalty-only", False),
+    ("two_step", "scaled-recal", True),
+    ("class_wise", "unscaled", True),
+]
 
 GOLDEN = {
     "class_agnostic-unscaled": (
@@ -96,6 +115,27 @@ GOLDEN = {
     "two_step-scaled-raw-transfer": (
         "52c5f4604ec10cda3263faaf38ef9203957444571ed6567daea947e9230f92c5",
         "81fec706c7e771cee28a0b9a97e732f2d021d017fce25bfbfbe65dcc205b650a",
+    ),    # recorded before the split-invariant scores were hoisted out of the
+    # run loop, to guard the branches that change touched
+    "two_step-raps-no-penalty": (
+        "b96af9a2b569d8b8b309dc92d9b75028ec2731b30bcb197622b615ccb507d8fb",
+        "ea4a0b5f98ae0853116a476910e0825ff14e8dc2dda1db5da686f9419ef6af1c",
+    ),
+    "two_step-raps-penalty": (
+        "08442df280ec756312d111a63f8cb120879b2dab2ffaeb105d33fdf9da4bd326",
+        "19a78f6abb0943f7adf788955e1179601377b7ee85ec267972a580a8382289ed",
+    ),
+    "two_step-raps-calibration-penalty-only": (
+        "d2aa929df11e0ada4bb44460f2c69277e626be4771a838e0e912125f829cc580",
+        "c3e88c2e1183d2e33ecb7bfe7e64bf7ba68f4d6ced0280ee212623b623d6a473",
+    ),
+    "two_step-scaled-recal-transfer": (
+        "749c9c65e0796176d8a45f406d3207ad480234109914289c0f6a24de7ce54607",
+        "6411d6de7e9868597a130ae678fb02d1165d101721526e79b0834b7329d714bb",
+    ),
+    "class_wise-unscaled-transfer": (
+        "55e3aa8b1950eb92736fc29165532b662adc8d66ac10e056e82e8d3979ad2430",
+        "d7206c919cf6bf9956fe93816405a3d48e1745141e39a9d35a3f5f66a90e561d",
     ),
 }
 
@@ -110,19 +150,23 @@ def _case_id(case) -> str:
     return f"{regime}-{variant}" + ("-transfer" if transfer else "")
 
 
-def report_digests(case) -> tuple[str, str]:
+def _report(case):
     regime, variant, transfer = case
-    config = RunConfig(
+    options = dict(
         miscoverage=MiscoverageConfig(alpha_corner=0.025, alpha_class=0.05),
         n_runs=5,
         regime=regime,
         master_seed=11,
         min_per_class=20,
-        **VARIANTS[variant],
     )
-    report = run_experiment(
-        _data(3), config, eval_dataset=_data(4, shift=1.5) if transfer else None
+    options.update(VARIANTS[variant])
+    return run_experiment(
+        _data(3), RunConfig(**options), eval_dataset=_data(4, shift=1.5) if transfer else None
     )
+
+
+def report_digests(case) -> tuple[str, str]:
+    report = _report(case)
     doc = json.loads(emit_report(report, "json"))
     results = json.dumps({k: doc[k] for k in ("per_run", "aggregate")}, sort_keys=True)
     csv_text = emit_report(report, "csv")
@@ -155,6 +199,11 @@ WHOLE_JSON = {
     "naive_worst_case-scaled-raw": "7bef9a042c50803aaf259e8e708cbca9e6d5cdfbf0ec0f084036006a44ac1d4e",
     "naive_worst_case-scaled-recal": "02805226f557996327eddccfca3edd5eb8575379b22a53ea81ec55724d5a94bf",
     "two_step-scaled-raw-transfer": "a2a6c752d2d43fff0b8f08a5ef499b249841f4ba55ce14d0110f4e75aae088ea",
+    "two_step-raps-no-penalty": "dcb0c9225485ed6ba264ec16e61c72ce51ef5586175963a390063c3172144238",
+    "two_step-raps-penalty": "2a15d904c80f24e7ead4b0b424729325d7c0d97bc7b3297db7d1c58a14495086",
+    "two_step-raps-calibration-penalty-only": "11bcad773ce666a9aa1ccc7dcb1f93b46b5f274a68b75bbe26e97dcb0229db3b",
+    "two_step-scaled-recal-transfer": "935a5b32494b07b871f6700a60c6ef4518cdb4ce2b38073d2a7357af980a2928",
+    "class_wise-unscaled-transfer": "a044f464c2dd5baef7dc8bfbf4ad14a1d3f8cd135d892580eb8ec513287871ec",
 }
 
 CLI_GOLDEN = {
@@ -167,19 +216,7 @@ CLI_GOLDEN = {
 
 
 def whole_json_digest(case) -> str:
-    regime, variant, transfer = case
-    config = RunConfig(
-        miscoverage=MiscoverageConfig(alpha_corner=0.025, alpha_class=0.05),
-        n_runs=5,
-        regime=regime,
-        master_seed=11,
-        min_per_class=20,
-        **VARIANTS[variant],
-    )
-    report = run_experiment(
-        _data(3), config, eval_dataset=_data(4, shift=1.5) if transfer else None
-    )
-    return hashlib.sha256(emit_report(report, "json").encode()).hexdigest()
+    return hashlib.sha256(emit_report(_report(case), "json").encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", CASES, ids=_case_id)

@@ -1,0 +1,115 @@
+"""Hypothesis properties of the quantile and label-set kernels."""
+
+import math
+from decimal import Decimal
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from confdet.classification import prediction_set_matrix, set_totals, sets_from_totals
+from confdet.core import RAPSConfig
+from confdet.errors import DataError
+from confdet.regression import _order_rank, column_quantiles, conformal_quantile
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+# typed levels such as 0.72 sit on integer boundaries of (n + 1)(1 - alpha)
+levels = st.one_of(
+    st.integers(1, 999).map(lambda k: k / 1000),
+    st.floats(1e-9, 1 - 1e-9, exclude_min=True, exclude_max=True),
+)
+# few distinct values, so ties are common
+score_values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0, 1e6))
+
+
+def exact_rank(n: int, alpha: float) -> int:
+    """ceil((n + 1)(1 - alpha)) in integers, alpha at its shortest round-trip decimal."""
+    num, den = Decimal(repr(float(alpha))).as_integer_ratio()
+    return -((-(n + 1) * (den - num)) // den)
+
+
+@PROPERTY
+@given(st.integers(1, 10**6), levels)
+def test_property_order_rank_is_exact_ceil(n, alpha):
+    expected = exact_rank(n, alpha)
+    assert _order_rank(n, alpha) == expected
+    # a repeat, and the same level as a numpy scalar, hit the cache and agree
+    assert _order_rank(n, alpha) == expected
+    assert _order_rank(np.int64(n), np.float64(alpha)) == expected
+
+
+def test_order_rank_on_integer_boundaries():
+    # the float products 10 * (1 - 0.7) and 25 * (1 - 0.72) overshoot 3 and 7
+    assert _order_rank(9, 0.7) == 3
+    assert _order_rank(24, 0.72) == 7
+    assert _order_rank(19, 0.05) == 19
+
+
+@st.composite
+def score_matrices(draw):
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(1, 5))
+    return draw(arrays(float, (n, m), elements=score_values))
+
+
+@PROPERTY
+@given(score_matrices(), levels)
+def test_property_column_quantiles_match_conformal_quantile(scores, alpha):
+    got = column_quantiles(scores, alpha)
+    assert got.shape == (scores.shape[1],)
+    expected = [conformal_quantile(scores[:, c], alpha) for c in range(scores.shape[1])]
+    assert got.tolist() == expected
+    if exact_rank(scores.shape[0], alpha) > scores.shape[0]:
+        assert np.isinf(got).all()
+    else:
+        assert all(v in scores[:, c] for c, v in enumerate(got))
+
+
+@PROPERTY
+@given(score_matrices(), levels, st.data())
+def test_property_nan_raises_in_both_forms(scores, alpha, data):
+    i = data.draw(st.integers(0, scores.shape[0] - 1))
+    c = data.draw(st.integers(0, scores.shape[1] - 1))
+    scores[i, c] = math.nan
+    with pytest.raises(DataError):
+        column_quantiles(scores, alpha)
+    with pytest.raises(DataError):
+        conformal_quantile(scores[:, c], alpha)
+
+
+@st.composite
+def probability_batches(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    raw = draw(arrays(float, (n, k), elements=st.one_of(st.just(1.0), st.floats(0.0, 1.0))))
+    raw[:, 0] += 1e-3  # keep every row's mass positive
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+raps_configs = st.builds(
+    RAPSConfig,
+    penalty_a=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    threshold_b=st.integers(0, 4),
+    allow_empty=st.booleans(),
+    penalty_at_inference=st.booleans(),
+)
+thresholds = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 3.0))
+
+
+@PROPERTY
+@given(probability_batches(), raps_configs, thresholds, thresholds)
+def test_property_set_size_is_monotone_in_qhat(probs, config, q1, q2):
+    lo, hi = sorted((q1, q2))
+    order, totals = set_totals(probs, config)
+    member_lo, sizes_lo = sets_from_totals(order, totals, lo, config)
+    member_hi, sizes_hi = sets_from_totals(order, totals, hi, config)
+    assert np.all(sizes_lo <= sizes_hi)
+    assert np.all(member_lo <= member_hi)  # the smaller set is nested in the larger
+    assert np.array_equal(member_lo.sum(axis=1), sizes_lo)
+    if not config.allow_empty:
+        assert np.all(sizes_lo >= 1)
+    composed, composed_sizes = prediction_set_matrix(probs, hi, config)
+    assert np.array_equal(composed, member_hi) and np.array_equal(composed_sizes, sizes_hi)
