@@ -8,7 +8,7 @@ frozen and safe to share across worker processes.  All but
 compares by identity, so compare its columns or ``records`` instead.
 
 Construction never validates: a ``DetectionRecord`` built from garbage is
-still a value. :func:`validate_record` reports every violation instead so
+still a value. :func:`validate_columns` reports every violation instead so
 that loaders can decide whether to reject a line or abort.
 """
 
@@ -38,7 +38,7 @@ class BoundingBox:
 
     The intended invariants are ``x0 <= x1`` and ``y0 <= y1``; degenerate
     (zero width or height) boxes are legal.  Violations are reported by
-    :func:`validate_record`, not enforced here.
+    :func:`validate_columns`, not enforced here.
     """
 
     x0: float
@@ -110,48 +110,92 @@ class DetectionRecord:
     sigma: tuple[float, float, float, float]
 
 
+#: Rows of class probabilities summed per ``tolist()`` call in :func:`validate_columns`.
+_SUM_CHUNK = 4096
+
+
+def _exact_sum(values) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # inf - inf, or an intermediate overflow
+        return sum(values)
+
+
+def _is_label(value) -> bool:
+    # exact: bool is an int subclass, and a float or string label is not converted
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def validate_columns(pred, gt, sigma, gt_class, probs) -> dict[int, list[str]]:
+    """Check rows of columns against the data contract.
+
+    ``pred`` and ``gt`` are ``(n, 4)`` corner arrays, ``sigma`` is
+    ``(n, m)`` and ``probs`` ``(n, K)``.  ``gt_class`` holds the ``n``
+    labels as given, so a float, bool or string label is reported rather
+    than converted.  Returns a dict that maps the index of each row that
+    breaks a rule, in ascending order, to one message per broken rule;
+    valid rows are absent.  For columns of these shapes the check is total:
+    it inspects every rule and never raises, so loaders can report all
+    problems on a line at once.
+    """
+    pred, gt, sigma, probs = (np.asarray(a, dtype=float) for a in (pred, gt, sigma, probs))
+    n, k = probs.shape
+    # (mask over rows, message) in message order; a callable message takes the row index
+    rules = []
+    for name, box in (("pred_box", pred), ("gt_box", gt)):
+        finite = np.isfinite(box).all(axis=1)
+        rules += [
+            (~finite, f"{name} has non-finite coordinates"),
+            (finite & (box[:, 0] > box[:, 2]), f"{name}: x0 > x1"),
+            (finite & (box[:, 1] > box[:, 3]), f"{name}: y0 > y1"),
+        ]
+    if sigma.shape[1] != 4:
+        rules.append((np.ones(n, dtype=bool), f"sigma has {sigma.shape[1]} entries, expected 4"))
+    else:
+        rules += [(~(np.isfinite(s) & (s > 0)), f"sigma[{i}] not > 0") for i, s in enumerate(sigma.T)]
+    if k == 0:
+        rules.append((np.ones(n, dtype=bool), "class_probs is empty"))
+    else:
+        rules += [(~(np.isfinite(p) & (p >= 0)), f"class_probs[{i}] not >= 0") for i, p in enumerate(probs.T)]
+        total = np.fromiter(
+            (_exact_sum(row) for start in range(0, n, _SUM_CHUNK) for row in probs[start : start + _SUM_CHUNK].tolist()),
+            dtype=float,
+            count=n,
+        )
+        rules.append((
+            ~(np.abs(total - 1.0) <= PROB_SUM_TOL),
+            lambda r: f"class_probs sum {total[r]:.8g} differs from 1 by more than {PROB_SUM_TOL:g}",
+        ))
+        labels = np.fromiter(gt_class, dtype=object, count=n)
+        is_label = np.fromiter(map(_is_label, labels), dtype=bool, count=n)
+        in_range = is_label.copy()
+        in_range[is_label] = (labels[is_label] >= 0) & (labels[is_label] < k)
+        rules += [
+            (~is_label, lambda r: f"gt_class {labels[r]!r} is not an integer"),
+            (is_label & ~in_range, lambda r: f"gt_class {labels[r]} outside [0, {k})"),
+        ]
+    bad = np.zeros(n, dtype=bool)
+    for mask, _ in rules:
+        bad |= mask
+    return {
+        int(r): [message(r) if callable(message) else message for mask, message in rules if mask[r]]
+        for r in np.flatnonzero(bad)
+    }
+
+
 def validate_record(record: DetectionRecord) -> list[str]:
-    """Check a record against the data contract.
+    """Check one record against the data contract: :func:`validate_columns` on one row.
 
     Returns a list with one message per violated rule, empty for a valid
-    record.  The check is total: it inspects every rule and never raises,
-    so loaders can report all problems on a line at once.
+    record.
     """
-    problems: list[str] = []
-    for name, box in (("pred_box", record.pred_box), ("gt_box", record.gt_box)):
-        if not all(math.isfinite(v) for v in (box.x0, box.y0, box.x1, box.y1)):
-            problems.append(f"{name} has non-finite coordinates")
-            continue
-        if box.x0 > box.x1:
-            problems.append(f"{name}: x0 > x1")
-        if box.y0 > box.y1:
-            problems.append(f"{name}: y0 > y1")
-
-    sigma = tuple(record.sigma)
-    if len(sigma) != 4:
-        problems.append(f"sigma has {len(sigma)} entries, expected 4")
-    else:
-        for i, s in enumerate(sigma):
-            if not (math.isfinite(s) and s > 0):
-                problems.append(f"sigma[{i}] not > 0")
-
-    probs = tuple(record.class_probs)
-    if len(probs) == 0:
-        problems.append("class_probs is empty")
-    else:
-        for i, p in enumerate(probs):
-            if not (math.isfinite(p) and p >= 0):
-                problems.append(f"class_probs[{i}] not >= 0")
-        total = math.fsum(probs)
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            problems.append(
-                f"class_probs sum {total:.8g} differs from 1 by more than {PROB_SUM_TOL:g}"
-            )
-        if not (isinstance(record.gt_class, (int, np.integer)) and not isinstance(record.gt_class, bool)):
-            problems.append(f"gt_class {record.gt_class!r} is not an integer")
-        elif not 0 <= record.gt_class < len(probs):
-            problems.append(f"gt_class {record.gt_class} outside [0, {len(probs)})")
-    return problems
+    return validate_columns(
+        [record.pred_box.as_array()],
+        [record.gt_box.as_array()],
+        [list(record.sigma)],
+        [record.gt_class],
+        [list(record.class_probs)],
+    ).get(0, [])
 
 
 @dataclass(frozen=True)
@@ -382,7 +426,7 @@ def records_to_arrays(records: Iterable[DetectionRecord]):
     """
     recs = list(records)
     for i, rec in enumerate(recs):
-        if isinstance(rec.gt_class, bool) or not isinstance(rec.gt_class, (int, np.integer)):
+        if not _is_label(rec.gt_class):
             raise ValidationError(f"gt_class {rec.gt_class!r} is not an integer", line=i + 1)
     pred = np.array([[r.pred_box.x0, r.pred_box.y0, r.pred_box.x1, r.pred_box.y1] for r in recs], dtype=float)
     gt = np.array([[r.gt_box.x0, r.gt_box.y0, r.gt_box.x1, r.gt_box.y1] for r in recs], dtype=float)

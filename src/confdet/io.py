@@ -20,11 +20,13 @@ import io as _stdio
 import json
 import logging
 import math
+from array import array
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .core import BoundingBox, Dataset, DetectionRecord, validate_record
+from .core import Dataset, validate_columns
 from .errors import EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
 from .metrics import METRICS, MetricRow
 from .pipeline import RunReport, RunResult
@@ -47,7 +49,12 @@ class LoadReport:
     messages: tuple[str, ...]
 
 
-def _parse_line(line: str, lineno: int, n_classes: int | None) -> DetectionRecord:
+def _read_line(line: str, lineno: int) -> dict:
+    """The record on one line, after the checks that need the raw JSON document."""
+    try:
+        line.encode("utf-8")  # the file is decoded with surrogateescape
+    except UnicodeEncodeError as exc:
+        raise ParseError(lineno, "invalid UTF-8") from exc
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -69,35 +76,95 @@ def _parse_line(line: str, lineno: int, n_classes: int | None) -> DetectionRecor
             raise ValidationError(f"{name} must hold JSON numbers only", line=lineno)
     if not isinstance(doc["image_id"], str):
         raise ValidationError("image_id must be a string", line=lineno)
-    try:
-        record = DetectionRecord(
-            image_id=doc["image_id"],
-            pred_box=BoundingBox(*map(float, doc["pred_box"])),
-            gt_box=BoundingBox(*map(float, doc["gt_box"])),
-            gt_class=doc["gt_class"],  # validate_record rejects a non-integer
-            class_probs=tuple(map(float, doc["class_probs"])),
-            sigma=tuple(map(float, doc["sigma"])),
+    return doc
+
+
+class _Rows:
+    """The lines that passed :func:`_read_line`, held as compact columns.
+
+    Numbers go to ``array`` buffers, not lists of floats, and lines may
+    differ in their number of classes until :meth:`verdicts` applies the
+    file's class count.
+    """
+
+    def __init__(self):
+        self.corners = array("d")  # pred_box, gt_box, sigma: 12 values per row
+        self.probs = array("d")  # class_probs of every row, concatenated
+        self.widths = array("q")  # number of class_probs per row
+        self.lines = array("q")
+        self.labels: list = []  # gt_class as parsed, checked by validate_columns
+        self.image_ids: list[str] = []
+
+    def append(self, doc: dict, lineno: int) -> None:
+        n_corners, n_probs = len(self.corners), len(self.probs)
+        try:
+            for name in ("pred_box", "gt_box", "sigma"):
+                self.corners.extend(doc[name])
+            self.probs.extend(doc["class_probs"])
+        except OverflowError as exc:  # an integer literal beyond the float range
+            del self.corners[n_corners:], self.probs[n_probs:]
+            raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
+        self.widths.append(len(doc["class_probs"]))
+        self.lines.append(lineno)
+        self.labels.append(doc["gt_class"])
+        self.image_ids.append(doc["image_id"])
+
+    def _columns(self, rows, k: int):
+        corners = np.frombuffer(self.corners, dtype=float).reshape(-1, 12)[rows]
+        starts = np.cumsum(self.widths, dtype=np.int64) - self.widths
+        probs = np.frombuffer(self.probs, dtype=float)[starts[rows, None] + np.arange(k)]
+        return corners[:, 0:4], corners[:, 4:8], corners[:, 8:12], probs
+
+    def verdicts(self) -> tuple[dict[int, str], int | None]:
+        """The rule each bad row breaks, by row, and the file's class count.
+
+        The class count is that of the first valid row. A row before it is
+        judged on its own; a later row with another count breaks only that
+        count.
+        """
+        widths = np.frombuffer(self.widths, dtype=np.int64)
+        problems: dict[int, list[str]] = {}
+        for k in np.unique(widths).tolist():  # once on a well-formed file
+            rows = np.flatnonzero(widths == k)
+            pred, gt, sigma, probs = self._columns(rows, k)
+            found = validate_columns(pred, gt, sigma, [self.labels[r] for r in rows], probs)
+            problems.update((int(rows[i]), messages) for i, messages in found.items())
+        first = next((r for r in range(len(widths)) if r not in problems), None)
+        if first is None:
+            return {r: "; ".join(m) for r, m in problems.items()}, None
+        n_classes = int(widths[first])
+        bad = {r: "; ".join(m) for r, m in problems.items() if r < first or widths[r] == n_classes}
+        for r in np.flatnonzero(widths != n_classes).tolist():
+            if r > first:
+                bad[r] = f"class_probs length {widths[r]} differs from {n_classes} seen earlier in the file"
+        return bad, n_classes
+
+    def raise_first(self, bad: dict[int, str]) -> None:
+        if bad:
+            r = min(bad)
+            raise ValidationError(bad[r], line=self.lines[r])
+
+    def dataset(self, bad: dict[int, str], n_classes: int) -> Dataset:
+        rows = np.setdiff1d(np.arange(len(self.widths)), list(bad))
+        pred, gt, sigma, probs = self._columns(rows, n_classes)
+        return Dataset(
+            image_ids=np.array(self.image_ids, dtype=object)[rows],
+            pred=np.ascontiguousarray(pred),
+            gt=np.ascontiguousarray(gt),
+            sigma=np.ascontiguousarray(sigma),
+            gt_class=np.array([self.labels[r] for r in rows], dtype=int),
+            probs=probs,
         )
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
-    if n_classes is not None and len(record.class_probs) != n_classes:
-        raise ValidationError(
-            f"class_probs length {len(record.class_probs)} differs from {n_classes} "
-            "seen earlier in the file",
-            line=lineno,
-        )
-    problems = validate_record(record)
-    if problems:
-        raise ValidationError("; ".join(problems), line=lineno)
-    return record
 
 
 def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
-    """Load and validate a JSONL dataset.
+    """Load and validate a UTF-8 JSONL dataset.
 
     In the default lenient mode invalid lines are skipped and collected
     in the returned :class:`LoadReport`; with ``strict=True`` the first
-    bad line aborts the load.  Blank lines are ignored.
+    bad line aborts the load.  Blank lines are ignored.  A line that is
+    not valid UTF-8 is invalid.  The data rules are checked once over the
+    loaded columns (:func:`~confdet.core.validate_columns`).
 
     Raises
     ------
@@ -106,66 +173,77 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     ParseError, ValidationError
         In strict mode, for the first offending line.
     """
-    records: list[DetectionRecord] = []
-    rejected: list[int] = []
-    messages: list[str] = []
-    n_classes: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
+    rows = _Rows()
+    rejected: list[tuple[int, str]] = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = _parse_line(line, lineno, n_classes)
+                rows.append(_read_line(line, lineno), lineno)
             except (ParseError, ValidationError) as exc:
                 if strict:
+                    rows.raise_first(rows.verdicts()[0])  # an earlier line may break a data rule
                     raise
-                rejected.append(lineno)
-                messages.append(str(exc))
-                continue
-            if n_classes is None:
-                n_classes = len(record.class_probs)
-            records.append(record)
-    if not records:
+                rejected.append((lineno, str(exc)))
+    bad, n_classes = rows.verdicts()
+    if strict:
+        rows.raise_first(bad)
+    if n_classes is None:
         raise EmptyFile(f"{path}: no usable records")
+    rejected += [(rows.lines[r], str(ValidationError(rule, line=rows.lines[r]))) for r, rule in bad.items()]
+    rejected.sort()
     if rejected:
-        logger.warning("%s: rejected %d line(s): %s", path, len(rejected), rejected[:20])
-    return Dataset.from_records(records), LoadReport(
-        n_loaded=len(records),
-        rejected_lines=tuple(rejected),
-        messages=tuple(messages),
+        lines = [lineno for lineno, _ in rejected]
+        logger.warning("%s: rejected %d line(s): %s", path, len(lines), lines[:20])
+    dataset = rows.dataset(bad, n_classes)
+    return dataset, LoadReport(
+        n_loaded=len(dataset),
+        rejected_lines=tuple(lineno for lineno, _ in rejected),
+        messages=tuple(message for _, message in rejected),
     )
 
 
-def record_to_dict(record: DetectionRecord) -> dict:
-    return {
-        "image_id": record.image_id,
-        "pred_box": list(record.pred_box.as_array()),
-        "gt_box": list(record.gt_box.as_array()),
-        "gt_class": record.gt_class,
-        "class_probs": list(record.class_probs),
-        "sigma": list(record.sigma),
-    }
+#: Rows formatted per write; bounds the Python objects that ``tolist()`` makes.
+_WRITE_CHUNK = 4096
+
+
+def _json_values(block: np.ndarray) -> list[str]:
+    """JSON text of each entry of a float block: numbers for 1-D, lists for 2-D."""
+    # str() writes a float, or a list of floats, as JSON does unless it is
+    # nan or infinite, which JSON writes as NaN and Infinity
+    return list(map(str if np.isfinite(block).all() else json.dumps, block.tolist()))
 
 
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset as JSONL (full float precision, round-trip exact)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in dataset:
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
-            fh.write("\n")
+        for start in range(0, len(dataset), _WRITE_CHUNK):
+            part = slice(start, start + _WRITE_CHUNK)
+            rows = zip(
+                _json_values(dataset.probs[part]),
+                _json_values(dataset.gt[part]),
+                dataset.gt_class[part].tolist(),
+                map(encode_basestring_ascii, dataset.image_ids[part].tolist()),
+                _json_values(dataset.pred[part]),
+                _json_values(dataset.sigma[part]),
+            )
+            # keys in sorted order, as json.dumps(..., sort_keys=True) writes them
+            fh.writelines(
+                f'{{"class_probs": {c}, "gt_box": {g}, "gt_class": {k}, "image_id": {i}, "pred_box": {p}, "sigma": {s}}}\n'
+                for c, g, k, i, p, s in rows
+            )
 
 
 def save_oracle_info(info, path) -> None:
     """Write the generator's side channel as JSONL, one line per record."""
+    true_scales = np.asarray(info.true_scales, dtype=float)
+    base_scales = np.asarray(info.base_scales, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (true_scale, base_scale) in enumerate(zip(info.true_scales, info.base_scales)):
-            fh.write(
-                json.dumps(
-                    {"index": i, "true_scale": float(true_scale), "base_scale": float(base_scale)},
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
+        for start in range(0, len(true_scales), _WRITE_CHUNK):
+            part = slice(start, start + _WRITE_CHUNK)
+            rows = zip(_json_values(base_scales[part]), range(start, len(true_scales)), _json_values(true_scales[part]))
+            fh.writelines(f'{{"base_scale": {b}, "index": {i}, "true_scale": {t}}}\n' for b, i, t in rows)
 
 
 def _sig6(x: float) -> float:
@@ -263,7 +341,7 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
 def _run_result(entry: dict) -> RunResult:
     """One ``per_run`` entry of a report; seeds must be integers, metrics numbers or null."""
     seed, metrics = tuple(entry["seed"]), MetricRow(**entry["metrics"])
-    # exact types, as in _parse_line: bool is an int subclass, and int() would parse a string
+    # exact types, as in _read_line: bool is an int subclass, and int() would parse a string
     if not {int}.issuperset(map(type, seed)):
         raise TypeError(f"seed {list(seed)!r} does not hold integers")
     if not {int, float, type(None)}.issuperset(map(type, vars(metrics).values())):

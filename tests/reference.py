@@ -3,17 +3,30 @@
 The library states each rule once, as an array kernel, and its
 record-level functions are one-row adapters over those kernels.  These
 per-record loops are the independent oracles the kernels and adapters
-are checked against; keep them written out, one record at a time.
+are checked against; keep them written out, one record at a time.  The
+same holds for dataset files: ``load_dataset`` here parses, builds and
+validates one record per line, and the writers call ``json.dumps`` once
+per line, where the library works over columns.
 """
 
+import json
 import math
 
 import numpy as np
 
 from confdet.calibration import DIMENSION_EPS
 from confdet.classification import class_order
-from confdet.core import ConformalBox, PredictionSet
-from confdet.errors import DegenerateBox, InvalidClass, NonPositiveSigma, OutOfRange
+from confdet.core import PROB_SUM_TOL, BoundingBox, ConformalBox, Dataset, DetectionRecord, PredictionSet
+from confdet.errors import (
+    DegenerateBox,
+    EmptyFile,
+    InvalidClass,
+    NonPositiveSigma,
+    OutOfRange,
+    ParseError,
+    ValidationError,
+)
+from confdet.io import RECORD_FIELDS, LoadReport
 from confdet.metrics import iou
 
 
@@ -111,3 +124,135 @@ def normalize_sigma(record, corner):
     if dim <= DIMENSION_EPS:
         raise DegenerateBox(f"predicted box dimension {dim!r} too small to normalize corner {corner}")
     return float(record.sigma[corner]) / dim
+
+
+def validate_record(record):
+    problems = []
+    for name, box in (("pred_box", record.pred_box), ("gt_box", record.gt_box)):
+        if not all(math.isfinite(v) for v in (box.x0, box.y0, box.x1, box.y1)):
+            problems.append(f"{name} has non-finite coordinates")
+            continue
+        if box.x0 > box.x1:
+            problems.append(f"{name}: x0 > x1")
+        if box.y0 > box.y1:
+            problems.append(f"{name}: y0 > y1")
+
+    sigma = tuple(record.sigma)
+    if len(sigma) != 4:
+        problems.append(f"sigma has {len(sigma)} entries, expected 4")
+    else:
+        for i, s in enumerate(sigma):
+            if not (math.isfinite(s) and s > 0):
+                problems.append(f"sigma[{i}] not > 0")
+
+    probs = tuple(record.class_probs)
+    if len(probs) == 0:
+        problems.append("class_probs is empty")
+    else:
+        for i, p in enumerate(probs):
+            if not (math.isfinite(p) and p >= 0):
+                problems.append(f"class_probs[{i}] not >= 0")
+        total = math.fsum(probs)
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            problems.append(f"class_probs sum {total:.8g} differs from 1 by more than {PROB_SUM_TOL:g}")
+        if not (isinstance(record.gt_class, (int, np.integer)) and not isinstance(record.gt_class, bool)):
+            problems.append(f"gt_class {record.gt_class!r} is not an integer")
+        elif not 0 <= record.gt_class < len(probs):
+            problems.append(f"gt_class {record.gt_class} outside [0, {len(probs)})")
+    return problems
+
+
+def _parse_line(line, lineno, n_classes):
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("record line must be a JSON object", line=lineno)
+    missing = [f for f in RECORD_FIELDS if f not in doc]
+    if missing:
+        raise ValidationError(f"missing fields: {', '.join(missing)}", line=lineno)
+    for name in ("pred_box", "gt_box", "sigma"):
+        value = doc[name]
+        if not (isinstance(value, list) and len(value) == 4):
+            raise ValidationError(f"{name} must be a list of 4 numbers", line=lineno)
+    if not isinstance(doc["class_probs"], list) or not doc["class_probs"]:
+        raise ValidationError("class_probs must be a non-empty list", line=lineno)
+    for name in ("pred_box", "gt_box", "sigma", "class_probs"):
+        if not {int, float}.issuperset(map(type, doc[name])):
+            raise ValidationError(f"{name} must hold JSON numbers only", line=lineno)
+    if not isinstance(doc["image_id"], str):
+        raise ValidationError("image_id must be a string", line=lineno)
+    try:
+        record = DetectionRecord(
+            image_id=doc["image_id"],
+            pred_box=BoundingBox(*map(float, doc["pred_box"])),
+            gt_box=BoundingBox(*map(float, doc["gt_box"])),
+            gt_class=doc["gt_class"],
+            class_probs=tuple(map(float, doc["class_probs"])),
+            sigma=tuple(map(float, doc["sigma"])),
+        )
+    except OverflowError as exc:
+        raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
+    if n_classes is not None and len(record.class_probs) != n_classes:
+        raise ValidationError(
+            f"class_probs length {len(record.class_probs)} differs from {n_classes} seen earlier in the file",
+            line=lineno,
+        )
+    problems = validate_record(record)
+    if problems:
+        raise ValidationError("; ".join(problems), line=lineno)
+    return record
+
+
+def load_dataset(path, strict=False):
+    """The per-line loader: parse, build a record and validate it, one line at a time."""
+    records, rejected, messages = [], [], []
+    n_classes = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _parse_line(line, lineno, n_classes)
+            except (ParseError, ValidationError) as exc:
+                if strict:
+                    raise
+                rejected.append(lineno)
+                messages.append(str(exc))
+                continue
+            if n_classes is None:
+                n_classes = len(record.class_probs)
+            records.append(record)
+    if not records:
+        raise EmptyFile(f"{path}: no usable records")
+    return Dataset.from_records(records), LoadReport(
+        n_loaded=len(records), rejected_lines=tuple(rejected), messages=tuple(messages)
+    )
+
+
+def record_to_dict(record):
+    return {
+        "image_id": record.image_id,
+        "pred_box": list(record.pred_box.as_array()),
+        "gt_box": list(record.gt_box.as_array()),
+        "gt_class": record.gt_class,
+        "class_probs": list(record.class_probs),
+        "sigma": list(record.sigma),
+    }
+
+
+def save_dataset(dataset, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in dataset:
+            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
+            fh.write("\n")
+
+
+def save_oracle_info(info, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, (true_scale, base_scale) in enumerate(zip(info.true_scales, info.base_scales)):
+            fh.write(
+                json.dumps({"index": i, "true_scale": float(true_scale), "base_scale": float(base_scale)}, sort_keys=True)
+            )
+            fh.write("\n")

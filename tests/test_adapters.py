@@ -15,7 +15,7 @@ import pytest
 import reference
 from confdet.calibration import normalize_sigma
 from confdet.classification import aps_score, build_prediction_set, raps_score
-from confdet.core import BoundingBox, DetectionRecord, RAPSConfig
+from confdet.core import BoundingBox, DetectionRecord, RAPSConfig, validate_columns, validate_record
 from confdet.errors import DegenerateBox
 from confdet.metrics import corner_coverage_event, interval_score, recovery_rate
 from confdet.regression import build_conformal_box, score_scaled, score_unscaled
@@ -86,3 +86,42 @@ def test_recovery_rate_matches_oracle():
         boxes = [build_conformal_box(r.pred_box, None, rng.uniform(0, 80, size=4)) for r in records]
         threshold = float(rng.uniform(0.01, 1.0))
         assert recovery_rate(records, boxes, threshold) == reference.recovery_rate(records, boxes, threshold)
+
+
+def odd_record(rng, k, n_sigma=4):
+    """A record that breaks a few data rules at random, for the validation oracle."""
+    odd = [1.0, 0.0, -1.0, math.nan, math.inf, -math.inf]
+    values = rng.choice(odd, size=8 + n_sigma, p=[0.7, 0.1, 0.05, 0.05, 0.05, 0.05])
+    corners = rng.uniform(0, 100, size=8) * values[:8]
+    if k and rng.random() < 0.7:
+        probs = rng.dirichlet(np.ones(k))
+    else:  # no -inf: math.fsum raises on inf - inf, where the oracle would fail
+        probs = rng.uniform(0, 1, size=k) * rng.choice(odd[:5], size=k, p=[0.7, 0.1, 0.1, 0.05, 0.05])
+    probs[:1] += float(rng.choice([0.0, 1e-6, -1e-6, 1.000001e-6, 0.5]))
+    label = [0, 1, k, -1, 1.0, True, "1", None, 10**30, np.int64(1)][int(rng.integers(10))]
+    return DetectionRecord(
+        "r",
+        BoundingBox(*corners[:4]),
+        BoundingBox(*corners[4:]),
+        label,
+        tuple(probs),
+        tuple(rng.uniform(0.1, 5, size=n_sigma) * values[8:]),
+    )
+
+
+def test_validation_matches_oracle():
+    rng = np.random.default_rng(34)
+    for _ in range(N_CASES // 4):
+        k = int(rng.integers(1, 5))
+        records = [odd_record(rng, k) for _ in range(int(rng.integers(1, 20)))]
+        found = validate_columns(
+            [r.pred_box.as_array() for r in records],
+            [r.gt_box.as_array() for r in records],
+            [r.sigma for r in records],
+            [r.gt_class for r in records],
+            [r.class_probs for r in records],
+        )
+        expected = [reference.validate_record(r) for r in records]
+        assert found == {i: problems for i, problems in enumerate(expected) if problems}
+        for rec in records + [odd_record(rng, int(rng.integers(0, 3)), int(rng.integers(0, 6)))]:
+            assert validate_record(rec) == reference.validate_record(rec)

@@ -179,6 +179,18 @@ def test_strict_non_integer_gt_class_exits_2(data_path, tmp_path):
     assert code == 2
 
 
+def test_undecodable_line_is_rejected_or_exits_2(data_path, tmp_path, capsys):
+    # a byte that is not UTF-8 once ended the run with a traceback and exit 3
+    path = tmp_path / "latin.jsonl"
+    lines = Path(data_path).read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b"img-5", b"img-\xff")
+    path.write_bytes(b"\n".join(lines))
+    assert main(run_args(str(path), str(tmp_path / "r.json"))) == 0
+    code = main(run_args(str(path), str(tmp_path / "r.json"), extra=["--strict"]))
+    assert code == 2
+    assert "line 6: invalid UTF-8" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- run
 
 

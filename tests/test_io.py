@@ -1,24 +1,29 @@
 import hashlib
 import json
+import logging
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from confdet.core import MiscoverageConfig
+import reference
+from confdet.core import Dataset, MiscoverageConfig
 from confdet.errors import EmptyFile, OutOfRange, ParseError, ValidationError
 from confdet.io import (
+    _WRITE_CHUNK,
     CSV_COLUMNS,
     emit_report,
     load_dataset,
     load_report,
-    record_to_dict,
     save_dataset,
     save_oracle_info,
 )
-from confdet.oracle import OracleSpec, generate
+from confdet.oracle import OracleInfo, OracleSpec, generate
 from confdet.pipeline import RunConfig, run_experiment
 
 from conftest import make_dataset
+from reference import record_to_dict
 
 
 def good_line(image_id="img-0"):
@@ -164,6 +169,179 @@ def test_integer_coordinates_load_as_floats(tmp_path):
     assert report.n_loaded == 1
     assert dataset.pred.tolist() == [[0.0, 0.0, 10.0, 10.0]]
     assert dataset.sigma.tolist() == [[1.0, 1.0, 1.0, 1.0]]
+
+
+def test_rejected_lines_are_logged(tmp_path, caplog):
+    path = tmp_path / "mixed.jsonl"
+    path.write_text(good_line() + "\n{oops\n" + good_line() + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="confdet.io"):
+        load_dataset(path)
+    assert f"{path}: rejected 1 line(s): [2]" in caplog.text
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_undecodable_line_is_a_parse_error(tmp_path, newline):
+    # a byte that is not UTF-8 once raised UnicodeDecodeError out of the loader
+    lines = [good_line(f"ok-{i}").encode() for i in range(5)]
+    lines += [good_line("bad").encode().replace(b"bad", b"b\xffd")]
+    lines += [good_line("ok-6").encode()]
+    path = tmp_path / "latin.jsonl"
+    path.write_bytes(newline.encode().join(lines) + newline.encode())
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (6,)
+    assert report.messages == ("line 6: invalid UTF-8",)
+    assert [r.image_id for r in dataset.records] == ["ok-0", "ok-1", "ok-2", "ok-3", "ok-4", "ok-6"]
+    with pytest.raises(ParseError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 6
+
+
+@pytest.mark.parametrize("probs", [[1e400, -1e400], [1e308, 1e308]])
+def test_probability_sum_that_fsum_cannot_take_is_rejected(tmp_path, probs):
+    # math.fsum raises on inf - inf and on an intermediate overflow; the
+    # loader once let that escape as a traceback
+    doc = json.loads(good_line("bad-sum"))
+    doc["class_probs"] = probs
+    path = tmp_path / "sums.jsonl"
+    path.write_text(good_line() + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (2,)
+    assert "class_probs sum" in report.messages[0]
+    assert [r.image_id for r in dataset.records] == ["img-0"]
+    with pytest.raises(ValidationError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 2
+
+
+def _fuzzed_doc(rng, k):
+    """A record line for the loader equivalence test: valid, or broken by one or two rules."""
+    x0, y0 = rng.uniform(-5, 500, size=2)
+    pred = [x0, y0, x0 + rng.uniform(0, 100), y0 + rng.uniform(0, 100)]
+    gt = [v + rng.normal(0, 3) for v in pred]
+    probs = list(rng.dirichlet(np.ones(k)))
+    doc = {
+        "image_id": str(rng.choice(["img", "caf\u00e9", "\u65e5\u672c", 'q"\\'])) + str(rng.integers(99)),
+        "pred_box": pred,
+        "gt_box": gt,
+        "gt_class": int(rng.integers(k)),
+        "class_probs": probs,
+        "sigma": list(rng.uniform(0.5, 5.0, size=4)),
+    }
+    for _ in range(int(rng.choice([0, 0, 0, 1, 2]))):
+        kind = int(rng.integers(16))
+        box = doc[str(rng.choice(["pred_box", "gt_box"]))]
+        i = int(rng.integers(4))
+        if kind == 0:  # non-finite box
+            box[i] = float(rng.choice([math.inf, -math.inf, math.nan]))
+        elif kind == 1:  # inverted box
+            box[i], box[(i + 2) % 4] = box[(i + 2) % 4] + 1.0, box[i]
+        elif kind == 2:  # sigma <= 0 or NaN
+            doc["sigma"][i] = float(rng.choice([0.0, -1.0, math.nan, math.inf]))
+        elif kind == 3:  # a probability sum at 1 +- 1e-6, or just past it
+            d = float(rng.choice([1e-6, -1e-6, 1.000001e-6, -1.000001e-6, 0.999999e-6]))
+            doc["class_probs"][0] += d
+        elif kind == 4:
+            doc["gt_class"] = [1.0, True, "1", None, -1, 10**30, k, [0]][int(rng.integers(8))]
+        elif kind == 5:  # integer coordinates
+            box[:] = [int(v) if isinstance(v, float) and math.isfinite(v) else v for v in box]
+        elif kind == 6:
+            box[i] = 10**400
+            break
+        elif kind == 7:
+            doc["class_probs"][int(rng.integers(k))] = float(rng.choice([-0.1, math.nan, math.inf]))
+        elif kind == 8:  # another class count
+            probs = doc["class_probs"]
+            doc["class_probs"] = probs[1:] if len(probs) > 1 and rng.random() < 0.5 else probs + [0.0]
+            break
+        elif kind == 9:
+            del doc[str(rng.choice(["sigma", "gt_class", "image_id"]))]
+            break
+        elif kind == 10:
+            doc["sigma"] = doc["sigma"][:3]
+            break
+        elif kind == 11:
+            box[i] = str(rng.choice(["1", "true"])) if rng.random() < 0.5 else None
+            break
+        elif kind == 12:
+            doc["image_id"] = 7
+        elif kind == 13:
+            doc["class_probs"] = []
+            break
+        elif kind == 14:
+            return "[1, 2]"
+        else:
+            return "{broken"
+    return json.dumps(doc)
+
+
+def _fuzzed_file(rng, path):
+    k = int(rng.integers(1, 5))
+    lines = [_fuzzed_doc(rng, k) for _ in range(int(rng.integers(1, 30)))]
+    if rng.random() < 0.2:
+        # a first line with another class count that is invalid anyway
+        doc = json.loads(good_line())
+        doc["class_probs"] = [0.5] * (k + 1)
+        lines.insert(0, json.dumps(doc))
+    for _ in range(int(rng.integers(3))):
+        lines.insert(int(rng.integers(len(lines) + 1)), str(rng.choice(["", "   ", "\t"])))
+    newline = str(rng.choice(["\n", "\r\n", "\r"]))
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+
+
+def _outcome(load, path, strict):
+    try:
+        dataset, report = load(path, strict=strict)
+    except (EmptyFile, ParseError, ValidationError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+    columns = [(getattr(dataset, f.name).dtype, getattr(dataset, f.name).tolist()) for f in fields(dataset)]
+    return columns, report
+
+
+def test_loader_matches_per_line_reference(tmp_path):
+    rng = np.random.default_rng(38)
+    path = tmp_path / "fuzz.jsonl"
+    for _ in range(300):
+        _fuzzed_file(rng, path)
+        for strict in (False, True):
+            expected = _outcome(reference.load_dataset, path, strict)
+            assert _outcome(load_dataset, path, strict) == expected, path.read_text(encoding="utf-8")
+
+
+def test_loader_matches_reference_when_class_counts_vary(tmp_path):
+    # counts 1, 2, 3 fill as many values as three rows of 2, so rows must be
+    # located by their own offsets, not by reshaping
+    def line(probs, sigma0=1.0):
+        doc = json.loads(good_line(f"k{len(probs)}"))
+        doc.update(class_probs=probs, sigma=[sigma0, 1.0, 1.0, 1.0])
+        return json.dumps(doc)
+
+    path = tmp_path / "counts.jsonl"
+    path.write_text("\n".join([line([1.0], sigma0=0.0), line([0.25, 0.75]), line([0.2, 0.3, 0.5])]), encoding="utf-8")
+    for strict in (False, True):
+        assert _outcome(load_dataset, path, strict) == _outcome(reference.load_dataset, path, strict)
+
+
+def _nonfinite_dataset(rng, n):
+    def block(m):
+        values = rng.uniform(-10, 500, size=(n, m))
+        odd = rng.random((n, m)) < 0.01
+        values[odd] = rng.choice([math.nan, math.inf, -math.inf], size=odd.sum())
+        return values
+
+    names = ["img", "caf\u00e9", "\u65e5\u672c", 'q"\\']
+    ids = np.array([f"{names[i % 4]}-{i}" for i in range(n)], dtype=object)
+    return Dataset(ids, block(4), block(4), block(4), rng.integers(0, 3, size=n), block(3))
+
+
+@pytest.mark.parametrize("n", [1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
+def test_writers_match_per_record_reference(tmp_path, n):
+    rng = np.random.default_rng(n)
+    dataset = _nonfinite_dataset(rng, n)
+    info = OracleInfo(true_scales=dataset.sigma[:, 0], base_scales=dataset.sigma[:, 1])
+    for write, oracle, value in ((save_dataset, reference.save_dataset, dataset), (save_oracle_info, reference.save_oracle_info, info)):
+        write(value, tmp_path / "new.jsonl")
+        oracle(value, tmp_path / "old.jsonl")
+        assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
 
 def test_save_dataset_bytes_match_recorded_digest(tmp_path):
