@@ -393,8 +393,9 @@ class Dataset:
         Raises
         ------
         ValidationError
-            If the records disagree on the length of ``class_probs``, or a
-            ``gt_class`` is not an integer (see :func:`records_to_arrays`).
+            If the records disagree on the length of ``class_probs``, an
+            ``image_id`` is not a string, or a ``gt_class`` is not an integer
+            (see :func:`records_to_arrays`).
         """
         recs = list(records)
         if not recs:
@@ -407,6 +408,8 @@ class Dataset:
                     f"{n_classes} inferred from the first record",
                     line=i + 1,
                 )
+            if not isinstance(rec.image_id, str):
+                raise ValidationError("image_id must be a string", line=i + 1)
         pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
         image_ids = np.array([rec.image_id for rec in recs], dtype=object)
         return cls(image_ids, pred, gt, sigma, gt_class, probs)

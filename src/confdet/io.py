@@ -21,13 +21,14 @@ import json
 import logging
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .core import Dataset, validate_columns
-from .errors import EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
+from .errors import DataError, EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
 from .metrics import METRICS, MetricRow
 from .pipeline import RunReport, RunResult
 
@@ -49,8 +50,8 @@ class LoadReport:
     messages: tuple[str, ...]
 
 
-def _read_line(line: str, lineno: int) -> dict:
-    """The record on one line, after the checks that need the raw JSON document."""
+def _read_line(line: str, lineno: int) -> tuple[array, object, str]:
+    """The numbers, ``gt_class`` and image id on one line, after the checks that need the raw JSON."""
     try:
         line.encode("utf-8")  # the file is decoded with surrogateescape
     except UnicodeEncodeError as exc:
@@ -76,84 +77,45 @@ def _read_line(line: str, lineno: int) -> dict:
             raise ValidationError(f"{name} must hold JSON numbers only", line=lineno)
     if not isinstance(doc["image_id"], str):
         raise ValidationError("image_id must be a string", line=lineno)
-    return doc
+    try:
+        values = array("d", doc["pred_box"] + doc["gt_box"] + doc["sigma"] + doc["class_probs"])
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
+    return values, doc["gt_class"], doc["image_id"]
 
 
 class _Rows:
-    """The lines that passed :func:`_read_line`, held as compact columns.
-
-    Numbers go to ``array`` buffers, not lists of floats, and lines may
-    differ in their number of classes until :meth:`verdicts` applies the
-    file's class count.
-    """
+    """The lines of one class count that passed :func:`_read_line`, as compact columns."""
 
     def __init__(self):
-        self.corners = array("d")  # pred_box, gt_box, sigma: 12 values per row
-        self.probs = array("d")  # class_probs of every row, concatenated
-        self.widths = array("q")  # number of class_probs per row
+        self.values = array("d")  # pred_box, gt_box, sigma, class_probs: 12 + K values per row
         self.lines = array("q")
         self.labels: list = []  # gt_class as parsed, checked by validate_columns
         self.image_ids: list[str] = []
 
-    def append(self, doc: dict, lineno: int) -> None:
-        n_corners, n_probs = len(self.corners), len(self.probs)
-        try:
-            for name in ("pred_box", "gt_box", "sigma"):
-                self.corners.extend(doc[name])
-            self.probs.extend(doc["class_probs"])
-        except OverflowError as exc:  # an integer literal beyond the float range
-            del self.corners[n_corners:], self.probs[n_probs:]
-            raise ValidationError(f"malformed field value ({exc})", line=lineno) from exc
-        self.widths.append(len(doc["class_probs"]))
+    def append(self, lineno: int, values: array, label, image_id: str) -> None:
+        self.values += values
         self.lines.append(lineno)
-        self.labels.append(doc["gt_class"])
-        self.image_ids.append(doc["image_id"])
+        self.labels.append(label)
+        self.image_ids.append(image_id)
 
-    def _columns(self, rows, k: int):
-        corners = np.frombuffer(self.corners, dtype=float).reshape(-1, 12)[rows]
-        starts = np.cumsum(self.widths, dtype=np.int64) - self.widths
-        probs = np.frombuffer(self.probs, dtype=float)[starts[rows, None] + np.arange(k)]
-        return corners[:, 0:4], corners[:, 4:8], corners[:, 8:12], probs
+    def problems(self) -> dict[int, str]:
+        """The data rules each bad row breaks, joined into one message, by row."""
+        values = np.frombuffer(self.values).reshape(len(self.lines), -1)
+        found = validate_columns(values[:, 0:4], values[:, 4:8], values[:, 8:12], self.labels, values[:, 12:])
+        return {r: "; ".join(messages) for r, messages in found.items()}
 
-    def verdicts(self) -> tuple[dict[int, str], int | None]:
-        """The rule each bad row breaks, by row, and the file's class count.
-
-        The class count is that of the first valid row. A row before it is
-        judged on its own; a later row with another count breaks only that
-        count.
-        """
-        widths = np.frombuffer(self.widths, dtype=np.int64)
-        problems: dict[int, list[str]] = {}
-        for k in np.unique(widths).tolist():  # once on a well-formed file
-            rows = np.flatnonzero(widths == k)
-            pred, gt, sigma, probs = self._columns(rows, k)
-            found = validate_columns(pred, gt, sigma, [self.labels[r] for r in rows], probs)
-            problems.update((int(rows[i]), messages) for i, messages in found.items())
-        first = next((r for r in range(len(widths)) if r not in problems), None)
-        if first is None:
-            return {r: "; ".join(m) for r, m in problems.items()}, None
-        n_classes = int(widths[first])
-        bad = {r: "; ".join(m) for r, m in problems.items() if r < first or widths[r] == n_classes}
-        for r in np.flatnonzero(widths != n_classes).tolist():
-            if r > first:
-                bad[r] = f"class_probs length {widths[r]} differs from {n_classes} seen earlier in the file"
-        return bad, n_classes
-
-    def raise_first(self, bad: dict[int, str]) -> None:
-        if bad:
-            r = min(bad)
-            raise ValidationError(bad[r], line=self.lines[r])
-
-    def dataset(self, bad: dict[int, str], n_classes: int) -> Dataset:
-        rows = np.setdiff1d(np.arange(len(self.widths)), list(bad))
-        pred, gt, sigma, probs = self._columns(rows, n_classes)
+    def dataset(self, bad) -> Dataset:
+        """The rows not in ``bad``."""
+        rows = np.setdiff1d(np.arange(len(self.lines)), list(bad))
+        values = np.frombuffer(self.values).reshape(len(self.lines), -1)
         return Dataset(
             image_ids=np.array(self.image_ids, dtype=object)[rows],
-            pred=np.ascontiguousarray(pred),
-            gt=np.ascontiguousarray(gt),
-            sigma=np.ascontiguousarray(sigma),
+            pred=values[rows, 0:4],
+            gt=values[rows, 4:8],
+            sigma=values[rows, 8:12],
             gt_class=np.array([self.labels[r] for r in rows], dtype=int),
-            probs=probs,
+            probs=values[rows, 12:],
         )
 
 
@@ -164,7 +126,8 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     in the returned :class:`LoadReport`; with ``strict=True`` the first
     bad line aborts the load.  Blank lines are ignored.  A line that is
     not valid UTF-8 is invalid.  The data rules are checked once over the
-    loaded columns (:func:`~confdet.core.validate_columns`).
+    loaded columns of each class count (:func:`~confdet.core.validate_columns`).
+    The file's class count is that of its first valid line.
 
     Raises
     ------
@@ -173,34 +136,51 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     ParseError, ValidationError
         In strict mode, for the first offending line.
     """
-    rows = _Rows()
-    rejected: list[tuple[int, str]] = []
+    groups: defaultdict[int, _Rows] = defaultdict(_Rows)  # by class count
+    # line number -> the exception in strict mode, else its message: a caught exception's
+    # traceback refers back to this frame, which would hold the buffers in a reference cycle
+    rejected: dict[int, DataError | str] = {}
+    keep = (lambda exc: exc) if strict else str
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rows.append(_read_line(line, lineno), lineno)
+                values, label, image_id = _read_line(line, lineno)
             except (ParseError, ValidationError) as exc:
+                rejected[lineno] = keep(exc)
                 if strict:
-                    rows.raise_first(rows.verdicts()[0])  # an earlier line may break a data rule
-                    raise
-                rejected.append((lineno, str(exc)))
-    bad, n_classes = rows.verdicts()
-    if strict:
-        rows.raise_first(bad)
+                    break  # an earlier line may still break a data rule
+                continue
+            groups[len(values) - 12].append(lineno, values, label, image_id)
+    problems = {k: rows.problems() for k, rows in groups.items()}  # once on a well-formed file
+    first, n_classes = math.inf, None
+    for k, rows in groups.items():
+        line = next((line for r, line in enumerate(rows.lines) if r not in problems[k]), math.inf)
+        if line < first:
+            first, n_classes = line, k
+    for k, rows in groups.items():
+        # a line before the first valid one is judged on its own; a later
+        # line with another class count breaks only that count
+        for r in problems[k] if k == n_classes else range(len(rows.lines)):
+            line = rows.lines[r]
+            if k == n_classes or line < first:
+                rule = problems[k][r]
+            else:
+                rule = f"class_probs length {k} differs from {n_classes} seen earlier in the file"
+            rejected[line] = keep(ValidationError(rule, line=line))
+    if strict and rejected:
+        raise rejected[min(rejected)]
     if n_classes is None:
         raise EmptyFile(f"{path}: no usable records")
-    rejected += [(rows.lines[r], str(ValidationError(rule, line=rows.lines[r]))) for r, rule in bad.items()]
-    rejected.sort()
-    if rejected:
-        lines = [lineno for lineno, _ in rejected]
+    lines = sorted(rejected)
+    if lines:
         logger.warning("%s: rejected %d line(s): %s", path, len(lines), lines[:20])
-    dataset = rows.dataset(bad, n_classes)
+    dataset = groups[n_classes].dataset(problems[n_classes])
     return dataset, LoadReport(
         n_loaded=len(dataset),
-        rejected_lines=tuple(lineno for lineno, _ in rejected),
-        messages=tuple(message for _, message in rejected),
+        rejected_lines=tuple(lines),
+        messages=tuple(rejected[line] for line in lines),
     )
 
 
@@ -247,9 +227,7 @@ def save_oracle_info(info, path) -> None:
 
 
 def _sig6(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.6g}")
+    return float(f"{x:.6g}")  # inf and nan pass through as "inf" and "nan"
 
 
 def _round_floats(obj):

@@ -93,13 +93,13 @@ class OracleSpec:
             )
         for entry in self.corner_noise:
             low, high = _noise_range(entry)
-            if not (0 < low <= high):
+            if not (0 < low <= high < math.inf):
                 raise InvalidSpec(f"invalid noise scale entry {entry!r}")
         if not self.sigma_bias or self.sigma_bias[0] not in BIAS_KINDS:
             raise InvalidSpec(f"sigma_bias kind must be one of {BIAS_KINDS}")
         if self.sigma_bias[0] != "identity":
-            if len(self.sigma_bias) != 2 or not self.sigma_bias[1] > 0:
-                raise InvalidSpec(f"sigma_bias {self.sigma_bias!r} needs one positive parameter")
+            if len(self.sigma_bias) != 2 or not 0 < self.sigma_bias[1] < math.inf:
+                raise InvalidSpec(f"sigma_bias {self.sigma_bias!r} needs one positive finite parameter")
         if not 0.0 < self.classifier_accuracy <= 1.0:
             raise InvalidSpec(
                 f"classifier_accuracy must lie in (0, 1], got {self.classifier_accuracy}"
@@ -110,12 +110,12 @@ class OracleSpec:
             raise InvalidSpec(
                 f"noise_correlation must lie in [0, 1), got {self.noise_correlation}"
             )
-        if self.shift is not None and not self.shift > 0:
-            raise InvalidSpec(f"shift must be > 0, got {self.shift}")
+        if self.shift is not None and not 0 < self.shift < math.inf:
+            raise InvalidSpec(f"shift must be finite and > 0, got {self.shift}")
         if not (self.box_size[0] > 0 and self.box_size[1] >= self.box_size[0]):
             raise InvalidSpec(f"box_size range {self.box_size!r} is invalid")
-        if self.image_size[0] < self.box_size[1] or self.image_size[1] < self.box_size[1]:
-            raise InvalidSpec("image_size must accommodate the largest box")
+        if not all(self.box_size[1] <= side < math.inf for side in self.image_size):
+            raise InvalidSpec(f"image_size {self.image_size!r} must be finite and accommodate the largest box")
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,6 +94,8 @@ class RunConfig:
     (``two_step``), or worst case over all classes
     (``naive_worst_case``).  ``stratified=None`` resolves to True for the
     class-aware regimes and False otherwise.
+    A ``calibration_scope`` other than ``raw`` recalibrates sigma, so it
+    needs ``scaling="scaled"``.
     ``calibrator_fit_fraction`` carves a disjoint part out of the
     calibration split for sigma recalibration; by default the calibrator
     and the quantiles share the full calibration split.
@@ -122,6 +124,10 @@ class RunConfig:
         if self.calibration_scope not in _cal.SCOPES:
             raise OutOfRange(
                 f"calibration_scope must be one of {_cal.SCOPES}, got {self.calibration_scope!r}"
+            )
+        if self.scaling == "unscaled" and self.calibration_scope != _cal.SCOPE_RAW:
+            raise OutOfRange(
+                f"calibration_scope {self.calibration_scope!r} needs scaling='scaled'; unscaled scores ignore sigma"
             )
         if self.regime not in REGIMES:
             raise OutOfRange(f"regime must be one of {REGIMES}, got {self.regime!r}")
@@ -273,7 +279,7 @@ def _context(data: Dataset, cfg: RunConfig, eval_data: Dataset | None) -> _Conte
     """Score once per experiment what every run would otherwise rescore."""
     ctx = _Context(data=data, config=cfg, eval_data=eval_data)
     arrays = {}
-    if cfg.scaling != "scaled" or cfg.calibration_scope == _cal.SCOPE_RAW:
+    if cfg.calibration_scope == _cal.SCOPE_RAW:  # always so when unscaled
         sigma = data.sigma if cfg.scaling == "scaled" else None
         arrays["residuals"] = residual_scores(data.pred, data.gt, sigma)
     if cfg.regime == REGIME_TWO_STEP:

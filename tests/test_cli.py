@@ -156,6 +156,14 @@ def test_config_error_exits_1(data_path, tmp_path):
     assert code == 1
 
 
+def test_scope_without_scaling_exits_1(data_path, tmp_path, capsys):
+    # the scope was once echoed in the report and otherwise ignored
+    out = tmp_path / "r.json"
+    assert main(run_args(data_path, str(out), extra=["--scope", "per_coordinate_per_class_relative"])) == 1
+    assert "needs scaling='scaled'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_2(tmp_path):
     code = main(run_args(str(tmp_path / "nope.jsonl"), str(tmp_path / "r.json")))
     assert code == 2
@@ -307,6 +315,15 @@ def test_simulate_bad_spec_exits_1(tmp_path):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("extra", [["--noise", "inf"], ["--shift", "inf"], ["--sigma-bias", "scale:inf"]])
+def test_simulate_non_finite_spec_exits_1(tmp_path, extra):
+    # these once exited 3 (OverflowError in the generator) or 2 (invalid generated records)
+    out = tmp_path / "r.json"
+    args = ["simulate", "--records", "200", "--runs", "2", "--seed", "1", "--workers", "1", "--out", str(out)]
+    assert main(args + extra) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- compare

@@ -160,6 +160,13 @@ def test_record_paths_reject_non_integer_class(caller):
     caller(_records_with_classes([0, np.int64(1), 1, 0, 1, 0]))
 
 
+def test_from_records_rejects_non_string_image_id():
+    # save_dataset once raised TypeError on the image_ids column this built
+    with pytest.raises(ValidationError, match="image_id must be a string") as exc_info:
+        Dataset.from_records([make_record(image_id="img-0"), make_record(image_id=7)])
+    assert exc_info.value.line == 2
+
+
 def test_apply_calibrated_sigma_rejects_non_integer_class():
     calibrator = fit_calibrator(_records_with_classes([0] * 6))
     for bad in (1.7, True):

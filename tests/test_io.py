@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import logging
@@ -319,6 +320,59 @@ def test_loader_matches_reference_when_class_counts_vary(tmp_path):
     path.write_text("\n".join([line([1.0], sigma0=0.0), line([0.25, 0.75]), line([0.2, 0.3, 0.5])]), encoding="utf-8")
     for strict in (False, True):
         assert _outcome(load_dataset, path, strict) == _outcome(reference.load_dataset, path, strict)
+
+
+def _class_count_doc(rng, k, broken):
+    """A line with ``k`` classes that passes the per-line checks; ``broken`` breaks one data rule."""
+    doc = json.loads(good_line(f"k{k}"))
+    doc.update(class_probs=list(rng.dirichlet(np.ones(k))), gt_class=int(rng.integers(k)))
+    rule = int(rng.integers(4)) if broken else None
+    if rule == 0:
+        doc["sigma"][int(rng.integers(4))] = 0.0
+    elif rule == 1:
+        doc["gt_class"] = k
+    elif rule == 2:
+        doc["class_probs"][0] += 0.1
+    elif rule == 3:
+        doc["pred_box"] = [10.0, 0.0, 0.0, 10.0]
+    return json.dumps(doc)
+
+
+def test_loader_matches_reference_after_an_invalid_prefix(tmp_path):
+    # lines of other class counts before the first valid line are judged on
+    # their own; after it, the same counts break only the class-count rule
+    rng = np.random.default_rng(39)
+    path = tmp_path / "prefix.jsonl"
+    for _ in range(200):
+        k = int(rng.integers(1, 5))
+        others = [int(c) for c in rng.choice([c for c in range(1, 6) if c != k], size=int(rng.integers(1, 4)))]
+        lines = [_class_count_doc(rng, c, broken=True) for c in others]
+        lines += [_class_count_doc(rng, k, broken=False)]
+        lines += [_fuzzed_doc(rng, k) for _ in range(int(rng.integers(0, 10)))]
+        for _ in range(int(rng.integers(1, 4))):
+            c = others[int(rng.integers(len(others)))] if rng.random() < 0.5 else int(rng.integers(1, 6))
+            after_first_valid = int(rng.integers(len(others) + 1, len(lines) + 1))
+            lines.insert(after_first_valid, _class_count_doc(rng, c, broken=rng.random() < 0.3))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for strict in (False, True):
+            expected = _outcome(reference.load_dataset, path, strict)
+            assert _outcome(load_dataset, path, strict) == expected, path.read_text(encoding="utf-8")
+
+
+def test_lenient_load_leaves_no_reference_cycle(tmp_path):
+    # a kept exception's traceback refers back to the loader's frame, and
+    # that cycle held the loader's buffers until the next collection
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join([good_line(), "{broken", "[1, 2]", good_line()]) + "\n", encoding="utf-8")
+    load_dataset(path)
+    gc.collect()
+    gc.disable()
+    try:
+        _, report = load_dataset(path)
+        assert report.rejected_lines == (2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _nonfinite_dataset(rng, n):

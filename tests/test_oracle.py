@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -182,6 +184,20 @@ def test_spec_validation():
         OracleSpec(**{**ok, "box_size": (400.0, 80.0)})
     with pytest.raises(InvalidSpec):
         OracleSpec(**{**ok, "image_size": (100.0, 100.0)})
+    # non-finite values once reached the generator: an OverflowError from
+    # rng.uniform, or records that broke the data rules
+    for bad in (
+        {"corner_noise": (math.inf, 3.0)},
+        {"corner_noise": ((2.0, math.inf), 3.0)},
+        {"shift": math.inf},
+        {"shift": math.nan},
+        {"sigma_bias": ("scale", math.inf)},
+        {"sigma_bias": ("power", math.inf)},
+        {"image_size": (math.inf, 2000.0)},
+        {"image_size": (2000.0, math.nan)},
+    ):
+        with pytest.raises(InvalidSpec):
+            OracleSpec(**{**ok, **bad})
 
 
 def test_generate_columns_equal_record_round_trip():

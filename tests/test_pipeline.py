@@ -267,6 +267,11 @@ def test_run_config_validation():
         RunConfig(miscoverage=mc, calibration_scope="classwise")
     with pytest.raises(OutOfRange):
         RunConfig(miscoverage=mc, calibrator_fit_fraction=0.0)
+    for scope in ("global_relative", "per_coordinate_per_class_relative"):
+        # unscaled scores never read sigma, so a recalibration scope would be ignored
+        with pytest.raises(OutOfRange, match="needs scaling='scaled'"):
+            RunConfig(miscoverage=mc, scaling="unscaled", calibration_scope=scope)
+        RunConfig(miscoverage=mc, scaling="scaled", calibration_scope=scope)
     for bounds in (
         (2000.0, 2000.0, 0.0, 0.0),
         (0.0, 0.0, 0.0, 10.0),
