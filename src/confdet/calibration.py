@@ -12,15 +12,12 @@ serve boxes of very different sizes.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CalibrationMap, DetectionRecord, records_to_arrays
 from .errors import DegenerateBox, EmptyFit, MalformedFile, OutOfRange
-
-logger = logging.getLogger(__name__)
 
 #: Box dimensions at or below this are too degenerate to normalize by.
 DIMENSION_EPS = 1e-6
@@ -151,8 +148,9 @@ class SigmaCalibrator:
     ``scope`` is one of :data:`SCOPE_RAW` (identity), :data:`SCOPE_GLOBAL`
     (one map pooled over all corners), or :data:`SCOPE_PER_CLASS` (one map
     per ``(class, corner)``, falling back to the global map where a class
-    had too few records).  ``n_excluded`` counts records skipped during
-    fitting because their predicted box was degenerate.
+    had too few records, listed in ``fallback_keys``); the global scope is
+    the per-class one with no class maps.  ``n_excluded`` counts records
+    skipped during fitting because their predicted box was degenerate.
     """
 
     scope: str
@@ -172,8 +170,8 @@ def fit_calibrator(
     The regression target is the normalized absolute corner residual,
     the input the normalized sigma; isotonic regression then estimates
     the monotone link between claimed and realized uncertainty.  Records
-    with a degenerate predicted box are excluded from fitting (counted
-    and logged).  For the per-class scope, any class with fewer than
+    with a degenerate predicted box are excluded from fitting and counted
+    in ``n_excluded``.  For the per-class scope, any class with fewer than
     ``min_class_fit`` usable records falls back to the global map.
     """
     pred, gt, sigma, gt_class, _ = records_to_arrays(records)
@@ -200,11 +198,6 @@ def fit_calibrator_arrays(
         raise EmptyFit("fit_calibrator needs at least one record")
     usable, dims, x = _normalize(pred, sigma)
     n_excluded = int((~usable).sum())
-    if n_excluded:
-        logger.warning(
-            "fit_calibrator: excluded %d record(s) with degenerate predicted boxes",
-            n_excluded,
-        )
     if not usable.any():
         raise EmptyFit("no records with non-degenerate predicted boxes")
 
@@ -212,25 +205,15 @@ def fit_calibrator_arrays(
     cls = np.asarray(gt_class, dtype=int)[usable]
 
     global_map = isotonic_fit(x, y, scope_key="global")
-    if scope == SCOPE_GLOBAL:
-        return SigmaCalibrator(scope=scope, global_map=global_map, maps={}, n_excluded=n_excluded)
-
     maps: dict = {}
     fallback = []
-    for k in np.unique(cls):
+    for k in np.unique(cls) if scope == SCOPE_PER_CLASS else ():
         sel = cls == k
         if int(sel.sum()) < min_class_fit:
             fallback.append(int(k))
             continue
         for corner in range(4):
             maps[(int(k), corner)] = isotonic_fit(x[sel, corner], y[sel, corner], scope_key=(int(k), corner))
-    if fallback:
-        logger.warning(
-            "fit_calibrator: classes %s have fewer than %d usable records; "
-            "using the global map for them",
-            fallback,
-            min_class_fit,
-        )
     return SigmaCalibrator(
         scope=scope,
         global_map=global_map,
@@ -256,18 +239,8 @@ def calibrated_sigma_array(
     if calibrator.scope == SCOPE_RAW:
         return sigma.copy()
     usable, dims, x = _normalize(np.asarray(pred, dtype=float), sigma)
-    if not usable.all():
-        logger.debug(
-            "calibrated_sigma_array: %d record(s) with degenerate boxes keep raw sigma",
-            int((~usable).sum()),
-        )
     out = sigma.copy()
-    if not usable.any():
-        return out
-    if calibrator.scope == SCOPE_GLOBAL:
-        mapped = evaluate_map(calibrator.global_map, x)
-    else:
-        mapped = _evaluate_per_class(calibrator, np.asarray(gt_class, dtype=int)[usable], x)
+    mapped = _evaluate_per_class(calibrator, np.asarray(gt_class, dtype=int)[usable], x)
     out[usable] = np.maximum(mapped * dims, SIGMA_FLOOR)
     return out
 
@@ -275,17 +248,17 @@ def calibrated_sigma_array(
 def _evaluate_per_class(calibrator: SigmaCalibrator, cls: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each ``x[i, corner]`` through the map of ``(cls[i], corner)``, else the global map.
 
-    One stable sort on the code ``4 * class + corner`` gives each map a
-    contiguous run of inputs, searched once on that map's breakpoints.
+    The global map is searched once for every entry, then each class map
+    overwrites its own class's column, so the global scope (no class maps)
+    costs one search.
     """
-    code = (4 * cls[:, None] + np.arange(4)).ravel()
-    order = np.argsort(code, kind="stable")
-    flat = x.ravel()
-    mapped = np.empty(x.size)
-    for run in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
-        cmap = calibrator.maps.get(divmod(int(code[run[0]]), 4), calibrator.global_map)
-        mapped[run] = evaluate_map(cmap, flat[run])
-    return mapped.reshape(x.shape)
+    mapped = evaluate_map(calibrator.global_map, x)
+    rows: dict = {}
+    for (k, corner), cmap in (calibrator.maps or {}).items():
+        if k not in rows:
+            rows[k] = np.flatnonzero(cls == k)
+        mapped[rows[k], corner] = evaluate_map(cmap, x[rows[k], corner])
+    return mapped
 
 
 def apply_calibrated_sigma(calibrator: SigmaCalibrator, record: DetectionRecord) -> tuple[float, float, float, float]:

@@ -393,24 +393,16 @@ class Dataset:
         Raises
         ------
         ValidationError
-            If the records disagree on the length of ``class_probs``, an
-            ``image_id`` is not a string, or a ``gt_class`` is not an integer
-            (see :func:`records_to_arrays`).
+            If an ``image_id`` is not a string, or on any record
+            :func:`records_to_arrays` rejects.
         """
         recs = list(records)
         if not recs:
             raise ValidationError("cannot build a dataset from zero records")
-        n_classes = len(recs[0].class_probs)
+        pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
         for i, rec in enumerate(recs):
-            if len(rec.class_probs) != n_classes:
-                raise ValidationError(
-                    f"class_probs length {len(rec.class_probs)} differs from "
-                    f"{n_classes} inferred from the first record",
-                    line=i + 1,
-                )
             if not isinstance(rec.image_id, str):
                 raise ValidationError("image_id must be a string", line=i + 1)
-        pred, gt, sigma, gt_class, probs = records_to_arrays(recs)
         image_ids = np.array([rec.image_id for rec in recs], dtype=object)
         return cls(image_ids, pred, gt, sigma, gt_class, probs)
 
@@ -424,13 +416,23 @@ def records_to_arrays(records: Iterable[DetectionRecord]):
     Raises
     ------
     ValidationError
-        If a ``gt_class`` is not an integer (bools and floats included),
-        with the 1-based record number as its line.
+        If a ``gt_class`` is not an integer (bools and floats included), a
+        ``class_probs`` length differs from the first record's, or a
+        ``sigma`` does not have 4 entries, with the 1-based record number
+        as its line.
     """
     recs = list(records)
+    n_classes = len(recs[0].class_probs) if recs else 0
     for i, rec in enumerate(recs):
         if not _is_label(rec.gt_class):
-            raise ValidationError(f"gt_class {rec.gt_class!r} is not an integer", line=i + 1)
+            problem = f"gt_class {rec.gt_class!r} is not an integer"
+        elif len(rec.class_probs) != n_classes:
+            problem = f"class_probs length {len(rec.class_probs)} differs from {n_classes} inferred from the first record"
+        elif len(rec.sigma) != 4:
+            problem = f"sigma has {len(rec.sigma)} entries, expected 4"
+        else:
+            continue
+        raise ValidationError(problem, line=i + 1)
     pred = np.array([[r.pred_box.x0, r.pred_box.y0, r.pred_box.x1, r.pred_box.y1] for r in recs], dtype=float)
     gt = np.array([[r.gt_box.x0, r.gt_box.y0, r.gt_box.x1, r.gt_box.y1] for r in recs], dtype=float)
     sigma = np.array([r.sigma for r in recs], dtype=float)

@@ -40,7 +40,6 @@ from .classification import (
     true_class_scores,
 )
 from .core import (
-    AGNOSTIC,
     BoundingBox,
     Dataset,
     MiscoverageConfig,
@@ -64,8 +63,9 @@ from .metrics import (
     recovery_counts,
 )
 from .regression import (
+    column_quantiles,
     corner_intervals,
-    fit_quantiles_from_scores,
+    group_quantiles,
     outer_inner_boxes,
     residual_scores,
 )
@@ -143,10 +143,13 @@ class RunConfig:
             )
 
     @property
-    def resolved_stratified(self) -> bool:
-        if self.stratified is not None:
-            return self.stratified
+    def by_class(self) -> bool:
+        """Whether the regime fits its corner quantiles per ground-truth class."""
         return self.regime != REGIME_CLASS_AGNOSTIC
+
+    @property
+    def resolved_stratified(self) -> bool:
+        return self.by_class if self.stratified is None else self.stratified
 
 
 @dataclass(frozen=True)
@@ -188,11 +191,7 @@ def _round_half_up(x: float) -> int:
 def _split_sizes(n: int, fraction: float) -> int:
     """Calibration size for ``n`` records: rounded, clipped to [1, n-1] when possible."""
     n_cal = _round_half_up(n * fraction)
-    if n >= 2:
-        n_cal = min(max(n_cal, 1), n - 1)
-    else:
-        n_cal = 1
-    return n_cal
+    return min(max(n_cal, 1), max(n - 1, 1))  # for one record both bounds are 1
 
 
 def random_split(
@@ -219,19 +218,15 @@ def random_split(
     if n == 0:
         raise EmptyCalibration("cannot split an empty dataset")
     rng = np.random.default_rng(seed)
-    if not stratified:
-        perm = rng.permutation(n)
-        n_cal = _split_sizes(n, calib_fraction)
-        return DatasetSplit(
-            calib_idx=np.sort(perm[:n_cal]),
-            eval_idx=np.sort(perm[n_cal:]),
-        )
+    # unstratified is the one stratum arange(n): arange(n)[rng.permutation(n)] is rng.permutation(n)
+    strata = [np.arange(n)]
+    if stratified:
+        strata = [np.flatnonzero(dataset.gt_class == k) for k in range(dataset.n_classes)]
     calib_parts = []
     eval_parts = []
     missing_eval = []
     forced = []
-    for k in range(dataset.n_classes):
-        members = np.flatnonzero(dataset.gt_class == k)
+    for k, members in enumerate(strata):
         if members.size == 0:
             raise StratificationImpossible(
                 f"class {k} has no records; a stratified split cannot represent it"
@@ -240,12 +235,12 @@ def random_split(
         n_cal = _split_sizes(members.size, calib_fraction)
         calib_parts.append(perm[:n_cal])
         eval_parts.append(perm[n_cal:])
-        if n_cal == members.size:
+        if stratified and n_cal == members.size:
             forced.append(k)
             missing_eval.append(k)
     return DatasetSplit(
         calib_idx=np.sort(np.concatenate(calib_parts)),
-        eval_idx=np.sort(np.concatenate(eval_parts)) if any(p.size for p in eval_parts) else np.array([], dtype=int),
+        eval_idx=np.sort(np.concatenate(eval_parts)),
         missing_eval_classes=tuple(missing_eval),
         forced_calibration_classes=tuple(forced),
     )
@@ -328,12 +323,13 @@ def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev: Dataset, rng_key
     return quant_idx, residual_scores(pred_q, data.gt[quant_idx], sig_q), sig_ev, warnings
 
 
-def _quantile_summary(values: np.ndarray, n_groups: int) -> dict:
+def _quantile_summary(q: np.ndarray) -> dict:
+    """Group count, vacuous entries and range of a ``(G, 4)`` quantile table."""
     return {
-        "n_groups": int(n_groups),
-        "n_vacuous": int(np.isinf(values).sum()),
-        "min": float(values.min()) if values.size else 0.0,
-        "max": float(values.max()) if values.size else 0.0,
+        "n_groups": len(q),
+        "n_vacuous": int(np.isinf(q).sum()),
+        "min": float(q.min()),
+        "max": float(q.max()),
     }
 
 
@@ -376,12 +372,12 @@ def _two_step(q: np.ndarray, ctx: _Context, quant_idx: np.ndarray, ev_idx: np.nd
 
 # How each regime turns the fitted quantiles into per-evaluation-box
 # quantiles, plus the (n_eval, K) label-set membership for the regimes
-# that predict sets.  ``q`` is the pooled (4,) vector for class_agnostic
-# and the (K, 4) per-class table otherwise; ``quant_idx`` indexes the
-# calibration rows of ``ctx.data`` and ``ev_idx`` the evaluation rows of
-# ``ctx.eval_source``.
+# that predict sets.  ``q`` is the (G, 4) table of the fitted groups, one
+# pooled row for class_agnostic and one row per class otherwise;
+# ``quant_idx`` indexes the calibration rows of ``ctx.data`` and ``ev_idx``
+# the evaluation rows of ``ctx.eval_source``.
 _REGIME_QUANTILES = {
-    REGIME_CLASS_AGNOSTIC: lambda q, ctx, quant_idx, ev_idx: (q, None),
+    REGIME_CLASS_AGNOSTIC: lambda q, ctx, quant_idx, ev_idx: (q[0], None),
     REGIME_CLASS_WISE: lambda q, ctx, quant_idx, ev_idx: (q[ctx.eval_source.gt_class[ev_idx]], None),
     REGIME_TWO_STEP: _two_step,
     REGIME_NAIVE_WORST_CASE: lambda q, ctx, quant_idx, ev_idx: (
@@ -417,24 +413,21 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
     )
     warnings.extend(sigma_warnings)
 
-    pooled = cfg.regime == REGIME_CLASS_AGNOSTIC
-    table = fit_quantiles_from_scores(
-        scores,
-        cfg.miscoverage.alpha_corner,
-        groups=None if pooled else ctx.data.gt_class[quant_idx],
-        n_classes=ctx.data.n_classes,
-        min_per_class=cfg.min_per_class,
-    )
-    if table.flagged:
-        warnings.append("classes below min_per_class: " + ",".join(str(k) for k in table.flagged))
-    q = table.corners(AGNOSTIC) if pooled else table.by_class(ctx.data.n_classes)
+    if cfg.by_class:
+        groups, n_groups = ctx.data.gt_class[quant_idx], ctx.data.n_classes
+    else:  # a pooled fit is the one-group case, and is never flagged
+        groups, n_groups = np.zeros(len(quant_idx), dtype=int), 1
+    q, counts = group_quantiles(scores, cfg.miscoverage.alpha_corner, groups, n_groups)
+    flagged = np.flatnonzero(counts < cfg.min_per_class) if cfg.by_class else ()
+    if len(flagged):
+        warnings.append("classes below min_per_class: " + ",".join(str(k) for k in flagged))
     q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ctx, quant_idx, ev_idx)
 
     return RunResult(
         run_index=run_index,
         seed=seed,
         metrics=_score(cfg, ev, sig_ev, q_eval, member),
-        quantile_summary=_quantile_summary(q.ravel(), len(table.quantiles)),
+        quantile_summary=_quantile_summary(q),
         warnings=tuple(warnings),
     )
 
@@ -521,7 +514,7 @@ def run_experiment(
     ctx = _context(dataset, config, eval_dataset)
     if workers > 1 and config.n_runs > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(ctx,)
+            max_workers=min(workers, config.n_runs), initializer=_init_worker, initargs=(ctx,)
         ) as pool:
             results = list(pool.map(_worker_run, range(config.n_runs)))
     else:
@@ -565,7 +558,7 @@ def recovery_sweep(
         sig_ev = ev.sigma if scaling == "scaled" else None
         scores = residual_scores(cal.pred, cal.gt, sig_cal)
         for alpha in alphas:
-            q = fit_quantiles_from_scores(scores, alpha).corners(AGNOSTIC)
+            q = column_quantiles(scores, alpha)
             lows, highs = corner_intervals(ev.pred, q, sigma=sig_ev, image_bounds=image_bounds)
             outer, _, _ = outer_inner_boxes(lows, highs)
             contained = contains_xyxy(outer, ev.gt)

@@ -11,7 +11,6 @@ exchangeability between calibration and test records.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -28,9 +27,7 @@ from .core import (
     QuantileTable,
     records_to_arrays,
 )
-from .errors import DataError, EmptyCalibration, MissingClass, NonPositiveSigma, OutOfRange
-
-logger = logging.getLogger(__name__)
+from .errors import DataError, EmptyCalibration, InvalidClass, MissingClass, NonPositiveSigma, OutOfRange
 
 #: Default number of calibration records per class below which a
 #: class-wise fit flags the class as unreliable (it still fits).
@@ -145,8 +142,32 @@ def _order_rank(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1 - exact))
 
 
-def _order_level(n: int, alpha: float) -> float:
-    return _order_rank(n, alpha) / n
+def group_quantiles(scores, alpha: float, groups, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`column_quantiles` of each group's rows of an ``(n, m)`` score matrix.
+
+    ``groups`` holds the group id of each row, in ``[0, n_groups)``.
+    Returns the ``(n_groups, m)`` quantiles and the ``(n_groups,)`` row
+    counts.  A pooled fit is the one-group case: all ids zero.
+
+    Raises
+    ------
+    InvalidClass
+        If a group id lies outside ``[0, n_groups)``.
+    MissingClass
+        If a group has no rows; the first empty group is named.
+    """
+    scores = np.asarray(scores, dtype=float)
+    groups = np.asarray(groups, dtype=int)
+    if groups.size and not (groups.min() >= 0 and groups.max() < n_groups):
+        raise InvalidClass(f"group ids must lie in [0, {n_groups})")
+    counts = np.bincount(groups, minlength=n_groups)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise MissingClass(
+            f"class {empty[0]} has no calibration records; a class-wise fit "
+            "needs every class represented"
+        )
+    return np.stack([column_quantiles(scores[groups == k], alpha) for k in range(n_groups)]), counts
 
 
 def fit_quantiles_from_scores(
@@ -158,9 +179,10 @@ def fit_quantiles_from_scores(
 ) -> QuantileTable:
     """Fit a quantile table directly from a ``(n, 4)`` score matrix.
 
-    ``groups=None`` fits a single class-agnostic group; otherwise
-    ``groups`` holds the class id of each row and every id in
-    ``[0, n_classes)`` must be present.
+    ``groups=None`` fits one class-agnostic group keyed ``AGNOSTIC`` and
+    flags nothing; otherwise ``groups`` holds the class id of each row,
+    every id in ``[0, n_classes)`` must be present, and classes with fewer
+    than ``min_per_class`` rows are fitted anyway and listed in ``flagged``.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] != 4:
@@ -168,50 +190,19 @@ def fit_quantiles_from_scores(
     if scores.shape[0] == 0:
         raise EmptyCalibration("no calibration scores")
 
-    if groups is None:
-        n = scores.shape[0]
-        return QuantileTable(
-            scope=SCOPE_CLASS_AGNOSTIC,
-            quantiles={AGNOSTIC: tuple(column_quantiles(scores, alpha_corner).tolist())},
-            level={AGNOSTIC: _order_level(n, alpha_corner)},
-            n_per_group={AGNOSTIC: n},
-            alpha_corner=alpha_corner,
-        )
-
-    groups = np.asarray(groups, dtype=int)
-    if n_classes is None:
+    pooled = groups is None
+    groups = np.zeros(len(scores), dtype=int) if pooled else np.asarray(groups, dtype=int)
+    if pooled or n_classes is None:  # pooled: one group, whatever n_classes says
         n_classes = int(groups.max()) + 1
-    quantiles: dict = {}
-    level: dict = {}
-    n_per_group: dict = {}
-    flagged = []
-    for k in range(n_classes):
-        mask = groups == k
-        n_k = int(mask.sum())
-        if n_k == 0:
-            raise MissingClass(
-                f"class {k} has no calibration records; a class-wise fit "
-                "needs every class represented"
-            )
-        if n_k < min_per_class:
-            flagged.append(k)
-        quantiles[k] = tuple(column_quantiles(scores[mask], alpha_corner).tolist())
-        level[k] = _order_level(n_k, alpha_corner)
-        n_per_group[k] = n_k
-    if flagged:
-        logger.warning(
-            "class-wise fit: classes %s have fewer than %d calibration records; "
-            "their quantiles may be unstable or vacuous",
-            flagged,
-            min_per_class,
-        )
+    q, counts = group_quantiles(scores, alpha_corner, groups, n_classes)
+    keys = [AGNOSTIC] if pooled else range(n_classes)
     return QuantileTable(
-        scope=SCOPE_CLASS_WISE,
-        quantiles=quantiles,
-        level=level,
-        n_per_group=n_per_group,
+        scope=SCOPE_CLASS_AGNOSTIC if pooled else SCOPE_CLASS_WISE,
+        quantiles={key: tuple(row) for key, row in zip(keys, q.tolist())},
+        level={key: _order_rank(n, alpha_corner) / n for key, n in zip(keys, counts.tolist())},
+        n_per_group=dict(zip(keys, counts.tolist())),
         alpha_corner=alpha_corner,
-        flagged=tuple(flagged),
+        flagged=() if pooled else tuple(np.flatnonzero(counts < min_per_class).tolist()),
     )
 
 

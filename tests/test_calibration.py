@@ -13,6 +13,7 @@ from confdet.calibration import (
     SCOPE_PER_CLASS,
     SCOPE_RAW,
     SIGMA_FLOOR,
+    SigmaCalibrator,
     apply_calibrated_sigma,
     calibrated_sigma_array,
     evaluate_map,
@@ -24,7 +25,7 @@ from confdet.calibration import (
     pava_fit,
     save_calibrator,
 )
-from confdet.core import CalibrationMap
+from confdet.core import CalibrationMap, records_to_arrays
 from confdet.errors import DataError, DegenerateBox, EmptyFit, OutOfRange
 
 from conftest import make_record
@@ -444,6 +445,20 @@ def test_per_class_scope_uses_class_specific_maps():
     records = doubling_records(400, seed=6, n_classes=2)
     calibrator = fit_calibrator(records, scope=SCOPE_PER_CLASS)
     assert set(calibrator.maps) == {(k, c) for k in (0, 1) for c in range(4)}
+
+
+def test_global_scope_maps_every_class_through_the_global_map():
+    # the global scope is the per-class one with no class maps, so every
+    # (class, corner) falls back; a hand-built calibrator may leave maps None
+    records = doubling_records(200, seed=8, n_classes=3)
+    pred, _, sigma, gt_class, _ = records_to_arrays(records)
+    calibrator = fit_calibrator(records, scope=SCOPE_GLOBAL)
+    assert calibrator.maps == {} and calibrator.fallback_keys == ()
+    dims = (pred[:, 2:] - pred[:, :2])[:, [0, 1, 0, 1]]
+    expected = np.maximum(evaluate_map(calibrator.global_map, sigma / dims) * dims, SIGMA_FLOOR)
+    assert_array_equal(calibrated_sigma_array(calibrator, pred, sigma, gt_class), expected)
+    hand_built = SigmaCalibrator(scope=SCOPE_GLOBAL, global_map=calibrator.global_map)
+    assert_array_equal(calibrated_sigma_array(hand_built, pred, sigma, gt_class), expected)
 
 
 def test_calibrated_sigma_array_matches_record_level():

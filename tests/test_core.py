@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -138,7 +140,8 @@ def _records_with_classes(classes):
     return [make_record(class_probs=(0.5, 0.5), gt_class=k, image_id=f"img-{i}") for i, k in enumerate(classes)]
 
 
-@pytest.mark.parametrize(
+# every record-level entry point that goes through records_to_arrays
+record_paths = pytest.mark.parametrize(
     "caller",
     [
         records_to_arrays,
@@ -149,6 +152,9 @@ def _records_with_classes(classes):
     ],
     ids=["records_to_arrays", "from_records", "fit_class_agnostic", "fit_class_wise", "fit_calibrator"],
 )
+
+
+@record_paths
 def test_record_paths_reject_non_integer_class(caller):
     # fit_class_wise once counted 1.7 and True as class 1: n_per_group {0: 3, 1: 3}
     with pytest.raises(ValidationError, match="gt_class 1.7 is not an integer") as exc_info:
@@ -158,6 +164,24 @@ def test_record_paths_reject_non_integer_class(caller):
         caller(_records_with_classes([0, 1, True, 0, 1, 0]))
     assert exc_info.value.line == 3
     caller(_records_with_classes([0, np.int64(1), 1, 0, 1, 0]))
+
+
+@record_paths
+def test_record_paths_reject_ragged_records(caller):
+    # these once raised numpy's "inhomogeneous shape" ValueError, and an
+    # all-3-entry sigma built an (n, 3) column that save_dataset wrote
+    # and load_dataset then rejected line by line
+    recs = _records_with_classes([0, 1, 0, 1, 0, 1])
+    ragged = recs[:3] + [dataclasses.replace(recs[3], class_probs=(0.2, 0.3, 0.5))] + recs[4:]
+    with pytest.raises(ValidationError, match="class_probs length 3 differs from 2 inferred from the first record") as exc_info:
+        caller(ragged)
+    assert exc_info.value.line == 4
+    one_short = recs[:1] + [dataclasses.replace(recs[1], sigma=(1.0, 1.0, 1.0))] + recs[2:]
+    all_short = [dataclasses.replace(r, sigma=(1.0, 1.0, 1.0)) for r in recs]
+    for records, line in ((one_short, 2), (all_short, 1)):
+        with pytest.raises(ValidationError, match="sigma has 3 entries, expected 4") as exc_info:
+            caller(records)
+        assert exc_info.value.line == line
 
 
 def test_from_records_rejects_non_string_image_id():

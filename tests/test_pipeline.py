@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from confdet.errors import (
     SeedMismatch,
     StratificationImpossible,
 )
+from confdet import pipeline
 from confdet.oracle import OracleSpec, generate
 from confdet.pipeline import (
     REGIMES,
@@ -165,6 +167,59 @@ def test_parallel_workers_match_serial():
     parallel = run_experiment(ds, config, workers=2)
     assert serial.per_run == parallel.per_run
     assert serial.aggregate == parallel.aggregate
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    max_workers_seen: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers_seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("workers, n_runs, expected", [(64, 2, 2), (2, 5, 2), (3, 3, 3)])
+def test_pool_never_has_more_workers_than_runs(monkeypatch, workers, n_runs, expected):
+    # a fork-based pool starts every worker at the first submit, used or not
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(pipeline, "_WORKER_CTX", None)
+    monkeypatch.setattr(_InProcessPool, "max_workers_seen", [])
+    ds = make_dataset(60, n_classes=2, seed=10)
+    config = small_config(n_runs=n_runs)
+    pooled = run_experiment(ds, config, workers=workers)
+    assert _InProcessPool.max_workers_seen == [expected]
+    assert pooled.per_run == run_experiment(ds, config, workers=1).per_run
+
+
+def test_run_diagnostics_reach_the_report_not_the_log(caplog):
+    # class 1 has one record: its calibrator map falls back to the global
+    # one and its quantiles are flagged, in every run
+    ds = make_dataset(60, n_classes=2, seed=3)
+    gt_class = np.zeros(len(ds), dtype=int)
+    gt_class[7] = 1
+    ds = dataclasses.replace(ds, gt_class=gt_class)
+    config = small_config(
+        n_runs=2,
+        regime="class_wise",
+        scaling="scaled",
+        calibration_scope="per_coordinate_per_class_relative",
+    )
+    with caplog.at_level(logging.DEBUG):
+        report = run_experiment(ds, config)
+    assert [r.name for r in caplog.records if r.name in ("confdet.regression", "confdet.calibration")] == []
+    for run in report.per_run:
+        assert "calibrator fell back to the global map for classes 1" in run.warnings
+        assert "classes below min_per_class: 1" in run.warnings
 
 
 def test_single_class_class_wise_matches_agnostic():

@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from confdet.classification import prediction_set_matrix, set_totals, sets_from_totals
 from confdet.core import RAPSConfig
-from confdet.errors import DataError
-from confdet.regression import _order_rank, column_quantiles, conformal_quantile
+from confdet.errors import DataError, InvalidClass, MissingClass
+from confdet.regression import _order_rank, column_quantiles, conformal_quantile, group_quantiles
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -78,6 +78,41 @@ def test_property_nan_raises_in_both_forms(scores, alpha, data):
         column_quantiles(scores, alpha)
     with pytest.raises(DataError):
         conformal_quantile(scores[:, c], alpha)
+
+
+@st.composite
+def grouped_scores(draw):
+    """Scores with a group id per row; every group in [0, g) has a row."""
+    g = draw(st.integers(1, 4))
+    extra = draw(st.lists(st.integers(0, g - 1), max_size=25))
+    labels = np.array(draw(st.permutations(list(range(g)) + extra)), dtype=int)
+    m = draw(st.integers(1, 4))
+    return draw(arrays(float, (len(labels), m), elements=score_values)), labels, g
+
+
+@PROPERTY
+@given(grouped_scores(), levels)
+def test_property_group_quantiles_are_conformal_quantiles_per_group(grouped, alpha):
+    scores, labels, g = grouped
+    q, counts = group_quantiles(scores, alpha, labels, g)
+    assert q.shape == (g, scores.shape[1])
+    assert counts.tolist() == np.bincount(labels, minlength=g).tolist()
+    for k in range(g):
+        rows = scores[labels == k]
+        assert q[k].tolist() == [conformal_quantile(rows[:, c], alpha) for c in range(scores.shape[1])]
+
+
+def test_group_quantiles_names_the_first_empty_group():
+    scores = np.ones((4, 4))
+    with pytest.raises(MissingClass, match="class 1 has no calibration records; a class-wise fit needs every class represented"):
+        group_quantiles(scores, 0.1, [0, 2, 0, 2], 4)
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 0], [0, 1, -1, 0]])
+def test_group_quantiles_rejects_ids_outside_the_groups(labels):
+    # fit_quantiles_from_scores once left rows with an id >= n_classes out of every group
+    with pytest.raises(InvalidClass, match=r"group ids must lie in \[0, 2\)"):
+        group_quantiles(np.ones((4, 4)), 0.1, labels, 2)
 
 
 @st.composite
