@@ -7,12 +7,22 @@ a monotone map from normalized sigma to normalized absolute residual
 sigma by the map's value.  Normalization divides x-corner quantities by
 the predicted box width and y-corner ones by its height, so one map can
 serve boxes of very different sizes.
+
+Every fit goes through one presorted kernel.  :func:`sigma_plan`
+normalizes a table once and stably sorts the points of each map, the
+global one and one per ``(class, corner)``; :func:`recalibrate` fits the
+maps on any subset of the rows from that order, with no sort, and looks
+every row up by the rank of its x.  A resplit experiment builds one plan
+and fits it in every run; :func:`fit_calibrator_arrays` is the plan
+fitted on all its rows, and :func:`calibrated_sigma_array` the lookup
+for a saved calibrator.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,7 +66,13 @@ def isotonic_fit(x, y, w=None, scope_key="global") -> CalibrationMap:
     if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(w).all() and (w > 0).all()):
         raise OutOfRange("isotonic_fit needs finite x and y, and finite weights > 0")
     order = np.argsort(x, kind="stable")
-    x, y, w = x[order], y[order], w[order]
+    x = x[order]
+    start, values = _pool(x, y[order], w[order])
+    return CalibrationMap(tuple(x[start].tolist()), tuple(values.tolist()), scope_key)
+
+
+def _pool(x, y, w):
+    """Pool adjacent violators over points sorted by ``x``: each block's first index and value."""
     # blocks: index into x of the first point, sum of w * y, sum of w
     start = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
     wy = np.add.reduceat(w * y, start)
@@ -71,7 +87,7 @@ def isotonic_fit(x, y, w=None, scope_key="global") -> CalibrationMap:
         if stalled:
             start, wy, w = _stack_pool(start, wy, w)
             break
-    return CalibrationMap(tuple(x[start].tolist()), tuple((wy / w).tolist()), scope_key)
+    return start, wy / w
 
 
 def _stack_pool(start, wy, w):
@@ -179,57 +195,127 @@ def fit_calibrator(
 
 
 def fit_calibrator_arrays(
-    pred: np.ndarray,
-    gt: np.ndarray,
-    sigma: np.ndarray,
-    gt_class: np.ndarray,
-    scope: str = SCOPE_GLOBAL,
-    min_class_fit: int = MIN_CLASS_FIT,
+    pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_fit: int = MIN_CLASS_FIT
 ) -> SigmaCalibrator:
-    """Array-level twin of :func:`fit_calibrator` for ``(n, 4)`` inputs."""
+    """Array-level twin of :func:`fit_calibrator` for ``(n, 4)`` inputs: their
+    :func:`sigma_plan`, fitted on every row."""
     if scope not in SCOPES:
         raise OutOfRange(f"unknown calibration scope {scope!r}")
     if scope == SCOPE_RAW:
         return SigmaCalibrator(scope=SCOPE_RAW)
+    plan = sigma_plan(pred, gt, sigma, gt_class, scope, min_class_fit)
+    n_excluded, fallback, fits = _fit(plan, np.ones(len(plan.usable), dtype=bool))
+    maps = {m.key: CalibrationMap(tuple(bp.tolist()), tuple(values.tolist()), m.key) for m, _, bp, values in fits}
+    global_map = maps.pop("global")
+    return SigmaCalibrator(scope, global_map, maps, fallback, n_excluded)
 
+
+class _SortedMap(NamedTuple):
+    """The points one map may be fitted on, in stable order of x: each one's
+    ``row * 4 + corner`` in the plan, x, y, and rank among the distinct x."""
+
+    key: object
+    group: int  # the class index of a class map, -1 for the global map
+    flat: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+
+
+def _sorted_map(key, group: int, flat, x, y) -> _SortedMap:
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    ids = np.cumsum(np.concatenate(([False], x[1:] != x[:-1])))[: len(x)]
+    return _SortedMap(key, group, flat[order], x, y[order], ids)
+
+
+@dataclass(frozen=True, eq=False)
+class SigmaPlan:
+    """What every sigma-recalibration fit over rows of one table shares: ``dims`` and
+    ``finite`` (x and y finite in every corner) of the ``usable`` rows, each row's class
+    index into ``classes``, and the points of the global and each ``(class, corner)`` map."""
+
+    scope: str
+    min_class_fit: int
+    sigma: np.ndarray
+    usable: np.ndarray
+    dims: np.ndarray
+    finite: np.ndarray
+    cls: np.ndarray
+    classes: np.ndarray
+    maps: tuple
+
+
+def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_fit: int = MIN_CLASS_FIT) -> SigmaPlan:
+    """Normalize ``(n, 4)`` rows and sort every map's points once, for :func:`recalibrate`.
+
+    A subset of a stable sort is the stable sort of the subset, so a fit
+    over any rows takes its points from the plan in the order
+    :func:`isotonic_fit` would sort them in.
+    """
+    if scope not in (SCOPE_GLOBAL, SCOPE_PER_CLASS):
+        raise OutOfRange(f"calibration scope {scope!r} fits no maps")
     pred = np.asarray(pred, dtype=float)
-    gt = np.asarray(gt, dtype=float)
-    if pred.shape[0] == 0:
+    if len(pred) == 0:
         raise EmptyFit("fit_calibrator needs at least one record")
+    sigma = np.asarray(sigma, dtype=float)
     usable, dims, x = _normalize(pred, sigma)
-    n_excluded = int((~usable).sum())
-    if not usable.any():
+    y = np.abs(pred[usable] - np.asarray(gt, dtype=float)[usable]) / dims
+    finite = np.zeros(len(usable), dtype=bool)
+    finite[usable] = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
+    classes, cls = np.unique(np.asarray(gt_class, dtype=int), return_inverse=True)
+    flat = np.flatnonzero(usable)[:, None] * 4 + np.arange(4)
+    maps = [_sorted_map("global", -1, flat.ravel(), x.ravel(), y.ravel())]
+    for k in range(len(classes)) if scope == SCOPE_PER_CLASS else ():
+        sel = cls[usable] == k
+        if sel.sum() >= max(min_class_fit, 1):
+            maps += [_sorted_map((int(classes[k]), c), k, flat[sel, c], x[sel, c], y[sel, c]) for c in range(4)]
+    return SigmaPlan(scope, min_class_fit, sigma, usable, dims, finite, cls, classes, tuple(maps))
+
+
+def _fit(plan: SigmaPlan, fit_mask: np.ndarray):
+    """``n_excluded``, the fallback classes and, for each map fitted on the
+    rows of ``fit_mask``, ``(map, ids of its breakpoints, breakpoints, values)``."""
+    if not fit_mask.any():
+        raise EmptyFit("fit_calibrator needs at least one record")
+    fit = fit_mask & plan.usable
+    if not fit.any():
         raise EmptyFit("no records with non-degenerate predicted boxes")
-
-    y = np.abs(pred[usable] - gt[usable]) / dims
-    cls = np.asarray(gt_class, dtype=int)[usable]
-
-    global_map = isotonic_fit(x, y, scope_key="global")
-    maps: dict = {}
-    fallback = []
-    for k in np.unique(cls) if scope == SCOPE_PER_CLASS else ():
-        sel = cls == k
-        if int(sel.sum()) < min_class_fit:
-            fallback.append(int(k))
-            continue
-        for corner in range(4):
-            maps[(int(k), corner)] = isotonic_fit(x[sel, corner], y[sel, corner], scope_key=(int(k), corner))
-    return SigmaCalibrator(
-        scope=scope,
-        global_map=global_map,
-        maps=maps,
-        fallback_keys=tuple(fallback),
-        n_excluded=n_excluded,
-    )
+    if not plan.finite[fit].all():
+        raise OutOfRange("isotonic_fit needs finite x and y, and finite weights > 0")
+    counts = np.bincount(plan.cls[fit], minlength=len(plan.classes))
+    small = (counts > 0) & (counts < plan.min_class_fit)
+    fallback = tuple(plan.classes[small].tolist()) if plan.scope == SCOPE_PER_CLASS else ()
+    fits = []
+    for m in plan.maps:
+        if m.group < 0 or counts[m.group] >= max(plan.min_class_fit, 1):
+            sel = fit[m.flat // 4]
+            x = m.x[sel]
+            start, values = _pool(x, m.y[sel], np.ones(len(x)))
+            fits.append((m, m.ids[sel][start], x[start], values))
+    return int(fit_mask.sum() - fit.sum()), fallback, fits
 
 
-def calibrated_sigma_array(
-    calibrator: SigmaCalibrator,
-    pred: np.ndarray,
-    sigma: np.ndarray,
-    gt_class: np.ndarray,
-) -> np.ndarray:
-    """Vectorized sigma recalibration for ``(n, 4)`` arrays.
+def recalibrate(plan: SigmaPlan, fit_mask: np.ndarray) -> tuple[np.ndarray, int, tuple]:
+    """Fit the maps on the rows of ``fit_mask`` and recalibrate the sigma of every plan row.
+
+    Returns the ``(n, 4)`` sigma as :func:`calibrated_sigma_array` gives it,
+    ``n_excluded`` and the fallback classes.  A map is evaluated by rank:
+    its breakpoints at or below an x are the breakpoint ids up to x's id.
+    """
+    n_excluded, fallback, fits = _fit(plan, np.asarray(fit_mask, dtype=bool))
+    mapped = np.empty(plan.sigma.size)
+    for m, bp_ids, _, values in fits:  # global first, then class maps overwrite their rows
+        flags = np.zeros(m.ids[-1] + 1, dtype=np.intp)
+        flags[bp_ids] = 1
+        mapped[m.flat] = values[np.maximum(np.cumsum(flags)[m.ids] - 1, 0)]
+    out = plan.sigma.copy()
+    out[plan.usable] = np.maximum(mapped.reshape(-1, 4)[plan.usable] * plan.dims, SIGMA_FLOOR)
+    return out, n_excluded, fallback
+
+
+def calibrated_sigma_array(calibrator: SigmaCalibrator, pred, sigma, gt_class) -> np.ndarray:
+    """Vectorized sigma recalibration for ``(n, 4)`` arrays, the lookup for a saved calibrator.
 
     Records with a degenerate predicted box keep their raw sigma (the
     normalization is undefined there); everything else is normalized,
@@ -239,26 +325,18 @@ def calibrated_sigma_array(
     if calibrator.scope == SCOPE_RAW:
         return sigma.copy()
     usable, dims, x = _normalize(np.asarray(pred, dtype=float), sigma)
-    out = sigma.copy()
-    mapped = _evaluate_per_class(calibrator, np.asarray(gt_class, dtype=int)[usable], x)
-    out[usable] = np.maximum(mapped * dims, SIGMA_FLOOR)
-    return out
-
-
-def _evaluate_per_class(calibrator: SigmaCalibrator, cls: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each ``x[i, corner]`` through the map of ``(cls[i], corner)``, else the global map.
-
-    The global map is searched once for every entry, then each class map
-    overwrites its own class's column, so the global scope (no class maps)
-    costs one search.
-    """
+    cls = np.asarray(gt_class, dtype=int)[usable]
+    # one search of the global map for every entry; each class map then
+    # overwrites its own class's column
     mapped = evaluate_map(calibrator.global_map, x)
     rows: dict = {}
     for (k, corner), cmap in (calibrator.maps or {}).items():
         if k not in rows:
             rows[k] = np.flatnonzero(cls == k)
         mapped[rows[k], corner] = evaluate_map(cmap, x[rows[k], corner])
-    return mapped
+    out = sigma.copy()
+    out[usable] = np.maximum(mapped * dims, SIGMA_FLOOR)
+    return out
 
 
 def apply_calibrated_sigma(calibrator: SigmaCalibrator, record: DetectionRecord) -> tuple[float, float, float, float]:

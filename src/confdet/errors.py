@@ -66,10 +66,6 @@ class TooFewPairs(DataError):
     """Fewer than two pairs were supplied to a paired test."""
 
 
-class MismatchedKeys(DataError):
-    """Per-class rows and class counts disagree on the class ids."""
-
-
 class SeedMismatch(DataError):
     """Two reports were produced from different split sequences."""
 

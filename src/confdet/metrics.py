@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
 from .core import BoundingBox, ConformalBox, contains_xyxy
-from .errors import LengthMismatch, MismatchedKeys, OutOfRange, TooFewPairs
+from .errors import LengthMismatch, OutOfRange, TooFewPairs
 
 __all__ = [
     "METRICS",
@@ -31,7 +30,6 @@ __all__ = [
     "box_interval_scores",
     "recovery_rate",
     "recovery_counts",
-    "classwise_aggregate",
     "paired_t_test",
     "two_sided_t_pvalue",
 ]
@@ -171,39 +169,6 @@ def recovery_counts(pred_iou: np.ndarray, contained: np.ndarray, iou_threshold: 
     return (float(np.asarray(contained)[below].mean()) if n_below else None), n_below
 
 
-def classwise_aggregate(rows: dict, class_counts: dict) -> MetricRow:
-    """Combine per-class metric rows into one row.
-
-    Coverage, IoU, and the optional set metrics are weighted by the class
-    counts; the interval score is summed over classes (it is already a
-    sum within each class).
-
-    Raises
-    ------
-    MismatchedKeys
-        If ``rows`` and ``class_counts`` disagree on the class ids.
-    """
-    if set(rows) != set(class_counts):
-        raise MismatchedKeys(
-            f"row classes {sorted(rows)} != count classes {sorted(class_counts)}"
-        )
-    if not rows:
-        raise MismatchedKeys("classwise_aggregate needs at least one class")
-    total = sum(class_counts.values())
-    if total <= 0:
-        raise OutOfRange("class counts must sum to a positive total")
-
-    def combine(name: str) -> float | None:
-        values = [getattr(rows[k], name) for k in rows]
-        if name == "interval_score":
-            return float(sum(values))
-        if any(v is None for v in values):
-            return None
-        return sum(v * class_counts[k] for v, k in zip(values, rows)) / total
-
-    return MetricRow(n_eval=int(total), **{name: combine(name) for name in METRICS})
-
-
 def two_sided_t_pvalue(t: float, df: int) -> float:
     """Two-sided p-value of a t statistic via the regularized incomplete beta.
 
@@ -213,6 +178,8 @@ def two_sided_t_pvalue(t: float, df: int) -> float:
         raise OutOfRange(f"df must be >= 1, got {df!r}")
     if math.isinf(t):
         return 0.0
+    from scipy import special  # only `confdet compare` needs scipy; importing it costs ~0.2 s
+
     return float(special.betainc(df / 2.0, 0.5, df / (df + float(t) ** 2)))
 
 

@@ -16,12 +16,13 @@ whether a label set is predicted, and one scorer turns the result into
 a :class:`MetricRow` for every regime.
 
 Scores that depend on one record only are computed once per experiment,
-not once per run: the corner residual scores of the calibration source
-(unless sigma is recalibrated, which changes them in every run), and for
-``two_step`` the RAPS true-class scores of the calibration source and
-the class order and running totals of the evaluation source.  A run
-indexes these arrays with its split and is left with the order
-statistics, the label sets for its threshold, and the scoring.
+not once per run: the corner residual scores of the calibration source,
+or, when sigma is recalibrated, the sorted points of every calibration
+map (:func:`calibration.sigma_plan`); and for ``two_step`` the RAPS
+true-class scores of the calibration source and the class order and
+running totals of the evaluation source.  A run indexes these arrays
+with its split and is left with the map fits, the order statistics, the
+label sets for its threshold, and the scoring.
 """
 
 from __future__ import annotations
@@ -159,7 +160,6 @@ class DatasetSplit:
     calib_idx: np.ndarray
     eval_idx: np.ndarray
     missing_eval_classes: tuple[int, ...] = ()
-    forced_calibration_classes: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,6 @@ def random_split(
     calib_parts = []
     eval_parts = []
     missing_eval = []
-    forced = []
     for k, members in enumerate(strata):
         if members.size == 0:
             raise StratificationImpossible(
@@ -236,13 +235,11 @@ def random_split(
         calib_parts.append(perm[:n_cal])
         eval_parts.append(perm[n_cal:])
         if stratified and n_cal == members.size:
-            forced.append(k)
             missing_eval.append(k)
     return DatasetSplit(
         calib_idx=np.sort(np.concatenate(calib_parts)),
         eval_idx=np.sort(np.concatenate(eval_parts)),
         missing_eval_classes=tuple(missing_eval),
-        forced_calibration_classes=tuple(forced),
     )
 
 
@@ -252,15 +249,18 @@ class _Context:
 
     Each array is indexed by the rows of its source, and is None where
     the regime does not use it: ``residuals`` are the corner scores of
-    ``data`` (only when sigma is not recalibrated), ``class_scores`` the
-    RAPS true-class scores of ``data``, and ``set_order``/``set_totals``
-    the class order and running totals of the evaluation source.
+    ``data`` when sigma is not recalibrated, ``sigma_plan`` the calibration
+    plan of ``data`` (followed by ``eval_data``'s rows) when it is,
+    ``class_scores`` the RAPS true-class scores of ``data``, and
+    ``set_order``/``set_totals`` the class order and running totals of the
+    evaluation source.
     """
 
     data: Dataset
     config: RunConfig
     eval_data: Dataset | None = None
     residuals: np.ndarray | None = None
+    sigma_plan: _cal.SigmaPlan | None = None
     class_scores: np.ndarray | None = None
     set_order: np.ndarray | None = None
     set_totals: np.ndarray | None = None
@@ -277,25 +277,30 @@ def _context(data: Dataset, cfg: RunConfig, eval_data: Dataset | None) -> _Conte
     if cfg.calibration_scope == _cal.SCOPE_RAW:  # always so when unscaled
         sigma = data.sigma if cfg.scaling == "scaled" else None
         arrays["residuals"] = residual_scores(data.pred, data.gt, sigma)
+    else:  # transfer mode looks the evaluation rows up after the calibration rows
+        rows = (data,) if eval_data is None else (data, eval_data)
+        columns = [np.concatenate([getattr(d, c) for d in rows]) for c in ("pred", "gt", "sigma", "gt_class")]
+        arrays["sigma_plan"] = _cal.sigma_plan(*columns, scope=cfg.calibration_scope)
     if cfg.regime == REGIME_TWO_STEP:
         arrays["class_scores"] = true_class_scores(data.probs, data.gt_class, cfg.raps)
         arrays["set_order"], arrays["set_totals"] = set_totals(ctx.eval_source.probs, cfg.raps)
     return replace(ctx, **arrays)
 
 
-def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev: Dataset, rng_key) -> tuple:
+def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev_idx: np.ndarray, rng_key) -> tuple:
     """Corner scores to fit quantiles on, after optional sigma recalibration.
 
     Returns ``(quant_idx, scores, sig_ev, warnings)``: the rows of
     ``ctx.data`` the quantiles are fitted on, their ``(n, 4)`` scores, and
-    the evaluation-side sigma (None when unscaled).  With a disjoint
-    calibrator fit fraction ``quant_idx`` is a subset of ``cal_idx``.
-    Without recalibration the scores are rows of ``ctx.residuals``.
+    the sigma of the evaluation rows ``ev_idx`` (None when unscaled).  With
+    a disjoint calibrator fit fraction ``quant_idx`` is a subset of
+    ``cal_idx``.  Without recalibration the scores are rows of
+    ``ctx.residuals``.
     """
     cfg = ctx.config
     warnings: list[str] = []
     if ctx.residuals is not None:
-        sig_ev = ev.sigma if cfg.scaling == "scaled" else None
+        sig_ev = ctx.eval_source.sigma[ev_idx] if cfg.scaling == "scaled" else None
         return cal_idx, ctx.residuals[cal_idx], sig_ev, warnings
 
     fit_idx = quant_idx = cal_idx
@@ -305,22 +310,16 @@ def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev: Dataset, rng_key
         n_fit = _split_sizes(len(cal_idx), cfg.calibrator_fit_fraction)
         fit_idx = cal_idx[np.sort(perm[:n_fit])]
         quant_idx = cal_idx[np.sort(perm[n_fit:])]
-    data = ctx.data
-    calibrator = _cal.fit_calibrator_arrays(
-        data.pred[fit_idx], data.gt[fit_idx], data.sigma[fit_idx], data.gt_class[fit_idx],
-        scope=cfg.calibration_scope,
-    )
-    if calibrator.n_excluded:
-        warnings.append(f"calibrator skipped {calibrator.n_excluded} degenerate box(es)")
-    if calibrator.fallback_keys:
-        warnings.append(
-            "calibrator fell back to the global map for classes "
-            + ",".join(str(k) for k in calibrator.fallback_keys)
-        )
-    pred_q = data.pred[quant_idx]
-    sig_q = _cal.calibrated_sigma_array(calibrator, pred_q, data.sigma[quant_idx], data.gt_class[quant_idx])
-    sig_ev = _cal.calibrated_sigma_array(calibrator, ev.pred, ev.sigma, ev.gt_class)
-    return quant_idx, residual_scores(pred_q, data.gt[quant_idx], sig_q), sig_ev, warnings
+    fit_mask = np.zeros(len(ctx.sigma_plan.usable), dtype=bool)
+    fit_mask[fit_idx] = True
+    sigma, n_excluded, fallback = _cal.recalibrate(ctx.sigma_plan, fit_mask)
+    if n_excluded:
+        warnings.append(f"calibrator skipped {n_excluded} degenerate box(es)")
+    if fallback:
+        warnings.append("calibrator fell back to the global map for classes " + ",".join(str(k) for k in fallback))
+    ev_rows = ev_idx if ctx.eval_data is None else len(ctx.data) + ev_idx
+    scores = residual_scores(ctx.data.pred[quant_idx], ctx.data.gt[quant_idx], sigma[quant_idx])
+    return quant_idx, scores, sigma[ev_rows], warnings
 
 
 def _quantile_summary(q: np.ndarray) -> dict:
@@ -409,7 +408,7 @@ def _run_once(ctx: _Context, run_index: int) -> RunResult:
     ev = ctx.eval_source.take(ev_idx)
 
     quant_idx, scores, sig_ev, sigma_warnings = _calibration_scores(
-        ctx, cal_idx, ev, (cfg.master_seed, run_index, 7)
+        ctx, cal_idx, ev_idx, (cfg.master_seed, run_index, 7)
     )
     warnings.extend(sigma_warnings)
 

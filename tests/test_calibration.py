@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from confdet.calibration import (
     DIMENSION_EPS,
+    MIN_CLASS_FIT,
     SCOPE_GLOBAL,
     SCOPE_PER_CLASS,
     SCOPE_RAW,
@@ -23,8 +25,11 @@ from confdet.calibration import (
     load_calibrator,
     normalize_sigma,
     pava_fit,
+    recalibrate,
     save_calibrator,
+    sigma_plan,
 )
+from confdet.calibration import _fit as fit_plan
 from confdet.core import CalibrationMap, records_to_arrays
 from confdet.errors import DataError, DegenerateBox, EmptyFit, OutOfRange
 
@@ -290,6 +295,94 @@ def test_property_per_class_sigma_matches_loop(seed, n_classes, min_class_fit):
         calibrated_sigma_array(calibrator, pred, sigma, eval_class),
         _reference_per_class_sigma(calibrator, pred, sigma, eval_class),
     )
+
+
+def _reference_calibrator(pred, gt, sigma, gt_class, scope):
+    """The per-map ``isotonic_fit`` loop that the presorted plan replaced."""
+    if not len(pred):
+        raise EmptyFit("no rows")
+    dims = (pred[:, 2:] - pred[:, :2])[:, [0, 1, 0, 1]]
+    usable = (dims[:, 0] > DIMENSION_EPS) & (dims[:, 1] > DIMENSION_EPS)
+    if not usable.any():
+        raise EmptyFit("no usable rows")
+    x = sigma[usable] / dims[usable]
+    y = np.abs(pred - gt)[usable] / dims[usable]
+    cls = gt_class[usable]
+    maps, fallback = {}, []
+    for k in np.unique(cls) if scope == SCOPE_PER_CLASS else ():
+        sel = cls == k
+        if sel.sum() < MIN_CLASS_FIT:
+            fallback.append(int(k))
+            continue
+        for c in range(4):
+            maps[(int(k), c)] = isotonic_fit(x[sel, c], y[sel, c], scope_key=(int(k), c))
+    return SigmaCalibrator(scope, isotonic_fit(x, y), maps, tuple(fallback), int((~usable).sum()))
+
+
+@st.composite
+def sigma_tables(draw):
+    """Rows with few distinct sigmas and box sizes (so x has many ties), some
+    degenerate boxes, spaced class labels of which the last has one row, and
+    a fit mask that leaves the rows from ``n_cal`` on out, as transfer rows."""
+    n = draw(st.integers(2, 40))
+    n_classes = draw(st.integers(2, 4))
+
+    def ints(lo, hi, shape):
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(lo, hi)))
+
+    gt_class = ints(0, n_classes - 2, n)
+    gt_class[draw(st.integers(0, n - 1))] = n_classes - 1
+    x0 = ints(0, 50, (n, 2)).astype(float)
+    pred = np.hstack([x0, x0 + 8.0 * ints(0, 6, (n, 2))])  # a zero side is degenerate
+    gt = pred + ints(-6, 6, (n, 4))
+    sigma = ints(1, 4, (n, 4)) / 2.0
+    fit = draw(hnp.arrays(bool, n))
+    fit[draw(st.integers(1, n)):] = False
+    return pred, gt, sigma, np.array([0, 3, 7, 9])[gt_class], fit
+
+
+@PROPERTY
+@given(sigma_tables(), st.sampled_from([SCOPE_GLOBAL, SCOPE_PER_CLASS]))
+def test_property_presorted_fit_matches_isotonic_fit(table, scope):
+    pred, gt, sigma, gt_class, fit = table
+    plan = sigma_plan(pred, gt, sigma, gt_class, scope)
+    rows = (pred[fit], gt[fit], sigma[fit], gt_class[fit])
+    try:
+        ref = _reference_calibrator(*rows, scope)
+    except EmptyFit:
+        for call in (lambda: recalibrate(plan, fit), lambda: fit_calibrator_arrays(*rows, scope)):
+            with pytest.raises(EmptyFit):
+                call()
+        return
+    _, _, fits = fit_plan(plan, fit)
+    maps = {m.key: (tuple(bp.tolist()), tuple(values.tolist())) for m, _, bp, values in fits}
+    ref_maps = {key: (cmap.breakpoints, cmap.values) for key, cmap in ref.maps.items()}
+    assert maps == {"global": (ref.global_map.breakpoints, ref.global_map.values), **ref_maps}
+    # by rank, every row is mapped as evaluate_map maps it, the unfitted rows included
+    out, n_excluded, fallback = recalibrate(plan, fit)
+    assert_array_equal(out, _reference_per_class_sigma(ref, pred, sigma, gt_class))
+    calibrator = fit_calibrator_arrays(*rows, scope)
+    assert (n_excluded, fallback) == (calibrator.n_excluded, calibrator.fallback_keys)
+    assert (n_excluded, fallback) == (ref.n_excluded, ref.fallback_keys)
+
+
+def test_recalibrate_checks_only_the_fit_rows():
+    pred = np.tile([0.0, 0.0, 8.0, 8.0], (4, 1))
+    gt = pred + 2.0
+    gt[3, 0] = np.inf
+    sigma = np.ones((4, 4))
+    plan = sigma_plan(pred, gt, sigma, np.zeros(4, dtype=int), SCOPE_PER_CLASS)
+    with pytest.raises(OutOfRange):
+        recalibrate(plan, np.ones(4, dtype=bool))
+    out, n_excluded, fallback = recalibrate(plan, np.array([True, True, True, False]))
+    assert_array_equal(out, np.full((4, 4), 2.0))  # |residual| / side is 0.25 in every fit row
+    assert (n_excluded, fallback) == (0, ())
+    with pytest.raises(EmptyFit):
+        recalibrate(plan, np.zeros(4, dtype=bool))
+    with pytest.raises(EmptyFit):
+        fit_calibrator([], scope=SCOPE_PER_CLASS)
+    with pytest.raises(OutOfRange):
+        sigma_plan(pred, gt, sigma, np.zeros(4, dtype=int), SCOPE_RAW)
 
 
 # ---------------------------------------------------------------- evaluation

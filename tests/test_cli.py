@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import confdet
 from confdet.calibration import load_calibrator
 from confdet.cli import _parse_bias, _parse_grid, _parse_noise, _resolve_workers, main
 from confdet.io import load_report, save_dataset
@@ -32,6 +36,15 @@ def run_args(data_path, out, extra=()):
         out,
         *extra,
     ]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only `compare` needs scipy, and importing it doubles the start-up time
+    src = str(Path(confdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import confdet.cli; import sys; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 # ---------------------------------------------------------------- parsing helpers

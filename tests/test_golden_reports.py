@@ -41,6 +41,10 @@ VARIANTS = {
         calibration_scope="per_coordinate_per_class_relative",
         calibrator_fit_fraction=0.5,
     ),
+    # the maps fitted on the same rows that calibrate the quantiles, as
+    # ``confdet run --scope`` does without a fit fraction
+    "scaled-recal-full": dict(scaling="scaled", calibration_scope="per_coordinate_per_class_relative"),
+    "scaled-global": dict(scaling="scaled", calibration_scope="global_relative"),
     # RAPS settings the default leaves idle: with 4 classes and
     # threshold_b=5 the rank penalty never fires, and at alpha_class=0.05
     # nearly every set holds all classes.  These lower both.
@@ -61,6 +65,10 @@ CASES += [
     ("two_step", "raps-calibration-penalty-only", False),
     ("two_step", "scaled-recal", True),
     ("class_wise", "unscaled", True),
+    ("class_agnostic", "scaled-recal-full", False),
+    ("class_wise", "scaled-recal-full", False),
+    ("two_step", "scaled-recal-full", True),
+    ("class_agnostic", "scaled-global", False),
 ]
 
 GOLDEN = {
@@ -137,6 +145,24 @@ GOLDEN = {
         "55e3aa8b1950eb92736fc29165532b662adc8d66ac10e056e82e8d3979ad2430",
         "d7206c919cf6bf9956fe93816405a3d48e1745141e39a9d35a3f5f66a90e561d",
     ),
+    # recorded before sigma recalibration was fitted from rows presorted
+    # once per experiment
+    "class_agnostic-scaled-recal-full": (
+        "6f9a43f8eca18dc9c330975250fe96d2e3c9053aae0267a51d02d45bcb9dbf8d",
+        "2fa02b05c1cbb2c1e25b5898b61432cae3b18948e4ff629b5cbadc26f005f8bf",
+    ),
+    "class_wise-scaled-recal-full": (
+        "d26235d8c225e2bf24ef7ca7ee3e6383b8b7b44a7f956633cadaa540a405723e",
+        "000d168115109a1e75461060419fa05e317860d93000daeb828bb7427613e148",
+    ),
+    "two_step-scaled-recal-full-transfer": (
+        "86ba383d38b2a9ba7bdf73f8c0aa2243c0eb048fa88d07160f3806e4509998fb",
+        "eb69fcc99eb83c43abef4d9d337e03904db6fbbe76304c1a641fbcd9cb154a82",
+    ),
+    "class_agnostic-scaled-global": (
+        "a3f8d9c184b2c0a74b9cb3b1d9cc90e1a0be11ee94e243b6d27085c0c0d96a3f",
+        "ede3a1399c745a2a09b047e431e7fb01ced16cc7849fffe13da96979a1a89f5f",
+    ),
 }
 
 
@@ -204,6 +230,10 @@ WHOLE_JSON = {
     "two_step-raps-calibration-penalty-only": "11bcad773ce666a9aa1ccc7dcb1f93b46b5f274a68b75bbe26e97dcb0229db3b",
     "two_step-scaled-recal-transfer": "935a5b32494b07b871f6700a60c6ef4518cdb4ce2b38073d2a7357af980a2928",
     "class_wise-unscaled-transfer": "a044f464c2dd5baef7dc8bfbf4ad14a1d3f8cd135d892580eb8ec513287871ec",
+    "class_agnostic-scaled-recal-full": "3277a848a830254021d3197db2d48f503711ea7a56e9562af34c61f3d6e7c334",
+    "class_wise-scaled-recal-full": "5c4af1175eb5b9635c15de64bbd35cd2ea33138a1b23240161b387f492bbc415",
+    "two_step-scaled-recal-full-transfer": "6a2f23dbdbe16d15fd076cca0f8078368904c8da8ff2495e6ff5128b6d692af8",
+    "class_agnostic-scaled-global": "174fb22e5c71b395e882067d29bd169a32bb6a7a96e16eee183a974ab68bccb1",
 }
 
 CLI_GOLDEN = {
@@ -253,3 +283,26 @@ def cli_digests(tmp_path, capsys) -> dict:
 
 def test_cli_output_bytes_match_golden(tmp_path, capsys):
     assert cli_digests(tmp_path, capsys) == CLI_GOLDEN
+
+
+# The calibrator files ``confdet calibrate-sigma`` writes, recorded before
+# sigma recalibration was fitted from rows presorted once per experiment.
+CALIBRATOR_GOLDEN = {
+    "per_coordinate_per_class_relative": "4755d9842a113c20f3b943d2e98dea100f8e12f09e77f930ad2f57afa7b5d656",
+    "global_relative": "f27e213f1c7d3f67c369ab5ae9a53798a71586f1f455ef1d16d610d4c12d9bbe",
+}
+
+
+def calibrator_digests(tmp_path) -> dict:
+    data = tmp_path / "data.jsonl"
+    save_dataset(_data(3), data)
+    digests = {}
+    for scope in CALIBRATOR_GOLDEN:
+        out = tmp_path / f"{scope}.json"
+        assert main(["calibrate-sigma", "--data", str(data), "--scope", scope, "--out", str(out)]) == 0
+        digests[scope] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_calibrate_sigma_maps_bytes_match_golden(tmp_path):
+    assert calibrator_digests(tmp_path) == CALIBRATOR_GOLDEN

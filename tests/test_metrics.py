@@ -6,11 +6,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from confdet.core import BoundingBox
-from confdet.errors import LengthMismatch, MismatchedKeys, OutOfRange, TooFewPairs
+from confdet.errors import LengthMismatch, OutOfRange, TooFewPairs
 from confdet.metrics import (
-    MetricRow,
     box_interval_scores,
-    classwise_aggregate,
     corner_coverage_event,
     coverage_events,
     interval_score,
@@ -221,41 +219,6 @@ def test_recovery_rate_validation():
         recovery_rate([rec], [box], iou_threshold=0.0)
     with pytest.raises(OutOfRange):
         recovery_rate([rec], [box], iou_threshold=1.5)
-
-
-# ---------------------------------------------------------------- aggregation
-
-
-def test_classwise_aggregate_weights_and_sums():
-    rows = {
-        0: MetricRow(coverage=1.0, mean_iou=0.8, interval_score=100.0, n_eval=1),
-        1: MetricRow(coverage=0.0, mean_iou=0.4, interval_score=200.0, n_eval=3),
-    }
-    out = classwise_aggregate(rows, {0: 1, 1: 3})
-    assert out.coverage == pytest.approx(0.25)
-    assert out.mean_iou == pytest.approx((0.8 + 3 * 0.4) / 4)
-    assert out.interval_score == pytest.approx(300.0)
-    assert out.n_eval == 4
-    assert out.mean_set_size is None
-
-
-def test_classwise_aggregate_optional_fields():
-    rows = {
-        0: MetricRow(1.0, 0.5, 10.0, 2, mean_set_size=2.0, class_coverage=1.0),
-        1: MetricRow(1.0, 0.5, 10.0, 2, mean_set_size=4.0, class_coverage=0.5),
-    }
-    out = classwise_aggregate(rows, {0: 2, 1: 2})
-    assert out.mean_set_size == pytest.approx(3.0)
-    assert out.class_coverage == pytest.approx(0.75)
-    assert out.joint_coverage is None
-
-
-def test_classwise_aggregate_key_mismatch():
-    row = MetricRow(1.0, 0.5, 10.0, 2)
-    with pytest.raises(MismatchedKeys):
-        classwise_aggregate({0: row}, {0: 2, 1: 2})
-    with pytest.raises(MismatchedKeys):
-        classwise_aggregate({}, {})
 
 
 # ---------------------------------------------------------------- t-test

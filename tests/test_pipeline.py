@@ -91,7 +91,7 @@ def test_stratified_split_balances_classes():
     assert np.sum(classes[split.calib_idx] == 0) == 16
     assert np.sum(classes[split.calib_idx] == 1) == 4
     assert np.sum(classes[split.eval_idx] == 1) == 1
-    assert split.forced_calibration_classes == ()
+    assert split.missing_eval_classes == ()
 
 
 def test_stratified_split_forces_tiny_class_into_calibration():
@@ -102,7 +102,6 @@ def test_stratified_split_forces_tiny_class_into_calibration():
     records.append(make_record(gt_class=1, class_probs=(0.0, 1.0), image_id="solo"))
     ds = Dataset.from_records(records)
     split = random_split(ds, 0.8, seed=6, stratified=True)
-    assert split.forced_calibration_classes == (1,)
     assert split.missing_eval_classes == (1,)
     classes = np.array([r.gt_class for r in records])
     assert np.sum(classes[split.calib_idx] == 1) == 1
