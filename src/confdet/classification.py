@@ -11,8 +11,6 @@ class id.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import PredictionSet, RAPSConfig
@@ -151,25 +149,25 @@ def set_totals(probs: np.ndarray, config: RAPSConfig):
     return order, totals
 
 
-def sets_from_totals(order: np.ndarray, totals: np.ndarray, qhat: float, config: RAPSConfig):
+def sets_from_totals(order: np.ndarray, totals: np.ndarray, qhat, config: RAPSConfig):
     """Set membership and sizes for a threshold ``qhat`` over :func:`set_totals`.
 
     Returns ``(member, sizes)`` as :func:`prediction_set_matrix` does.
+    ``order`` and ``totals`` may carry leading batch axes ``(B, n, K)``;
+    ``qhat`` is then one threshold per batch entry, shape ``(B,)``.
     """
-    n, k_total = totals.shape
-    if math.isnan(qhat) or qhat < 0:
+    q = np.asarray(qhat, dtype=float)
+    if np.isnan(q).any() or (q < 0).any():
         raise OutOfRange(f"qhat must be >= 0, got {qhat!r}")
-    if math.isinf(qhat):
-        member = np.ones((n, k_total), dtype=bool)
-        return member, np.full(n, k_total, dtype=int)
+    k_total = totals.shape[-1]
+    q = q[..., None, None]  # against the (..., n, K) totals
     if config.allow_empty:
-        sizes = (totals <= qhat).sum(axis=1)
-    else:
-        if qhat > 0:
-            sizes = np.minimum(1 + (totals[:, :-1] < qhat).sum(axis=1), k_total)
-        else:
-            sizes = np.ones(n, dtype=int)  # forced non-empty
-    in_prefix = np.arange(k_total)[None, :] < sizes[:, None]
-    member = np.zeros((n, k_total), dtype=bool)
-    np.put_along_axis(member, order, in_prefix, axis=1)
+        sizes = (totals <= q).sum(axis=-1)
+    else:  # a threshold of zero still keeps the top class
+        crossed = np.minimum(1 + (totals[..., :-1] < q).sum(axis=-1), k_total)
+        sizes = np.where(q[..., 0] > 0, crossed, 1)
+    sizes = np.where(np.isinf(q[..., 0]), k_total, sizes)  # vacuous calibration: every class
+    in_prefix = np.arange(k_total) < sizes[..., None]
+    member = np.zeros(totals.shape, dtype=bool)
+    np.put_along_axis(member, order, in_prefix, axis=-1)
     return member, sizes.astype(int)

@@ -6,8 +6,18 @@ the calibration part, fit conformal quantiles there, build boxes (and
 prediction sets) for the evaluation part, and score them.  Every run
 draws its randomness from a generator seeded by ``(master_seed, run
 index)``, so reports are reproducible bit for bit regardless of how many
-worker processes execute the runs, and two experiments with the same
-master seed are paired run by run for significance testing.
+worker processes execute the runs or how they are batched, and two
+experiments with the same master seed are paired run by run for
+significance testing.
+
+Runs are computed in blocks and chunks.  Each worker process takes one
+contiguous block of runs and walks it in chunks of as many runs as a
+fixed element budget allows.  A chunk of ``B`` runs is a set of ``(B,
+...)`` arrays: a ``(B, n)`` calibration mask, ``(B, n_eval)`` evaluation
+rows (every stratum's calibration count depends only on its size, so the
+shapes are rectangular), ``(B, G, 4)`` quantiles, and metrics reduced
+run by run along the contiguous last axis, so each run's float sums are
+those of a one-run array.
 
 The regimes are data.  Each run fits the corner quantiles once, pooled
 for ``class_agnostic`` and per class otherwise; the ``_REGIME_QUANTILES``
@@ -15,27 +25,29 @@ table then says how those quantiles reach each evaluation box and
 whether a label set is predicted, and one scorer turns the result into
 a :class:`MetricRow` for every regime.
 
-Scores that depend on one record only are computed once per experiment,
-not once per run: the corner residual scores of the calibration source,
-or, when sigma is recalibrated, the sorted points of every calibration
-map (:func:`calibration.sigma_plan`); and for ``two_step`` the RAPS
-true-class scores of the calibration source and the class order and
-running totals of the evaluation source.  A run indexes these arrays
-with its split and is left with the map fits, the order statistics, the
-label sets for its threshold, and the scoring.
+What no split changes is computed once per experiment: each source's
+strata and their calibration counts; the corner residual scores of the
+calibration source sorted within each quantile group, or, when sigma is
+recalibrated, the sorted points of every calibration map
+(:func:`calibration.sigma_plan`); and for ``two_step`` the RAPS
+true-class scores of the calibration source, sorted, and the class order
+and running totals of the evaluation source.  A chunk reads every order
+statistic of every run off these sorts through its mask
+(:func:`regression.masked_group_quantiles`); only a recalibrated run
+sorts the scores it fits on.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import calibration as _cal
 from .classification import (
-    classification_quantile,
     set_totals,
     sets_from_totals,
     true_class_scores,
@@ -64,10 +76,13 @@ from .metrics import (
     recovery_counts,
 )
 from .regression import (
+    GroupSort,
     column_quantiles,
     corner_intervals,
     group_quantiles,
+    masked_group_quantiles,
     outer_inner_boxes,
+    presort_groups,
     residual_scores,
 )
 
@@ -194,6 +209,60 @@ def _split_sizes(n: int, fraction: float) -> int:
     return min(max(n_cal, 1), max(n - 1, 1))  # for one record both bounds are 1
 
 
+class _Strata(NamedTuple):
+    """What every split of one dataset draws from: the rows of each stratum
+    in turn (its slots), each stratum's size, the first slot of each slot's
+    stratum, a flag on the first ``n_cal`` slots of each stratum, and the
+    strata whose rows all go to calibration."""
+
+    rows: np.ndarray
+    sizes: tuple[int, ...]
+    starts: np.ndarray
+    cal_slots: np.ndarray
+    missing_eval: tuple[int, ...]
+
+
+def _strata(dataset: Dataset, calib_fraction: float, stratified: bool) -> _Strata:
+    n = len(dataset)
+    if n == 0:
+        raise EmptyCalibration("cannot split an empty dataset")
+    # unstratified is the one stratum arange(n): arange(n)[rng.permutation(n)] is rng.permutation(n)
+    members = [np.arange(n)]
+    if stratified:
+        members = [np.flatnonzero(dataset.gt_class == k) for k in range(dataset.n_classes)]
+    for k, rows in enumerate(members):
+        if rows.size == 0:
+            raise StratificationImpossible(
+                f"class {k} has no records; a stratified split cannot represent it"
+            )
+    sizes = [rows.size for rows in members]
+    n_cal = [_split_sizes(size, calib_fraction) for size in sizes]
+    starts = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return _Strata(
+        rows=np.concatenate(members),
+        sizes=tuple(sizes),
+        starts=starts,
+        cal_slots=np.arange(len(starts)) - starts < np.repeat(n_cal, sizes),
+        missing_eval=tuple(k for k, (size, c) in enumerate(zip(sizes, n_cal)) if stratified and c == size),
+    )
+
+
+def _draw_splits(strata: _Strata, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """One split per seed: the ``(B, n)`` calibration mask and the ``(B, n_eval)`` sorted evaluation rows.
+
+    Each stratum's rows are permuted by the seed's generator, stratum by
+    stratum; the first ``n_cal`` of each go to calibration.
+    """
+    slots = np.empty((len(seeds), len(strata.rows)), dtype=np.intp)
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        slots[b] = np.concatenate([rng.permutation(size) for size in strata.sizes])
+    rows = strata.rows[slots + strata.starts]
+    cal = np.zeros((len(seeds), n), dtype=bool)
+    cal.ravel()[(rows + n * np.arange(len(seeds))[:, None])[:, strata.cal_slots]] = True
+    return cal, np.sort(rows[:, ~strata.cal_slots], axis=1)
+
+
 def random_split(
     dataset: Dataset,
     calib_fraction: float,
@@ -214,33 +283,9 @@ def random_split(
     """
     if not 0.0 < calib_fraction < 1.0:
         raise OutOfRange(f"calib_fraction must lie in (0, 1), got {calib_fraction}")
-    n = len(dataset)
-    if n == 0:
-        raise EmptyCalibration("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
-    # unstratified is the one stratum arange(n): arange(n)[rng.permutation(n)] is rng.permutation(n)
-    strata = [np.arange(n)]
-    if stratified:
-        strata = [np.flatnonzero(dataset.gt_class == k) for k in range(dataset.n_classes)]
-    calib_parts = []
-    eval_parts = []
-    missing_eval = []
-    for k, members in enumerate(strata):
-        if members.size == 0:
-            raise StratificationImpossible(
-                f"class {k} has no records; a stratified split cannot represent it"
-            )
-        perm = members[rng.permutation(members.size)]
-        n_cal = _split_sizes(members.size, calib_fraction)
-        calib_parts.append(perm[:n_cal])
-        eval_parts.append(perm[n_cal:])
-        if stratified and n_cal == members.size:
-            missing_eval.append(k)
-    return DatasetSplit(
-        calib_idx=np.sort(np.concatenate(calib_parts)),
-        eval_idx=np.sort(np.concatenate(eval_parts)),
-        missing_eval_classes=tuple(missing_eval),
-    )
+    strata = _strata(dataset, calib_fraction, stratified)
+    cal, ev = _draw_splits(strata, len(dataset), [seed])
+    return DatasetSplit(calib_idx=np.flatnonzero(cal[0]), eval_idx=ev[0], missing_eval_classes=strata.missing_eval)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,20 +293,27 @@ class _Context:
     """An experiment's inputs plus the arrays that no split changes.
 
     Each array is indexed by the rows of its source, and is None where
-    the regime does not use it: ``residuals`` are the corner scores of
-    ``data`` when sigma is not recalibrated, ``sigma_plan`` the calibration
-    plan of ``data`` (followed by ``eval_data``'s rows) when it is,
-    ``class_scores`` the RAPS true-class scores of ``data``, and
+    the regime does not use it: ``strata``/``eval_strata`` are what the
+    splits of ``data`` and of the evaluation source draw from, ``groups``
+    the quantile group of each row of ``data``; ``presorted`` holds the
+    corner scores of ``data`` sorted within each group when sigma is not
+    recalibrated, ``sigma_plan`` the calibration plan of ``data``
+    (followed by ``eval_data``'s rows) when it is; ``class_scores`` holds
+    the RAPS true-class scores of ``data``, sorted, and
     ``set_order``/``set_totals`` the class order and running totals of the
     evaluation source.
     """
 
     data: Dataset
     config: RunConfig
-    eval_data: Dataset | None = None
-    residuals: np.ndarray | None = None
+    eval_data: Dataset | None
+    strata: _Strata
+    eval_strata: _Strata
+    groups: np.ndarray
+    n_groups: int
+    presorted: GroupSort | None = None
     sigma_plan: _cal.SigmaPlan | None = None
-    class_scores: np.ndarray | None = None
+    class_scores: GroupSort | None = None
     set_order: np.ndarray | None = None
     set_totals: np.ndarray | None = None
 
@@ -271,164 +323,210 @@ class _Context:
 
 
 def _context(data: Dataset, cfg: RunConfig, eval_data: Dataset | None) -> _Context:
-    """Score once per experiment what every run would otherwise rescore."""
-    ctx = _Context(data=data, config=cfg, eval_data=eval_data)
+    """Score and sort once per experiment what every run would otherwise redo."""
+    if cfg.by_class:
+        groups, n_groups = data.gt_class, data.n_classes
+    else:  # a pooled fit is the one-group case, and is never flagged
+        groups, n_groups = np.zeros(len(data), dtype=int), 1
     arrays = {}
     if cfg.calibration_scope == _cal.SCOPE_RAW:  # always so when unscaled
         sigma = data.sigma if cfg.scaling == "scaled" else None
-        arrays["residuals"] = residual_scores(data.pred, data.gt, sigma)
+        arrays["presorted"] = presort_groups(residual_scores(data.pred, data.gt, sigma), groups, n_groups)
     else:  # transfer mode looks the evaluation rows up after the calibration rows
         rows = (data,) if eval_data is None else (data, eval_data)
         columns = [np.concatenate([getattr(d, c) for d in rows]) for c in ("pred", "gt", "sigma", "gt_class")]
         arrays["sigma_plan"] = _cal.sigma_plan(*columns, scope=cfg.calibration_scope)
     if cfg.regime == REGIME_TWO_STEP:
-        arrays["class_scores"] = true_class_scores(data.probs, data.gt_class, cfg.raps)
-        arrays["set_order"], arrays["set_totals"] = set_totals(ctx.eval_source.probs, cfg.raps)
-    return replace(ctx, **arrays)
+        scores = true_class_scores(data.probs, data.gt_class, cfg.raps)
+        arrays["class_scores"] = presort_groups(scores[:, None], np.zeros(len(data), dtype=int), 1)
+        eval_probs = (data if eval_data is None else eval_data).probs
+        arrays["set_order"], arrays["set_totals"] = set_totals(eval_probs, cfg.raps)
+    stratified = cfg.resolved_stratified
+    strata = _strata(data, cfg.calib_fraction, stratified)
+    eval_strata = strata if eval_data is None else _strata(eval_data, cfg.calib_fraction, stratified)
+    return _Context(data, cfg, eval_data, strata, eval_strata, groups, n_groups, **arrays)
 
 
-def _calibration_scores(ctx: _Context, cal_idx: np.ndarray, ev_idx: np.ndarray, rng_key) -> tuple:
-    """Corner scores to fit quantiles on, after optional sigma recalibration.
+#: Elements of the largest per-run temporaries that one chunk of runs may
+#: hold, which bounds a worker's memory: a run counts its ``(n, 4)``
+#: calibration masks over the sorted scores and its ``(n_eval, 4, K)``
+#: label-set lookups.
+_CHUNK_ELEMENTS = 200_000
 
-    Returns ``(quant_idx, scores, sig_ev, warnings)``: the rows of
-    ``ctx.data`` the quantiles are fitted on, their ``(n, 4)`` scores, and
-    the sigma of the evaluation rows ``ev_idx`` (None when unscaled).  With
-    a disjoint calibrator fit fraction ``quant_idx`` is a subset of
-    ``cal_idx``.  Without recalibration the scores are rows of
-    ``ctx.residuals``.
+
+def _run_elements(ctx: _Context) -> int:
+    n_eval = int((~ctx.eval_strata.cal_slots).sum())
+    return 4 * (len(ctx.data) + n_eval * ctx.data.n_classes)
+
+
+def _masked_quantiles(presorted: GroupSort, mask: np.ndarray, alpha: float):
+    """The ``(B, G, m)`` quantiles and ``(B, G)`` counts of the rows of each run's ``(B, n)`` mask."""
+    return masked_group_quantiles(presorted.values, presorted.bounds, presorted.picked(mask), alpha)
+
+
+def _recalibrated(ctx: _Context, cal: np.ndarray, ev_rows: np.ndarray, runs: range):
+    """Sigma recalibration and quantile fit of each run, on the experiment's ``sigma_plan``.
+
+    Returns the ``(B, n)`` mask of the rows the quantiles are fitted on,
+    the ``(B, G, 4)`` quantiles and ``(B, G)`` counts, the ``(B, n_eval, 4)``
+    sigma of the evaluation rows, and each run's warnings.  With a
+    disjoint calibrator fit fraction the quantile rows are a subset of the
+    calibration rows.
     """
+    cfg, data = ctx.config, ctx.data
+    n_plan = len(ctx.sigma_plan.usable)
+    ev_offset = 0 if ctx.eval_data is None else len(data)
+    quant = cal.copy()
+    fits, sig_ev, warnings = [], [], []
+    for b, run_index in enumerate(runs):
+        fit = np.zeros(n_plan, dtype=bool)
+        fit[: len(data)] = cal[b]
+        if cfg.calibrator_fit_fraction is not None and cal[b].sum() >= 2:
+            cal_idx = np.flatnonzero(cal[b])
+            perm = np.random.default_rng((cfg.master_seed, run_index, 7)).permutation(len(cal_idx))
+            n_fit = _split_sizes(len(cal_idx), cfg.calibrator_fit_fraction)
+            fit[cal_idx[perm[n_fit:]]] = False
+            quant[b, cal_idx[perm[:n_fit]]] = False
+        sigma, n_excluded, fallback = _cal.recalibrate(ctx.sigma_plan, fit)
+        run_warnings = []
+        if n_excluded:
+            run_warnings.append(f"calibrator skipped {n_excluded} degenerate box(es)")
+        if fallback:
+            run_warnings.append("calibrator fell back to the global map for classes " + ",".join(str(k) for k in fallback))
+        rows = np.flatnonzero(quant[b])
+        pred, gt, sig = (np.take(a, rows, axis=0) for a in (data.pred, data.gt, sigma))
+        fits.append(group_quantiles(residual_scores(pred, gt, sig), cfg.miscoverage.alpha_corner, ctx.groups[rows], ctx.n_groups))
+        sig_ev.append(np.take(sigma, ev_offset + ev_rows[b], axis=0))
+        warnings.append(run_warnings)
+    q, counts = (np.stack(parts) for parts in zip(*fits))
+    return quant, q, counts, np.stack(sig_ev), warnings
+
+
+def _worst_in_set(q: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Per run, evaluation box and corner, the largest quantile over the classes in its set.
+
+    ``q`` is ``(B, K, 4)`` and ``member`` ``(B, n_eval, K)``.  In the
+    classes ordered by descending quantile, the first member of a box's
+    set holds the maximum: one argmax per corner over a boolean gather.
+    """
+    by_q = np.argsort(-q, axis=1, kind="stable").transpose(0, 2, 1)  # (B, 4, K)
+    q_desc = np.take_along_axis(q.transpose(0, 2, 1), by_q, axis=2)
+    worst = np.empty(member.shape[:2] + (4,))
+    for b in range(len(q)):
+        first = member[b][:, by_q[b]].argmax(axis=2)  # (n_eval, 4)
+        worst[b] = q_desc[b, np.arange(4), first]
+    return worst
+
+
+def _two_step(q: np.ndarray, ctx: _Context, quant: np.ndarray, ev_rows: np.ndarray):
     cfg = ctx.config
-    warnings: list[str] = []
-    if ctx.residuals is not None:
-        sig_ev = ctx.eval_source.sigma[ev_idx] if cfg.scaling == "scaled" else None
-        return cal_idx, ctx.residuals[cal_idx], sig_ev, warnings
-
-    fit_idx = quant_idx = cal_idx
-    if cfg.calibrator_fit_fraction is not None and len(cal_idx) >= 2:
-        rng = np.random.default_rng(rng_key)
-        perm = rng.permutation(len(cal_idx))
-        n_fit = _split_sizes(len(cal_idx), cfg.calibrator_fit_fraction)
-        fit_idx = cal_idx[np.sort(perm[:n_fit])]
-        quant_idx = cal_idx[np.sort(perm[n_fit:])]
-    fit_mask = np.zeros(len(ctx.sigma_plan.usable), dtype=bool)
-    fit_mask[fit_idx] = True
-    sigma, n_excluded, fallback = _cal.recalibrate(ctx.sigma_plan, fit_mask)
-    if n_excluded:
-        warnings.append(f"calibrator skipped {n_excluded} degenerate box(es)")
-    if fallback:
-        warnings.append("calibrator fell back to the global map for classes " + ",".join(str(k) for k in fallback))
-    ev_rows = ev_idx if ctx.eval_data is None else len(ctx.data) + ev_idx
-    scores = residual_scores(ctx.data.pred[quant_idx], ctx.data.gt[quant_idx], sigma[quant_idx])
-    return quant_idx, scores, sigma[ev_rows], warnings
-
-
-def _quantile_summary(q: np.ndarray) -> dict:
-    """Group count, vacuous entries and range of a ``(G, 4)`` quantile table."""
-    return {
-        "n_groups": len(q),
-        "n_vacuous": int(np.isinf(q).sum()),
-        "min": float(q.min()),
-        "max": float(q.max()),
-    }
-
-
-def _score(cfg: RunConfig, ev: Dataset, sig_ev, q_eval: np.ndarray, member) -> MetricRow:
-    """Metrics of one run; the set metrics only when ``member`` is given."""
-    if len(ev) == 0:
-        # vacuous-evaluation convention: nothing to miss, nothing to score
-        sets = {}
-        if member is not None:
-            sets = dict(mean_set_size=0.0, class_coverage=1.0, joint_coverage=1.0)
-        return MetricRow(coverage=1.0, mean_iou=0.0, interval_score=0.0, n_eval=0, **sets)
-    lows, highs = corner_intervals(ev.pred, q_eval, sigma=sig_ev, image_bounds=cfg.image_bounds)
-    _, box_hits = coverage_events(ev.gt, lows, highs)
-    outer, _, _ = outer_inner_boxes(lows, highs)
-    iscores = box_interval_scores(lows, highs, ev.gt, cfg.miscoverage.alpha_corner)
-    sets = {}
-    if member is not None:
-        class_hits = member[np.arange(len(ev)), ev.gt_class]
-        sets = dict(
-            mean_set_size=float(member.sum(axis=1).mean()),
-            class_coverage=float(class_hits.mean()),
-            joint_coverage=float((class_hits & box_hits).mean()),
-        )
-    return MetricRow(
-        coverage=float(box_hits.mean()),
-        mean_iou=float(iou_xyxy(ev.gt, outer).mean()),
-        interval_score=float(iscores.sum()),
-        n_eval=len(ev),
-        **sets,
-    )
-
-
-def _two_step(q: np.ndarray, ctx: _Context, quant_idx: np.ndarray, ev_idx: np.ndarray):
-    cfg = ctx.config
-    qhat_class = classification_quantile(ctx.class_scores[quant_idx], cfg.miscoverage.alpha_class)
-    member, _ = sets_from_totals(ctx.set_order[ev_idx], ctx.set_totals[ev_idx], qhat_class, cfg.raps)
-    # worst case over the label set: classes outside it cannot win the max
-    return np.where(member[:, :, None], q[None, :, :], -np.inf).max(axis=1), member
+    qhat, _ = _masked_quantiles(ctx.class_scores, quant, cfg.miscoverage.alpha_class)
+    order, totals = (np.take(a, ev_rows, axis=0) for a in (ctx.set_order, ctx.set_totals))
+    member, _ = sets_from_totals(order, totals, qhat[:, 0, 0], cfg.raps)
+    return _worst_in_set(q, member), member
 
 
 # How each regime turns the fitted quantiles into per-evaluation-box
-# quantiles, plus the (n_eval, K) label-set membership for the regimes
-# that predict sets.  ``q`` is the (G, 4) table of the fitted groups, one
-# pooled row for class_agnostic and one row per class otherwise;
-# ``quant_idx`` indexes the calibration rows of ``ctx.data`` and ``ev_idx``
-# the evaluation rows of ``ctx.eval_source``.
+# quantiles, plus the (B, n_eval, K) label-set membership for the regimes
+# that predict sets.  ``q`` is the (B, G, 4) table of each run's fitted
+# groups, one pooled row for class_agnostic and one row per class
+# otherwise; ``quant`` is the (B, n) mask of the rows of ``ctx.data`` the
+# quantiles were fitted on and ``ev_rows`` the (B, n_eval) evaluation rows
+# of ``ctx.eval_source``.
 _REGIME_QUANTILES = {
-    REGIME_CLASS_AGNOSTIC: lambda q, ctx, quant_idx, ev_idx: (q[0], None),
-    REGIME_CLASS_WISE: lambda q, ctx, quant_idx, ev_idx: (q[ctx.eval_source.gt_class[ev_idx]], None),
+    REGIME_CLASS_AGNOSTIC: lambda q, ctx, quant, ev_rows: (q, None),
+    REGIME_CLASS_WISE: lambda q, ctx, quant, ev_rows: (
+        q[np.arange(len(q))[:, None], ctx.eval_source.gt_class[ev_rows]],
+        None,
+    ),
     REGIME_TWO_STEP: _two_step,
-    REGIME_NAIVE_WORST_CASE: lambda q, ctx, quant_idx, ev_idx: (
-        q.max(axis=0),
-        np.ones((len(ev_idx), len(q)), dtype=bool),
+    REGIME_NAIVE_WORST_CASE: lambda q, ctx, quant, ev_rows: (
+        q.max(axis=1, keepdims=True),
+        np.ones(ev_rows.shape + (q.shape[1],), dtype=bool),
     ),
 }
 
 
-def _run_once(ctx: _Context, run_index: int) -> RunResult:
-    cfg = ctx.config
-    seed = (cfg.master_seed, run_index)
-    warnings: list[str] = []
-    stratified = cfg.resolved_stratified
+def _score(cfg: RunConfig, ev: dict, sig_ev, q_eval: np.ndarray, member) -> list[MetricRow]:
+    """Metrics of each run of a chunk; the set metrics only when ``member`` is given.
 
-    if ctx.eval_data is None:
-        split = random_split(ctx.data, cfg.calib_fraction, seed, stratified)
-        cal_idx, ev_idx = split.calib_idx, split.eval_idx
-        missing_eval = split.missing_eval_classes
-    else:
-        split_a = random_split(ctx.data, cfg.calib_fraction, (cfg.master_seed, run_index, 0), stratified)
-        split_b = random_split(ctx.eval_data, cfg.calib_fraction, (cfg.master_seed, run_index, 1), stratified)
-        cal_idx, ev_idx = split_a.calib_idx, split_b.eval_idx
-        missing_eval = split_b.missing_eval_classes
-    if missing_eval:
-        warnings.append(
-            "classes absent from evaluation: " + ",".join(str(k) for k in missing_eval)
+    Every per-run figure is a reduction along the contiguous last axis, so
+    it sums in the order a one-run array would.
+    """
+    n_runs, n_eval = ev["gt_class"].shape
+    sets = {}
+    if n_eval == 0:
+        # vacuous-evaluation convention: nothing to miss, nothing to score
+        if member is not None:
+            sets = dict(mean_set_size=0.0, class_coverage=1.0, joint_coverage=1.0)
+        return [MetricRow(coverage=1.0, mean_iou=0.0, interval_score=0.0, n_eval=0, **sets)] * n_runs
+    lows, highs = corner_intervals(ev["pred"], q_eval, sigma=sig_ev, image_bounds=cfg.image_bounds)
+    _, box_hits = coverage_events(ev["gt"], lows, highs)
+    outer, _, _ = outer_inner_boxes(lows, highs)
+    columns = dict(
+        coverage=box_hits.mean(axis=-1),
+        mean_iou=iou_xyxy(ev["gt"], outer).mean(axis=-1),
+        interval_score=box_interval_scores(lows, highs, ev["gt"], cfg.miscoverage.alpha_corner).sum(axis=-1),
+    )
+    if member is not None:
+        class_hits = np.take_along_axis(member, ev["gt_class"][..., None], axis=-1)[..., 0]
+        columns.update(
+            mean_set_size=member.sum(axis=-1).mean(axis=-1),
+            class_coverage=class_hits.mean(axis=-1),
+            joint_coverage=(class_hits & box_hits).mean(axis=-1),
         )
-    ev = ctx.eval_source.take(ev_idx)
+    values = {name: column.tolist() for name, column in columns.items()}
+    return [MetricRow(n_eval=n_eval, **{name: v[b] for name, v in values.items()}) for b in range(n_runs)]
 
-    quant_idx, scores, sig_ev, sigma_warnings = _calibration_scores(
-        ctx, cal_idx, ev_idx, (cfg.master_seed, run_index, 7)
-    )
-    warnings.extend(sigma_warnings)
 
-    if cfg.by_class:
-        groups, n_groups = ctx.data.gt_class[quant_idx], ctx.data.n_classes
-    else:  # a pooled fit is the one-group case, and is never flagged
-        groups, n_groups = np.zeros(len(quant_idx), dtype=int), 1
-    q, counts = group_quantiles(scores, cfg.miscoverage.alpha_corner, groups, n_groups)
-    flagged = np.flatnonzero(counts < cfg.min_per_class) if cfg.by_class else ()
-    if len(flagged):
-        warnings.append("classes below min_per_class: " + ",".join(str(k) for k in flagged))
-    q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ctx, quant_idx, ev_idx)
+def _run_chunk(ctx: _Context, runs: range) -> list[RunResult]:
+    """The runs of one chunk, computed together as ``(B, ...)`` arrays."""
+    cfg = ctx.config
+    master = cfg.master_seed
+    if ctx.eval_data is None:
+        cal, ev_rows = _draw_splits(ctx.strata, len(ctx.data), [(master, i) for i in runs])
+    else:
+        cal, _ = _draw_splits(ctx.strata, len(ctx.data), [(master, i, 0) for i in runs])
+        _, ev_rows = _draw_splits(ctx.eval_strata, len(ctx.eval_data), [(master, i, 1) for i in runs])
+    source = ctx.eval_source
+    # np.take gathers rows several times faster than fancy indexing
+    ev = {name: np.take(getattr(source, name), ev_rows, axis=0) for name in ("pred", "gt", "gt_class")}
 
-    return RunResult(
-        run_index=run_index,
-        seed=seed,
-        metrics=_score(cfg, ev, sig_ev, q_eval, member),
-        quantile_summary=_quantile_summary(q),
-        warnings=tuple(warnings),
-    )
+    if ctx.presorted is not None:
+        quant = cal
+        q, counts = _masked_quantiles(ctx.presorted, cal, cfg.miscoverage.alpha_corner)
+        sig_ev = np.take(source.sigma, ev_rows, axis=0) if cfg.scaling == "scaled" else None
+        sigma_warnings = [[] for _ in runs]
+    else:
+        quant, q, counts, sig_ev, sigma_warnings = _recalibrated(ctx, cal, ev_rows, runs)
+
+    q_eval, member = _REGIME_QUANTILES[cfg.regime](q, ctx, quant, ev_rows)
+    metrics = _score(cfg, ev, sig_ev, q_eval, member)
+
+    missing = ctx.eval_strata.missing_eval
+    fixed = ["classes absent from evaluation: " + ",".join(str(k) for k in missing)] if missing else []
+    below = counts < cfg.min_per_class if cfg.by_class else np.zeros(counts.shape, dtype=bool)
+    n_vacuous = np.isinf(q).sum(axis=(1, 2)).tolist()
+    q_min, q_max = q.min(axis=(1, 2)).tolist(), q.max(axis=(1, 2)).tolist()
+    results = []
+    for b, run_index in enumerate(runs):
+        warnings = fixed + sigma_warnings[b]
+        if below[b].any():
+            warnings.append("classes below min_per_class: " + ",".join(str(k) for k in np.flatnonzero(below[b])))
+        results.append(RunResult(
+            run_index=run_index,
+            seed=(master, run_index),
+            metrics=metrics[b],
+            quantile_summary={"n_groups": ctx.n_groups, "n_vacuous": n_vacuous[b], "min": q_min[b], "max": q_max[b]},
+            warnings=tuple(warnings),
+        ))
+    return results
+
+
+def _run_block(ctx: _Context, runs: range) -> list[RunResult]:
+    """The runs of a contiguous block, in chunks of as many runs as the element budget allows."""
+    size = max(1, _CHUNK_ELEMENTS // _run_elements(ctx))
+    return [r for lo in range(runs.start, runs.stop, size) for r in _run_chunk(ctx, range(lo, min(lo + size, runs.stop)))]
 
 
 _WORKER_CTX: _Context | None = None
@@ -439,9 +537,9 @@ def _init_worker(ctx: _Context) -> None:
     _WORKER_CTX = ctx
 
 
-def _worker_run(run_index: int) -> RunResult:
+def _worker_block(runs: range) -> list[RunResult]:
     assert _WORKER_CTX is not None
-    return _run_once(_WORKER_CTX, run_index)
+    return _run_block(_WORKER_CTX, runs)
 
 
 def _aggregate(results: list[RunResult], cfg: RunConfig) -> dict:
@@ -511,13 +609,13 @@ def run_experiment(
             f"evaluation dataset has {eval_dataset.n_classes} classes, expected {dataset.n_classes}"
         )
     ctx = _context(dataset, config, eval_dataset)
-    if workers > 1 and config.n_runs > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, config.n_runs), initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            results = list(pool.map(_worker_run, range(config.n_runs)))
+    n_runs, n_workers = config.n_runs, min(workers, config.n_runs)
+    if n_workers > 1:  # one contiguous block of runs per worker
+        blocks = [range(j * n_runs // n_workers, (j + 1) * n_runs // n_workers) for j in range(n_workers)]
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)) as pool:
+            results = [r for block in pool.map(_worker_block, blocks) for r in block]
     else:
-        results = [_run_once(ctx, i) for i in range(config.n_runs)]
+        results = _run_block(ctx, range(n_runs))
     return RunReport(
         regime=config.regime,
         config=_config_echo(config, transfer=eval_dataset is not None),

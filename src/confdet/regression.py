@@ -14,6 +14,7 @@ import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +143,113 @@ def _order_rank(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1 - exact))
 
 
+class GroupSort(NamedTuple):
+    """An ``(n, m)`` score matrix presorted for :func:`masked_group_quantiles`.
+
+    Rows ``bounds[g]:bounds[g + 1]`` of ``values`` hold group ``g``, each
+    column ascending within every group, and ``order[i, c]`` is the score
+    row that sorted entry ``(i, c)`` came from.
+    """
+
+    values: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def picked(self, mask) -> np.ndarray:
+        """The ``(B, m, n)`` sorted entries that each row of a ``(B, n)`` row mask holds."""
+        return np.take(np.asarray(mask, dtype=bool), self.order.T, axis=1)
+
+
+def _grouped(scores, groups, n_groups: int):
+    """The rows of ``scores`` group by group (stable), the row each came from, and the group bounds."""
+    groups = np.asarray(groups, dtype=int)
+    if groups.size and not (groups.min() >= 0 and groups.max() < n_groups):
+        raise InvalidClass(f"group ids must lie in [0, {n_groups})")
+    by_group = np.argsort(groups, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n_groups))))
+    return np.take(np.asarray(scores, dtype=float), by_group, axis=0), by_group, bounds
+
+
+def presort_groups(scores, groups, n_groups: int) -> GroupSort:
+    """Sort each column of an ``(n, m)`` score matrix within each group's rows.
+
+    ``groups`` holds the group id of each row, in ``[0, n_groups)``.
+
+    Raises
+    ------
+    InvalidClass
+        If a group id lies outside ``[0, n_groups)``.
+    """
+    grouped, by_group, bounds = _grouped(scores, groups, n_groups)
+    order = np.empty(grouped.shape, dtype=np.intp)  # first into ``grouped``, then into ``scores``
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        order[lo:hi] = lo + np.argsort(grouped[lo:hi], axis=0)
+    return GroupSort(np.take_along_axis(grouped, order, axis=0), by_group[order], bounds)
+
+
+def masked_group_quantiles(values, bounds, picked, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`column_quantiles` of each group's picked entries, for a batch of samples.
+
+    ``values`` and ``bounds`` are presorted as in :class:`GroupSort`, and
+    sample ``b`` holds sorted entry ``values[i, c]`` where ``picked[b, c, i]``;
+    every column of a sample must hold the same number of entries of each
+    group, as when the entries are rows (:meth:`GroupSort.picked`).  The
+    rank-th picked entry of a group is found by counting picked entries
+    along the sorted order, so every order statistic of every sample comes
+    from the one sort.  Returns the ``(B, G, m)`` quantiles, ``+inf``
+    where the rank exceeds the group's count, and the ``(B, G)`` counts.
+
+    Raises
+    ------
+    MissingClass
+        If a sample picks no entry of some group; the earliest such
+        sample's first empty group is named.
+    DataError
+        If a picked score is NaN.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
+    values = np.asarray(values, dtype=float)
+    picked = np.asarray(picked, dtype=bool)
+    n, m = values.shape
+    if picked.ndim != 3 or picked.shape[1:] != (m, n):
+        raise OutOfRange(f"picked must be a (B, {m}, {n}) array, got shape {picked.shape}")
+    n_samples, width = picked.shape[0], n + 1
+    count_type = np.int32 if n_samples * m * width < 2**31 else np.int64
+    before = np.zeros((n_samples, m, width), dtype=count_type)  # picked entries before each sorted position
+    before[:, :, 1:] = np.cumsum(picked, axis=2, dtype=count_type)
+    at_bounds = before[:, :, bounds]
+    per_column = np.diff(at_bounds, axis=2)
+    counts = per_column[:, 0]
+    if (per_column != counts[:, None]).any():
+        raise OutOfRange("every column of a sample must pick the same number of entries of each group")
+    empty = np.argwhere(counts == 0)
+    if len(empty):
+        raise MissingClass(
+            f"class {empty[0, 1]} has no calibration records; a class-wise fit "
+            "needs every class represented"
+        )
+    nan = np.isnan(values.T)
+    if nan.any() and picked[:, nan].any():  # NaN sorts last, so it would silently shift the rank
+        raise DataError("conformal_quantile got NaN scores")
+    rank = np.array([_order_rank(c, alpha) for c in counts.ravel().tolist()]).reshape(counts.shape)
+    # one search over every (sample, column) row: row r's counts, shifted by
+    # r * width, all lie above row r - 1's
+    shift = (np.arange(n_samples * m, dtype=count_type) * width).reshape(n_samples, m, 1)
+    target = at_bounds[:, :, :-1] + shift + rank[:, None, :].astype(count_type)
+    found = np.searchsorted((before + shift).ravel(), target.ravel()).reshape(target.shape)
+    pos = np.clip(found - shift - 1, 0, n - 1)  # the first position holding `target` picked entries
+    q = values[pos, np.arange(m)[:, None]]  # (B, m, G)
+    return np.where(rank[:, None, :] > counts[:, None, :], math.inf, q).transpose(0, 2, 1), counts
+
+
 def group_quantiles(scores, alpha: float, groups, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`column_quantiles` of each group's rows of an ``(n, m)`` score matrix.
 
     ``groups`` holds the group id of each row, in ``[0, n_groups)``.
     Returns the ``(n_groups, m)`` quantiles and the ``(n_groups,)`` row
-    counts.  A pooled fit is the one-group case: all ids zero.
+    counts.  A pooled fit is the one-group case: all ids zero.  This is the
+    one-sample adapter of :func:`masked_group_quantiles`, picking every row.
 
     Raises
     ------
@@ -156,18 +258,11 @@ def group_quantiles(scores, alpha: float, groups, n_groups: int) -> tuple[np.nda
     MissingClass
         If a group has no rows; the first empty group is named.
     """
-    scores = np.asarray(scores, dtype=float)
-    groups = np.asarray(groups, dtype=int)
-    if groups.size and not (groups.min() >= 0 and groups.max() < n_groups):
-        raise InvalidClass(f"group ids must lie in [0, {n_groups})")
-    counts = np.bincount(groups, minlength=n_groups)
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise MissingClass(
-            f"class {empty[0]} has no calibration records; a class-wise fit "
-            "needs every class represented"
-        )
-    return np.stack([column_quantiles(scores[groups == k], alpha) for k in range(n_groups)]), counts
+    grouped, _, bounds = _grouped(scores, groups, n_groups)
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        grouped[lo:hi].sort(axis=0)
+    q, counts = masked_group_quantiles(grouped, bounds, np.ones((1,) + grouped.shape[::-1], dtype=bool), alpha)
+    return q[0], counts[0]
 
 
 def fit_quantiles_from_scores(

@@ -10,6 +10,8 @@ from confdet.classification import (
     classification_quantile,
     prediction_set_matrix,
     raps_score,
+    set_totals,
+    sets_from_totals,
     true_class_scores,
 )
 from confdet.core import RAPSConfig
@@ -178,6 +180,23 @@ def test_prediction_set_matrix_matches_scalar():
                 s = reference.build_prediction_set(probs[i], qhat, cfg)
                 assert sizes[i] == len(s)
                 assert set(np.flatnonzero(member[i])) == set(s.classes)
+
+
+@pytest.mark.parametrize("allow_empty", [False, True])
+def test_sets_from_totals_takes_one_threshold_per_batch_entry(allow_empty):
+    rng = np.random.default_rng(10)
+    cfg = RAPSConfig(penalty_a=0.1, threshold_b=1, allow_empty=allow_empty)
+    qhats = np.array([0.0, math.inf, 0.4, 1.05, 0.0])
+    order, totals = set_totals(np.stack([random_probs(rng, 6) for _ in range(5 * 20)]), cfg)
+    order, totals = order.reshape(5, 20, 6), totals.reshape(5, 20, 6)
+    member, sizes = sets_from_totals(order, totals, qhats, cfg)
+    assert member.shape == (5, 20, 6) and sizes.shape == (5, 20)
+    for b, qhat in enumerate(qhats.tolist()):
+        one_member, one_sizes = sets_from_totals(order[b], totals[b], qhat, cfg)
+        assert np.array_equal(member[b], one_member)
+        assert np.array_equal(sizes[b], one_sizes)
+    with pytest.raises(OutOfRange):
+        sets_from_totals(order, totals, np.array([0.1, -1.0, 0.2, 0.3, 0.4]), cfg)
 
 
 def test_penalty_at_inference_flag_changes_totals():

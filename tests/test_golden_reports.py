@@ -11,6 +11,7 @@ The digests hold for numpy 2.4.6 and scipy 1.17.1.  Another version may
 round the last bit of a float differently, and would need new digests.
 """
 
+import dataclasses
 import hashlib
 import json
 from functools import lru_cache
@@ -45,6 +46,12 @@ VARIANTS = {
     # ``confdet run --scope`` does without a fit fraction
     "scaled-recal-full": dict(scaling="scaled", calibration_scope="per_coordinate_per_class_relative"),
     "scaled-global": dict(scaling="scaled", calibration_scope="global_relative"),
+    # ragged per-class calibration counts in the by-class regimes
+    "unstratified": dict(stratified=False),
+    # enough runs to cross the edges of the run blocks and chunks
+    "23-runs": dict(scaling="scaled", n_runs=23),
+    # on the lone-class data (see ``_data``) every run warns three times
+    "lone-class": dict(scaling="scaled", calibration_scope="per_coordinate_per_class_relative"),
     # RAPS settings the default leaves idle: with 4 classes and
     # threshold_b=5 the rank penalty never fires, and at alpha_class=0.05
     # nearly every set holds all classes.  These lower both.
@@ -69,6 +76,11 @@ CASES += [
     ("class_wise", "scaled-recal-full", False),
     ("two_step", "scaled-recal-full", True),
     ("class_agnostic", "scaled-global", False),
+    ("class_wise", "unstratified", False),
+    ("two_step", "unstratified", False),
+    ("naive_worst_case", "scaled-raw", True),
+    ("two_step", "23-runs", False),
+    ("two_step", "lone-class", False),
 ]
 
 GOLDEN = {
@@ -163,12 +175,42 @@ GOLDEN = {
         "a3f8d9c184b2c0a74b9cb3b1d9cc90e1a0be11ee94e243b6d27085c0c0d96a3f",
         "ede3a1399c745a2a09b047e431e7fb01ced16cc7849fffe13da96979a1a89f5f",
     ),
+    # recorded before the runs were batched into blocks and chunks, to
+    # guard ragged groups, the naive transfer path, block edges and warnings
+    "class_wise-unstratified": (
+        "bce35b1b4cc08ba2631376e53e4e707105924e9ac755eb39f78d685a78fd870b",
+        "5739f8788576fc870916886c5d492ca87c1ed1108e0aea3fa3b6904168cb0246",
+    ),
+    "two_step-unstratified": (
+        "4d13ff5de636788471324217b0f93decb95d5863c4d59a816e5b57d2b8bba606",
+        "dab17497d7099ba513877eb12ba07e323b4c5bc57969d97bcab7ab674994da4a",
+    ),
+    "naive_worst_case-scaled-raw-transfer": (
+        "8176cbed4bb2566aedec729bd0a49a60b08792dad7e489cf87e3c71ea271893c",
+        "0e771429e28183285dad01d741581950d1f537a89bbedabf579241b9fc4c8165",
+    ),
+    "two_step-23-runs": (
+        "7d79bc21c84627e80acdc1f567d832f3d3b9acb870c6ded74caf661daf421b1b",
+        "fea4ab2d14a74648f7b2e02491febfe8e3dce4ff9a9e702f7c8dd85ddcaf5705",
+    ),
+    "two_step-lone-class": (
+        "ec2b4a5a8fb0222bb5b473b163acfd9c96f4d2f35e509b728c80e8b5e0a3dc9f",
+        "8e7fd4e00cf5a3d551461ccd5222c3b509cf3d07460ca6946124c833ea7d50dc",
+    ),
 }
 
 
 @lru_cache(maxsize=None)
-def _data(seed: int, shift=None):
-    return generate(OracleSpec(seed=seed, shift=shift, **_BASE))[0]
+def _data(seed: int, shift=None, lone_class: bool = False):
+    data = generate(OracleSpec(seed=seed, shift=shift, **_BASE))[0]
+    if lone_class:
+        # all but one class-3 record become class 0: the lone record always
+        # lands in calibration, below min_per_class and below the calibrator's
+        # min_class_fit
+        gt_class = data.gt_class.copy()
+        gt_class[(gt_class == 3).nonzero()[0][1:]] = 0
+        data = dataclasses.replace(data, gt_class=gt_class)
+    return data
 
 
 def _case_id(case) -> str:
@@ -176,7 +218,7 @@ def _case_id(case) -> str:
     return f"{regime}-{variant}" + ("-transfer" if transfer else "")
 
 
-def _report(case):
+def _report(case, workers: int = 1):
     regime, variant, transfer = case
     options = dict(
         miscoverage=MiscoverageConfig(alpha_corner=0.025, alpha_class=0.05),
@@ -187,12 +229,15 @@ def _report(case):
     )
     options.update(VARIANTS[variant])
     return run_experiment(
-        _data(3), RunConfig(**options), eval_dataset=_data(4, shift=1.5) if transfer else None
+        _data(3, lone_class=variant == "lone-class"),
+        RunConfig(**options),
+        eval_dataset=_data(4, shift=1.5) if transfer else None,
+        workers=workers,
     )
 
 
-def report_digests(case) -> tuple[str, str]:
-    report = _report(case)
+def report_digests(case, workers: int = 1) -> tuple[str, str]:
+    report = _report(case, workers)
     doc = json.loads(emit_report(report, "json"))
     results = json.dumps({k: doc[k] for k in ("per_run", "aggregate")}, sort_keys=True)
     csv_text = emit_report(report, "csv")
@@ -205,6 +250,22 @@ def report_digests(case) -> tuple[str, str]:
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_report_bytes_match_golden(case):
     assert report_digests(case) == GOLDEN[_case_id(case)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_report_bytes_match_golden_across_worker_blocks(workers):
+    case = ("two_step", "23-runs", False)
+    assert report_digests(case, workers) == GOLDEN[_case_id(case)]
+
+
+def test_lone_class_fires_every_run_warning():
+    report = _report(("two_step", "lone-class", False))
+    for run in report.per_run:
+        assert run.warnings == (
+            "classes absent from evaluation: 3",
+            "calibrator fell back to the global map for classes 3",
+            "classes below min_per_class: 3",
+        )
 
 
 # Whole-text digests: the JSON report including ``config``, and the
@@ -234,6 +295,11 @@ WHOLE_JSON = {
     "class_wise-scaled-recal-full": "5c4af1175eb5b9635c15de64bbd35cd2ea33138a1b23240161b387f492bbc415",
     "two_step-scaled-recal-full-transfer": "6a2f23dbdbe16d15fd076cca0f8078368904c8da8ff2495e6ff5128b6d692af8",
     "class_agnostic-scaled-global": "174fb22e5c71b395e882067d29bd169a32bb6a7a96e16eee183a974ab68bccb1",
+    "class_wise-unstratified": "a722874be688ef8e1ec069e3618dab1c91df0eca3dad2405f1c638e13a1e2f84",
+    "two_step-unstratified": "8530ce766a3740b59b429acc8451213e422ccfdef64ad81d41cdf82ee9169dea",
+    "naive_worst_case-scaled-raw-transfer": "362913b8d528d1f8bf686e76a555b9686930a4619af89953e66d2073e86c290a",
+    "two_step-23-runs": "def9a514a0b53267ead3bf2c9c6ab22d07ece98bc237365af7db9d8c585d6cf5",
+    "two_step-lone-class": "10b14d7bbd0bd3eaea397da30ff1dc0ac09f6b853468eea01bdf4dde49664e42",
 }
 
 CLI_GOLDEN = {

@@ -10,6 +10,7 @@ from confdet.core import BoundingBox, Dataset, MiscoverageConfig, RAPSConfig
 from confdet.errors import (
     DataError,
     EmptySetConfig,
+    InvalidClass,
     OutOfRange,
     SeedMismatch,
     StratificationImpossible,
@@ -200,6 +201,44 @@ def test_pool_never_has_more_workers_than_runs(monkeypatch, workers, n_runs, exp
     assert pooled.per_run == run_experiment(ds, config, workers=1).per_run
 
 
+_SCALED = dict(scaling="scaled")
+_RECAL = dict(scaling="scaled", calibration_scope="per_coordinate_per_class_relative", calibrator_fit_fraction=0.5)
+CHUNK_VARIANTS = [
+    (regime, options, transfer)
+    for regime in REGIMES
+    for options, transfer in (
+        ({}, False),
+        (_SCALED, False),
+        (_RECAL, False),
+        (dict(scaling="scaled", calibration_scope="global_relative"), True),
+        (_SCALED, True),
+    )
+] + [(regime, dict(stratified=False), False) for regime in ("class_wise", "two_step")]
+
+
+@pytest.mark.parametrize("runs_per_chunk", [1, 2, 7])
+def test_per_run_results_do_not_depend_on_the_chunk_size(monkeypatch, runs_per_chunk):
+    base = dict(n_records=300, n_classes=3, corner_noise=((2.0, 10.0),) * 3)
+    source, _ = generate(OracleSpec(seed=40, **base))
+    target, _ = generate(OracleSpec(seed=41, shift=1.0, **base))
+    configs = [
+        (small_config(n_runs=9, regime=regime, min_per_class=5, **options), target if transfer else None)
+        for regime, options, transfer in CHUNK_VARIANTS
+    ]
+    # the default budget fits all nine runs of these small experiments in one chunk
+    default = [run_experiment(source, config, eval_dataset=ev).per_run for config, ev in configs]
+
+    chunks = []
+    run_chunk = pipeline._run_chunk
+    monkeypatch.setattr(pipeline, "_run_chunk", lambda ctx, runs: chunks.append(len(runs)) or run_chunk(ctx, runs))
+    monkeypatch.setattr(pipeline, "_run_elements", lambda ctx: 1000)
+    monkeypatch.setattr(pipeline, "_CHUNK_ELEMENTS", 1000 * runs_per_chunk)
+    for (config, ev), expected in zip(configs, default):
+        chunks.clear()
+        assert run_experiment(source, config, eval_dataset=ev).per_run == expected
+        assert chunks == [runs_per_chunk] * (9 // runs_per_chunk) + [9 % runs_per_chunk] * (9 % runs_per_chunk > 0)
+
+
 def test_run_diagnostics_reach_the_report_not_the_log(caplog):
     # class 1 has one record: its calibrator map falls back to the global
     # one and its quantiles are flagged, in every run
@@ -350,6 +389,18 @@ def test_hand_built_dataset_with_nan_prediction_is_rejected():
     for scaling in ("unscaled", "scaled"):
         with pytest.raises(DataError):
             run_experiment(bad, small_config(n_runs=2, scaling=scaling))
+
+
+@pytest.mark.parametrize("stratified", [True, False])
+def test_hand_built_dataset_with_a_class_outside_the_classes_is_rejected(stratified):
+    # a stratified split once left the row out of every run without a word
+    ds = make_dataset(120, n_classes=2, seed=1)
+    gt_class = ds.gt_class.copy()
+    gt_class[5] = 7
+    bad = dataclasses.replace(ds, gt_class=gt_class)
+    for regime in ("class_wise", "naive_worst_case"):
+        with pytest.raises(InvalidClass):
+            run_experiment(bad, small_config(regime=regime, stratified=stratified, min_per_class=5))
 
 
 def test_class_wise_quantile_summary_counts_groups():

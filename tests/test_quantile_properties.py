@@ -12,7 +12,14 @@ from hypothesis.extra.numpy import arrays
 from confdet.classification import prediction_set_matrix, set_totals, sets_from_totals
 from confdet.core import RAPSConfig
 from confdet.errors import DataError, InvalidClass, MissingClass
-from confdet.regression import _order_rank, column_quantiles, conformal_quantile, group_quantiles
+from confdet.regression import (
+    _order_rank,
+    column_quantiles,
+    conformal_quantile,
+    group_quantiles,
+    masked_group_quantiles,
+    presort_groups,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -113,6 +120,59 @@ def test_group_quantiles_rejects_ids_outside_the_groups(labels):
     # fit_quantiles_from_scores once left rows with an id >= n_classes out of every group
     with pytest.raises(InvalidClass, match=r"group ids must lie in \[0, 2\)"):
         group_quantiles(np.ones((4, 4)), 0.1, labels, 2)
+
+
+@st.composite
+def masked_samples(draw):
+    """Tied scores, random group ids (some groups may have no row) and a (B, n) mask.
+
+    With ``cover`` every sample holds one row of each group that has rows,
+    so the fits succeed unless a group has no row at all; without it
+    samples often miss a group.
+    """
+    n = draw(st.integers(1, 30))
+    g = draw(st.integers(1, 4))
+    labels = np.array(draw(st.lists(st.integers(0, g - 1), min_size=n, max_size=n)), dtype=int)
+    m = draw(st.integers(1, 4))
+    scores = draw(arrays(float, (n, m), elements=score_values))
+    mask = draw(arrays(bool, (draw(st.integers(1, 5)), n)))
+    if draw(st.booleans()):  # cover
+        for k in np.unique(labels):
+            mask[:, np.flatnonzero(labels == k)[0]] = True
+    return scores, labels, g, mask
+
+
+@PROPERTY
+@given(masked_samples(), levels)
+def test_property_masked_group_quantiles_are_each_samples_group_quantiles(sample, alpha):
+    scores, labels, g, mask = sample
+    presorted = presort_groups(scores, labels, g)
+    empty = [(b, k) for b, row in enumerate(mask) for k in range(g) if not (labels[row] == k).any()]
+    if empty:
+        # the earliest sample's first empty group is named
+        with pytest.raises(MissingClass, match=f"^class {empty[0][1]} has no calibration records"):
+            masked_group_quantiles(presorted.values, presorted.bounds, presorted.picked(mask), alpha)
+        return
+    q, counts = masked_group_quantiles(presorted.values, presorted.bounds, presorted.picked(mask), alpha)
+    assert q.shape == (len(mask), g, scores.shape[1])
+    for b, row in enumerate(mask):
+        expected_q, expected_counts = group_quantiles(scores[row], alpha, labels[row], g)
+        assert q[b].tolist() == expected_q.tolist()
+        assert counts[b].tolist() == expected_counts.tolist()
+        for k in range(g):  # and the partition of each group's rows agrees
+            assert q[b, k].tolist() == column_quantiles(scores[row][labels[row] == k], alpha).tolist()
+
+
+def test_masked_group_quantiles_ignore_nan_in_rows_no_sample_holds():
+    scores = np.array([[1.0], [math.nan], [2.0], [3.0]])
+    presorted = presort_groups(scores, [0, 0, 1, 1], 2)
+    picked = presorted.picked([[True, False, True, True]])
+    q, counts = masked_group_quantiles(presorted.values, presorted.bounds, picked, 0.5)
+    assert q.tolist() == [[[1.0], [3.0]]]
+    assert counts.tolist() == [[1, 2]]
+    picked = presorted.picked([[True, False, True, True], [True, True, True, False]])
+    with pytest.raises(DataError):
+        masked_group_quantiles(presorted.values, presorted.bounds, picked, 0.5)
 
 
 @st.composite
