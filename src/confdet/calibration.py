@@ -409,5 +409,5 @@ def load_calibrator(path) -> SigmaCalibrator:
             fallback_keys=tuple(int(k) for k in doc.get("fallback_classes", [])),
             n_excluded=int(doc.get("n_excluded", 0)),
         )
-    except (KeyError, TypeError, ValueError, MalformedFile) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError, MalformedFile) as exc:  # RecursionError: JSON nested too deeply
         raise MalformedFile(f"{path}: not a sigma calibrator: {exc}") from exc

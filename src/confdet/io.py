@@ -50,16 +50,66 @@ class LoadReport:
     messages: tuple[str, ...]
 
 
+#: The C scan under ``json.loads``: ``(value, end)`` for the JSON value that
+#: starts at an index.  Where ``json.loads`` would say "Expecting value" it
+#: raises ``StopIteration``; it raises ``json.JSONDecodeError`` for other
+#: syntax errors and ``RecursionError`` for a value nested too deeply.
+_scan = json.JSONDecoder().scan_once
+
+#: What a line that breaks a rule can raise on the fast path of :func:`_read_line`
+#: (``UnicodeEncodeError`` and ``json.JSONDecodeError`` are ``ValueError``\ s).
+_HAND_OVER = (ValueError, TypeError, KeyError, OverflowError, RecursionError, StopIteration)
+
+
 def _read_line(line: str, lineno: int) -> tuple[array, object, str]:
-    """The numbers, ``gt_class`` and image id on one line, after the checks that need the raw JSON."""
+    """The numbers, ``gt_class`` and image id on one line, after the checks that need the raw JSON.
+
+    The whole line is tried at once: one scan and one pass of checks that
+    accept exactly what :func:`_checked_line` accepts.  A line that fails
+    them goes to :func:`_checked_line`, which runs the checks in order and
+    names the first rule the line breaks.
+    """
     try:
         line.encode("utf-8")  # the file is decoded with surrogateescape
+        text = line.strip(" \t\n\r")  # the whitespace json.loads skips around a value
+        doc, end = _scan(text, 0)
+        p, g, s, c = doc["pred_box"], doc["gt_box"], doc["sigma"], doc["class_probs"]
+        label, image_id = doc["gt_class"], doc["image_id"]
+        if (
+            end == len(text)
+            and type(p) is list
+            and len(p) == 4
+            and type(g) is list
+            and len(g) == 4
+            and type(s) is list
+            and len(s) == 4
+            and type(c) is list
+            and c
+            and type(image_id) is str
+        ):
+            values = p + g + s + c
+            # array("d") raises TypeError on a JSON string, null, list or object, and
+            # OverflowError on an int beyond the float range, but takes true and false;
+            # so the exact type check runs only where a boolean literal may be
+            if ("true" not in text and "false" not in text) or {int, float}.issuperset(map(type, values)):
+                return array("d", values), label, image_id
+    except _HAND_OVER:
+        pass
+    return _checked_line(line, lineno)
+
+
+def _checked_line(line: str, lineno: int) -> tuple[array, object, str]:
+    """:func:`_read_line` by ordered checks: raises for the first rule the line breaks."""
+    try:
+        line.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ParseError(lineno, "invalid UTF-8") from exc
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(lineno, "invalid JSON (nested too deeply)") from exc
     if not isinstance(doc, dict):
         raise ValidationError("record line must be a JSON object", line=lineno)
     missing = [f for f in RECORD_FIELDS if f not in doc]
@@ -93,12 +143,6 @@ class _Rows:
         self.labels: list = []  # gt_class as parsed, checked by validate_columns
         self.image_ids: list[str] = []
 
-    def append(self, lineno: int, values: array, label, image_id: str) -> None:
-        self.values += values
-        self.lines.append(lineno)
-        self.labels.append(label)
-        self.image_ids.append(image_id)
-
     def problems(self) -> dict[int, str]:
         """The data rules each bad row breaks, joined into one message, by row."""
         values = np.frombuffer(self.values).reshape(len(self.lines), -1)
@@ -107,14 +151,15 @@ class _Rows:
 
     def dataset(self, bad) -> Dataset:
         """The rows not in ``bad``."""
-        rows = np.setdiff1d(np.arange(len(self.lines)), list(bad))
+        rows = np.ones(len(self.lines), dtype=bool)
+        rows[list(bad)] = False
         values = np.frombuffer(self.values).reshape(len(self.lines), -1)
         return Dataset(
             image_ids=np.array(self.image_ids, dtype=object)[rows],
             pred=values[rows, 0:4],
             gt=values[rows, 4:8],
             sigma=values[rows, 8:12],
-            gt_class=np.array([self.labels[r] for r in rows], dtype=int),
+            gt_class=np.fromiter(self.labels, dtype=object, count=len(self.labels))[rows].astype(int),
             probs=values[rows, 12:],
         )
 
@@ -152,7 +197,11 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
                 if strict:
                     break  # an earlier line may still break a data rule
                 continue
-            groups[len(values) - 12].append(lineno, values, label, image_id)
+            rows = groups[len(values) - 12]
+            rows.values += values
+            rows.lines.append(lineno)
+            rows.labels.append(label)
+            rows.image_ids.append(image_id)
     problems = {k: rows.problems() for k, rows in groups.items()}  # once on a well-formed file
     first, n_classes = math.inf, None
     for k, rows in groups.items():
@@ -349,5 +398,5 @@ def load_report(path) -> RunReport:
             aggregate=doc.get("aggregate", {}),
             significance=doc.get("significance"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise MalformedFile(f"{path}: not a confdet report ({type(exc).__name__}: {exc})") from exc

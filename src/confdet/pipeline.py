@@ -40,7 +40,6 @@ sorts the scores it fits on.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
@@ -611,6 +610,8 @@ def run_experiment(
     ctx = _context(dataset, config, eval_dataset)
     n_runs, n_workers = config.n_runs, min(workers, config.n_runs)
     if n_workers > 1:  # one contiguous block of runs per worker
+        from concurrent.futures import ProcessPoolExecutor  # deferred: it loads multiprocessing
+
         blocks = [range(j * n_runs // n_workers, (j + 1) * n_runs // n_workers) for j in range(n_workers)]
         with ProcessPoolExecutor(max_workers=n_workers, initializer=_init_worker, initargs=(ctx,)) as pool:
             results = [r for block in pool.map(_worker_block, blocks) for r in block]

@@ -180,11 +180,15 @@ def presort_groups(scores, groups, n_groups: int) -> GroupSort:
     InvalidClass
         If a group id lies outside ``[0, n_groups)``.
     """
-    grouped, by_group, bounds = _grouped(scores, groups, n_groups)
-    order = np.empty(grouped.shape, dtype=np.intp)  # first into ``grouped``, then into ``scores``
+    values, by_group, bounds = _grouped(scores, groups, n_groups)
+    order = np.empty(values.shape, dtype=np.intp)
+    # sorted in place one group's column at a time, so the temporaries are one column of one group
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        order[lo:hi] = lo + np.argsort(grouped[lo:hi], axis=0)
-    return GroupSort(np.take_along_axis(grouped, order, axis=0), by_group[order], bounds)
+        for column, rows in zip(values[lo:hi].T, order[lo:hi].T):
+            ranks = np.argsort(column)
+            column[:] = column[ranks]
+            rows[:] = by_group[lo:hi][ranks]
+    return GroupSort(values, order, bounds)
 
 
 def masked_group_quantiles(values, bounds, picked, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -636,3 +636,11 @@ def test_load_calibrator_rejects_malformed_maps(tmp_path, edit, names):
     with pytest.raises(DataError, match="bad.json") as excinfo:
         load_calibrator(path)
     assert names in str(excinfo.value)
+
+
+def test_load_calibrator_rejects_json_nested_too_deeply(tmp_path):
+    # json.load raises RecursionError on it, which once escaped as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(DataError, match="deep.json"):
+        load_calibrator(path)

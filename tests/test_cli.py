@@ -39,12 +39,13 @@ def run_args(data_path, out, extra=()):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # only `compare` needs scipy, and importing it doubles the start-up time
+    # only `compare` needs scipy, and importing it doubles the start-up time;
+    # only a run on more than one worker needs the process pool
     src = str(Path(confdet.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import confdet.cli; import sys; print('scipy' in sys.modules)"
+    code = "import confdet.cli; import sys; print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------- parsing helpers
@@ -187,6 +188,16 @@ def test_strict_load_failure_exits_2(tmp_path):
     path.write_text('{"image_id": "x"}\n', encoding="utf-8")
     code = main(run_args(str(path), str(tmp_path / "r.json"), extra=["--strict"]))
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [[], ["--strict"]])
+def test_json_nested_too_deeply_exits_2(tmp_path, capsys, extra):
+    # json raises RecursionError on it, which once gave exit 3 with a traceback
+    path = tmp_path / "deep.jsonl"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    assert main(run_args(str(path), str(tmp_path / "r.json"), extra=extra)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_strict_non_integer_gt_class_exits_2(data_path, tmp_path):
@@ -385,8 +396,9 @@ def _string_metric(text: str) -> str:
         lambda report: "[1,2]",
         _renamed_metric,
         _string_metric,
+        lambda report: "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric"],
+    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric", "nested-too-deeply"],
 )
 def test_compare_on_a_non_report_exits_2(data_path, tmp_path, capsys, make_text):
     good = tmp_path / "good.json"

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import reference
-from confdet.core import Dataset, MiscoverageConfig
-from confdet.errors import EmptyFile, OutOfRange, ParseError, ValidationError
+from confdet.core import PROB_SUM_TOL, Dataset, MiscoverageConfig
+from confdet.errors import EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
 from confdet.io import (
     _WRITE_CHUNK,
     CSV_COLUMNS,
@@ -214,8 +214,81 @@ def test_probability_sum_that_fsum_cannot_take_is_rejected(tmp_path, probs):
     assert excinfo.value.line == 2
 
 
+#: A value that json.loads cannot take: it raises RecursionError, not JSONDecodeError.
+NESTED_TOO_DEEPLY = "[" * 100_000 + "]" * 100_000
+
+
+def test_a_line_nested_too_deeply_is_a_parse_error(tmp_path):
+    # the RecursionError once escaped the loader, and the CLI exited 3 with a traceback
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n".join([good_line(), NESTED_TOO_DEEPLY, good_line("img-2")]) + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (2,)
+    assert report.messages == ("line 2: invalid JSON (nested too deeply)",)
+    assert list(dataset.image_ids) == ["img-0", "img-2"]
+    with pytest.raises(ParseError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 2
+
+
+def test_load_report_rejects_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(NESTED_TOO_DEEPLY, encoding="utf-8")
+    with pytest.raises(MalformedFile, match="deep.json"):
+        load_report(path)
+
+
+def _sum_edges():
+    """The floats one ulp inside and one ulp outside each edge of the probability-sum tolerance."""
+    edges = []
+    for edge, away in ((1.0 + PROB_SUM_TOL, math.inf), (1.0 - PROB_SUM_TOL, -math.inf)):
+        inside = edge if abs(edge - 1.0) <= PROB_SUM_TOL else math.nextafter(edge, 1.0)
+        outside = math.nextafter(inside, away)
+        assert abs(inside - 1.0) <= PROB_SUM_TOL < abs(outside - 1.0)
+        edges += [inside, outside]
+    return edges
+
+
+def probs_summing_to(rng, k, total):
+    """``k`` random probabilities whose exact sum rounds to ``total``."""
+    for _ in range(100):
+        probs = list(rng.dirichlet(np.ones(k)) * total)
+        big = int(np.argmax(probs))  # nudged by its own ulp, at least a quarter of the sum's
+        probs[big] += total - math.fsum(probs)
+        for _ in range(16):  # the sum may step over the value between two halfway points: draw again
+            s = math.fsum(probs)
+            if s == total:
+                return probs
+            probs[big] = math.nextafter(probs[big], math.inf if s < total else -math.inf)
+    raise AssertionError(f"no probabilities sum to {total!r}")
+
+
+def test_probability_sums_one_ulp_from_the_tolerance_match_reference(tmp_path):
+    # the loader decides the sum rule from summed rows where the exact sum
+    # cannot lie across the tolerance; these rows lie one ulp from it
+    rng = np.random.default_rng(40)
+    path = tmp_path / "edges.jsonl"
+    for k in (1, 2, 3, 7, 12, 30):
+        lines = []
+        for total in _sum_edges() * 5 + [1.0, 0.5]:
+            doc = json.loads(good_line(f"k{k}"))
+            doc["class_probs"] = probs_summing_to(rng, k, total)
+            lines.append(json.dumps(doc))
+        if k >= 4:  # summed in order, these lose the 1 that fsum keeps: the sum is 2, not 1
+            doc["class_probs"] = [1e16, 1.0, -1e16, 1.0] + [0.0] * (k - 4)
+            lines.append(json.dumps(doc))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for strict in (False, True):
+            assert _outcome(load_dataset, path, strict) == _outcome(reference.load_dataset, path, strict)
+
+
 def _fuzzed_doc(rng, k):
-    """A record line for the loader equivalence test: valid, or broken by one or two rules."""
+    """A record line for the loader equivalence test: valid, or broken by one or two rules.
+
+    Kinds 16 to 23 are lines that parse or nearly parse, where the loader's
+    one-scan path must hand over to its ordered checks without changing the
+    outcome.
+    """
     x0, y0 = rng.uniform(-5, 500, size=2)
     pred = [x0, y0, x0 + rng.uniform(0, 100), y0 + rng.uniform(0, 100)]
     gt = [v + rng.normal(0, 3) for v in pred]
@@ -229,7 +302,7 @@ def _fuzzed_doc(rng, k):
         "sigma": list(rng.uniform(0.5, 5.0, size=4)),
     }
     for _ in range(int(rng.choice([0, 0, 0, 1, 2]))):
-        kind = int(rng.integers(16))
+        kind = int(rng.integers(24))
         box = doc[str(rng.choice(["pred_box", "gt_box"]))]
         i = int(rng.integers(4))
         if kind == 0:  # non-finite box
@@ -270,8 +343,31 @@ def _fuzzed_doc(rng, k):
             break
         elif kind == 14:
             return "[1, 2]"
-        else:
+        elif kind == 15:
             return "{broken"
+        elif kind == 16:
+            return "\ufeff" + json.dumps(doc)
+        elif kind == 17:  # trailing data after the object
+            return json.dumps(doc) + str(rng.choice([" x", "{}", " 0", ",", "]"]))
+        elif kind == 18:  # whitespace to str.strip but not to JSON
+            pad = str(rng.choice(["\u00a0", "\x0b"]))
+            return [pad + json.dumps(doc), json.dumps(doc) + pad, pad + json.dumps(doc) + pad][int(rng.integers(3))]
+        elif kind == 19:
+            box[i] = bool(rng.integers(2))
+        elif kind == 20:
+            j = int(rng.integers(k))
+            doc["class_probs"][j] = [doc["class_probs"][j]]
+            break
+        elif kind == 21:  # a top-level number or string
+            return str(rng.choice(["3", "-1.5e3", '"a record"']))
+        elif kind == 22:  # nested deeply, but within what json.loads parses
+            value = 0
+            for _ in range(int(rng.integers(50, 400))):
+                value = [value]
+            doc[str(rng.choice(["extra", "gt_class", "class_probs", "image_id"]))] = value
+            break
+        else:  # a probability sum one ulp either side of 1 +- PROB_SUM_TOL
+            doc["class_probs"] = probs_summing_to(rng, k, float(rng.choice(_sum_edges())))
     return json.dumps(doc)
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import logging
 import math
@@ -191,7 +192,7 @@ class _InProcessPool:
 @pytest.mark.parametrize("workers, n_runs, expected", [(64, 2, 2), (2, 5, 2), (3, 3, 3)])
 def test_pool_never_has_more_workers_than_runs(monkeypatch, workers, n_runs, expected):
     # a fork-based pool starts every worker at the first submit, used or not
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)  # imported where it is used
     monkeypatch.setattr(pipeline, "_WORKER_CTX", None)
     monkeypatch.setattr(_InProcessPool, "max_workers_seen", [])
     ds = make_dataset(60, n_classes=2, seed=10)
