@@ -273,9 +273,14 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_f
     return SigmaPlan(scope, min_class_fit, sigma, usable, dims, finite, cls, classes, tuple(maps))
 
 
-def _fit(plan: SigmaPlan, fit_mask: np.ndarray):
+def _fit(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool = False):
     """``n_excluded``, the fallback classes and, for each map fitted on the
-    rows of ``fit_mask``, ``(map, ids of its breakpoints, breakpoints, values)``."""
+    rows of ``fit_mask``, ``(map, ids of its breakpoints, breakpoints, values)``.
+
+    With ``lookup`` the global map is fitted only if some usable plan row's
+    class gets no class map of its own here, the one case where a lookup of
+    the plan rows reads it.
+    """
     if not fit_mask.any():
         raise EmptyFit("fit_calibrator needs at least one record")
     fit = fit_mask & plan.usable
@@ -286,9 +291,11 @@ def _fit(plan: SigmaPlan, fit_mask: np.ndarray):
     counts = np.bincount(plan.cls[fit], minlength=len(plan.classes))
     small = (counts > 0) & (counts < plan.min_class_fit)
     fallback = tuple(plan.classes[small].tolist()) if plan.scope == SCOPE_PER_CLASS else ()
+    fitted = counts >= max(plan.min_class_fit, 1)  # a class fitted here has maps in the plan
+    need_global = not (lookup and plan.scope == SCOPE_PER_CLASS and fitted[plan.cls[plan.usable]].all())
     fits = []
     for m in plan.maps:
-        if m.group < 0 or counts[m.group] >= max(plan.min_class_fit, 1):
+        if need_global if m.group < 0 else fitted[m.group]:
             sel = fit[m.flat // 4]
             x = m.x[sel]
             start, values = _pool(x, m.y[sel], np.ones(len(x)))
@@ -302,10 +309,13 @@ def recalibrate(plan: SigmaPlan, fit_mask: np.ndarray) -> tuple[np.ndarray, int,
     Returns the ``(n, 4)`` sigma as :func:`calibrated_sigma_array` gives it,
     ``n_excluded`` and the fallback classes.  A map is evaluated by rank:
     its breakpoints at or below an x are the breakpoint ids up to x's id.
+    At the per-class scope the global map is fitted only when some usable
+    row's class falls back to it (too few fit rows, or no map in the plan);
+    otherwise the class maps cover every usable row.
     """
-    n_excluded, fallback, fits = _fit(plan, np.asarray(fit_mask, dtype=bool))
+    n_excluded, fallback, fits = _fit(plan, np.asarray(fit_mask, dtype=bool), lookup=True)
     mapped = np.empty(plan.sigma.size)
-    for m, bp_ids, _, values in fits:  # global first, then class maps overwrite their rows
+    for m, bp_ids, _, values in fits:  # global (if fitted) first, then class maps overwrite their rows
         flags = np.zeros(m.ids[-1] + 1, dtype=np.intp)
         flags[bp_ids] = 1
         mapped[m.flat] = values[np.maximum(np.cumsum(flags)[m.ids] - 1, 0)]

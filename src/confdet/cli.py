@@ -116,12 +116,18 @@ def _resolve_workers(flag_value: int | None) -> int:
     env = os.environ.get("CONFDET_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers, source = int(env), "CONFDET_WORKERS"
         except ValueError:
             raise ConfigError(f"CONFDET_WORKERS must be an integer, got {env!r}") from None
-    if flag_value is not None:
-        return max(1, flag_value)
-    return os.cpu_count() or 1
+    elif flag_value is not None:
+        workers, source = flag_value, "--workers"
+    elif hasattr(os, "sched_getaffinity"):  # the cores this process may run on
+        return len(os.sched_getaffinity(0))
+    else:
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ConfigError(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
@@ -141,7 +147,7 @@ def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: all cores; CONFDET_WORKERS overrides)",
+        help="worker processes (default: the cores this process may run on; CONFDET_WORKERS overrides)",
     )
     p.add_argument("--out", default=None, help="report path (default: stdout)")
     p.add_argument("--format", choices=REPORT_FORMATS, default="json")
@@ -179,21 +185,18 @@ def _emit(args, report) -> None:
 
 
 def _cmd_run(args) -> int:
+    config, workers = _run_config(args), _resolve_workers(args.workers)
     dataset, _ = load_dataset(args.data, strict=args.strict)
     eval_dataset = None
     if args.eval_data is not None:
         eval_dataset, _ = load_dataset(args.eval_data, strict=args.strict)
-    report = run_experiment(
-        dataset,
-        _run_config(args),
-        eval_dataset=eval_dataset,
-        workers=_resolve_workers(args.workers),
-    )
+    report = run_experiment(dataset, config, eval_dataset=eval_dataset, workers=workers)
     _emit(args, report)
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    config, workers = _run_config(args), _resolve_workers(args.workers)
     spec = OracleSpec(
         n_records=args.records,
         n_classes=args.classes,
@@ -210,7 +213,7 @@ def _cmd_simulate(args) -> int:
         save_dataset(dataset, args.data_out)
     if args.oracle_out:
         save_oracle_info(info, args.oracle_out)
-    report = run_experiment(dataset, _run_config(args), workers=_resolve_workers(args.workers))
+    report = run_experiment(dataset, config, workers=workers)
     _emit(args, report)
     return 0
 

@@ -322,27 +322,37 @@ def _reference_calibrator(pred, gt, sigma, gt_class, scope):
 @st.composite
 def sigma_tables(draw):
     """Rows with few distinct sigmas and box sizes (so x has many ties), some
-    degenerate boxes, spaced class labels of which the last has one row, and
-    a fit mask that leaves the rows from ``n_cal`` on out, as transfer rows."""
-    n = draw(st.integers(2, 40))
+    degenerate boxes, spaced class labels, and a fit mask that leaves the rows
+    from ``n_cal`` on out, as transfer rows.  Either the last class has one
+    row, so some usable row may need the global map, or the leading rows fit
+    every class ``MIN_CLASS_FIT`` times on usable boxes, so no row needs it."""
     n_classes = draw(st.integers(2, 4))
+    lead = MIN_CLASS_FIT * n_classes if draw(st.booleans()) else 0
+    n = draw(st.integers(max(lead, 2), 40))
 
     def ints(lo, hi, shape):
         return draw(hnp.arrays(np.int64, shape, elements=st.integers(lo, hi)))
 
-    gt_class = ints(0, n_classes - 2, n)
-    gt_class[draw(st.integers(0, n - 1))] = n_classes - 1
+    if lead:
+        gt_class = ints(0, n_classes - 1, n)
+        gt_class[:lead] = np.arange(lead) % n_classes
+    else:
+        gt_class = ints(0, n_classes - 2, n)
+        gt_class[draw(st.integers(0, n - 1))] = n_classes - 1
     x0 = ints(0, 50, (n, 2)).astype(float)
-    pred = np.hstack([x0, x0 + 8.0 * ints(0, 6, (n, 2))])  # a zero side is degenerate
+    sides = ints(0, 6, (n, 2))  # a zero side is degenerate
+    sides[:lead] = np.maximum(sides[:lead], 1)
+    pred = np.hstack([x0, x0 + 8.0 * sides])
     gt = pred + ints(-6, 6, (n, 4))
     sigma = ints(1, 4, (n, 4)) / 2.0
     fit = draw(hnp.arrays(bool, n))
-    fit[draw(st.integers(1, n)):] = False
+    fit[draw(st.integers(max(lead, 1), n)):] = False
+    fit[:lead] = True
     return pred, gt, sigma, np.array([0, 3, 7, 9])[gt_class], fit
 
 
 @PROPERTY
-@given(sigma_tables(), st.sampled_from([SCOPE_GLOBAL, SCOPE_PER_CLASS]))
+@given(sigma_tables(), st.sampled_from([SCOPE_PER_CLASS, SCOPE_GLOBAL]))
 def test_property_presorted_fit_matches_isotonic_fit(table, scope):
     pred, gt, sigma, gt_class, fit = table
     plan = sigma_plan(pred, gt, sigma, gt_class, scope)
@@ -358,12 +368,50 @@ def test_property_presorted_fit_matches_isotonic_fit(table, scope):
     maps = {m.key: (tuple(bp.tolist()), tuple(values.tolist())) for m, _, bp, values in fits}
     ref_maps = {key: (cmap.breakpoints, cmap.values) for key, cmap in ref.maps.items()}
     assert maps == {"global": (ref.global_map.breakpoints, ref.global_map.values), **ref_maps}
+    # a lookup fits the global map only if some usable row's class has no class map
+    usable = (pred[:, 2:] - pred[:, :2] > DIMENSION_EPS).all(axis=1)
+    needs_global = any((int(k), 0) not in ref.maps for k in gt_class[usable])
+    _, _, looked_up = fit_plan(plan, fit, lookup=True)
+    assert {m.key for m, *_ in looked_up} == set(maps) - (set() if needs_global else {"global"})
     # by rank, every row is mapped as evaluate_map maps it, the unfitted rows included
     out, n_excluded, fallback = recalibrate(plan, fit)
     assert_array_equal(out, _reference_per_class_sigma(ref, pred, sigma, gt_class))
     calibrator = fit_calibrator_arrays(*rows, scope)
     assert (n_excluded, fallback) == (calibrator.n_excluded, calibrator.fallback_keys)
     assert (n_excluded, fallback) == (ref.n_excluded, ref.fallback_keys)
+
+
+def test_recalibrate_reads_the_global_map_only_where_a_class_has_no_map():
+    # classes 0 and 1 fit four rows each; of the transfer rows, the class-5 one
+    # has no class map in the plan and must read the global map
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(0, 50, (10, 2))
+    pred = np.hstack([x0, x0 + rng.uniform(5, 20, (10, 2))])
+    gt = pred + rng.normal(scale=2.0, size=(10, 4))
+    sigma = rng.uniform(0.5, 3.0, (10, 4))
+    gt_class = np.array([0, 1] * 4 + [1, 5])
+    fit = np.arange(10) < 8
+
+    def recalibrated(n, fit):
+        plan = sigma_plan(pred[:n], gt[:n], sigma[:n], gt_class[:n], SCOPE_PER_CLASS)
+        rows = (pred[fit], gt[fit], sigma[fit], gt_class[fit])
+        expected = calibrated_sigma_array(fit_calibrator_arrays(*rows, SCOPE_PER_CLASS), pred[:n], sigma[:n], gt_class[:n])
+        out, _, fallback = recalibrate(plan, fit[:n])
+        assert_array_equal(out, expected)
+        return out, fallback, {m.key for m, *_ in fit_plan(plan, fit[:n], lookup=True)[2]}
+
+    out, fallback, keys = recalibrated(10, fit)
+    assert "global" in keys and fallback == ()
+    global_map = fit_calibrator_arrays(pred[fit], gt[fit], sigma[fit], gt_class[fit], SCOPE_GLOBAL).global_map
+    dims = (pred[9, 2:] - pred[9, :2])[[0, 1, 0, 1]]
+    assert_array_equal(out[9], np.maximum(evaluate_map(global_map, sigma[9] / dims) * dims, SIGMA_FLOOR))
+    # without that row every usable row's class has a map, so the global map is not fitted
+    skipped, fallback, keys = recalibrated(9, fit)
+    assert "global" not in keys and fallback == ()
+    assert_array_equal(skipped, out[:9])
+    # class 1 fitted on one row falls back to the global map
+    _, fallback, keys = recalibrated(9, fit & ~np.isin(np.arange(10), [3, 5, 7]))
+    assert "global" in keys and fallback == (1,)
 
 
 def test_recalibrate_checks_only_the_fit_rows():

@@ -9,6 +9,7 @@ import pytest
 import confdet
 from confdet.calibration import load_calibrator
 from confdet.cli import _parse_bias, _parse_grid, _parse_noise, _resolve_workers, main
+from confdet.errors import ConfigError
 from confdet.io import load_report, save_dataset
 
 from conftest import make_dataset
@@ -76,8 +77,18 @@ def test_resolve_workers_priority(monkeypatch):
     assert _resolve_workers(8) == 3
     monkeypatch.delenv("CONFDET_WORKERS")
     assert _resolve_workers(8) == 8
-    assert _resolve_workers(0) == 1
+    with pytest.raises(ConfigError, match="--workers"):
+        _resolve_workers(0)
     assert _resolve_workers(None) >= 1
+
+
+def test_default_workers_are_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("CONFDET_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert _resolve_workers(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _resolve_workers(None) == 64
 
 
 # ---------------------------------------------------------------- exit codes
@@ -162,6 +173,26 @@ def test_bad_workers_variable_exits_1(data_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CONFDET_WORKERS", "abc")
     assert main(run_args(data_path, str(tmp_path / "r.json"))) == 1
     assert "CONFDET_WORKERS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_1(data_path, tmp_path, monkeypatch, capsys, workers):
+    out = tmp_path / "r.json"
+    monkeypatch.delenv("CONFDET_WORKERS", raising=False)
+    assert main(run_args(data_path, str(out), extra=["--workers", workers])) == 1
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    monkeypatch.setenv("CONFDET_WORKERS", workers)
+    assert main(run_args(data_path, str(out))) == 1
+    assert "CONFDET_WORKERS must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_bad_workers_before_writing(tmp_path, monkeypatch):
+    monkeypatch.delenv("CONFDET_WORKERS", raising=False)
+    data = tmp_path / "data.jsonl"
+    args = ["simulate", "--records", "200", "--classes", "2", "--seed", "1", "--runs", "2"]
+    assert main(args + ["--workers", "0", "--data-out", str(data), "--out", str(tmp_path / "r.json")]) == 1
+    assert not data.exists()
 
 
 def test_config_error_exits_1(data_path, tmp_path):
