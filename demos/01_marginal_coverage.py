@@ -13,15 +13,9 @@ through a single prediction to show what the calibrated box looks like.
 
 import numpy as np
 
-from confdet import (
-    OracleSpec,
-    bonferroni_corner_alpha,
-    build_conformal_box,
-    conformal_quantile,
-    corner_coverage_event,
-    generate,
-)
-from confdet.regression import residual_scores
+from confdet import OracleSpec, bonferroni_corner_alpha, conformal_quantile, generate
+from confdet.metrics import coverage_events
+from confdet.regression import corner_intervals, outer_inner_boxes, residual_scores
 
 N_CAL = 300
 N_EVAL = 200
@@ -74,21 +68,21 @@ def main():
 
     print("\nOne worked example at alpha_bbox = 0.1 (0.025 per corner):")
     qhat = tuple(conformal_quantile(scores[:N_CAL, c], 0.025) for c in range(4))
-    record = dataset[N_CAL]
-    box = build_conformal_box(record.pred_box, record.sigma, qhat)
+    pred, gt, sigma = dataset.pred[N_CAL], dataset.gt[N_CAL], dataset.sigma[N_CAL]
+    lows, highs = corner_intervals(pred, np.array(qhat), sigma=sigma)
+    outer, inner, inner_ok = outer_inner_boxes(lows, highs)
 
-    def fmt(bb, digits=1):
-        return tuple(round(float(v), digits) for v in bb.as_array())
+    def fmt(corners, digits=1):
+        return tuple(round(float(v), digits) for v in corners)
 
-    print(f"  predicted box : {fmt(record.pred_box)}")
-    print(f"  ground truth  : {fmt(record.gt_box)}")
-    print(f"  sigma         : {tuple(round(v, 2) for v in record.sigma)}")
+    print(f"  predicted box : {fmt(pred)}")
+    print(f"  ground truth  : {fmt(gt)}")
+    print(f"  sigma         : {fmt(sigma, 2)}")
     print(f"  quantiles     : {tuple(round(q, 3) for q in qhat)}")
-    print(f"  outer box     : {fmt(box.outer)}")
-    inner = "degenerate" if box.inner is None else fmt(box.inner)
-    print(f"  inner box     : {inner}")
-    hits, covered = corner_coverage_event(record.gt_box, box)
-    print(f"  corner hits   : {hits}")
+    print(f"  outer box     : {fmt(outer)}")
+    print(f"  inner box     : {fmt(inner) if inner_ok else 'degenerate'}")
+    hits, covered = coverage_events(gt, lows, highs)
+    print(f"  corner hits   : {tuple(hits.tolist())}")
     print(f"  box covered   : {covered}")
 
 

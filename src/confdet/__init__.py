@@ -14,29 +14,22 @@ from .calibration import (
     SigmaCalibrator,
     apply_calibrated_sigma,
     evaluate_map,
-    fit_calibrator,
     isotonic_fit,
     load_calibrator,
-    normalize_sigma,
     pava_fit,
     save_calibrator,
 )
 from .classification import (
-    aps_score,
-    build_prediction_set,
     classification_quantile,
-    raps_score,
     true_class_scores,
 )
 from .core import (
     AGNOSTIC,
     DEFAULT_IMAGE_BOUNDS,
     BoundingBox,
-    ConformalBox,
     Dataset,
     DetectionRecord,
     MiscoverageConfig,
-    PredictionSet,
     QuantileTable,
     RAPSConfig,
     validate_columns,
@@ -64,11 +57,7 @@ from .io import (
 from .metrics import (
     MetricRow,
     box_interval_scores,
-    corner_coverage_event,
-    interval_score,
-    iou,
     paired_t_test,
-    recovery_rate,
 )
 from .oracle import OracleInfo, OracleSpec, generate
 from .pipeline import (
@@ -84,12 +73,7 @@ from .pipeline import (
 )
 from .regression import (
     bonferroni_corner_alpha,
-    build_conformal_box,
     conformal_quantile,
-    fit_class_agnostic,
-    fit_class_wise,
-    score_scaled,
-    score_unscaled,
 )
 
 __version__ = "0.1.0"
@@ -99,7 +83,6 @@ __all__ = [
     "BoundingBox",
     "ConfdetError",
     "ConfigError",
-    "ConformalBox",
     "DEFAULT_IMAGE_BOUNDS",
     "DataError",
     "Dataset",
@@ -113,7 +96,6 @@ __all__ = [
     "OracleSpec",
     "OutOfRange",
     "ParseError",
-    "PredictionSet",
     "QuantileTable",
     "RAPSConfig",
     "REGIMES",
@@ -128,41 +110,27 @@ __all__ = [
     "SigmaCalibrator",
     "StratificationImpossible",
     "ValidationError",
-    "aps_score",
     "apply_calibrated_sigma",
     "bonferroni_corner_alpha",
     "box_interval_scores",
-    "build_conformal_box",
-    "build_prediction_set",
     "classification_quantile",
     "compare_reports",
     "conformal_quantile",
-    "corner_coverage_event",
     "emit_report",
     "evaluate_map",
-    "fit_calibrator",
-    "fit_class_agnostic",
-    "fit_class_wise",
     "generate",
-    "interval_score",
-    "iou",
     "isotonic_fit",
     "load_calibrator",
     "load_dataset",
     "load_report",
-    "normalize_sigma",
     "paired_t_test",
     "pava_fit",
     "random_split",
-    "raps_score",
-    "recovery_rate",
     "recovery_sweep",
     "run_experiment",
     "save_calibrator",
     "save_dataset",
     "save_oracle_info",
-    "score_scaled",
-    "score_unscaled",
     "true_class_scores",
     "validate_columns",
     "validate_record",

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CalibrationMap, DetectionRecord, records_to_arrays
-from .errors import DegenerateBox, EmptyFit, MalformedFile, OutOfRange
+from .errors import EmptyFit, MalformedFile, OutOfRange
 
 #: Box dimensions at or below this are too degenerate to normalize by.
 DIMENSION_EPS = 1e-6
@@ -122,39 +122,13 @@ def evaluate_map(cmap: CalibrationMap, x):
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def _corner_dims(pred: np.ndarray) -> np.ndarray:
-    """Each corner's predicted-box dimension: the width for x corners, the height for y."""
-    return (pred[..., 2:] - pred[..., :2])[..., [0, 1, 0, 1]]
-
-
 def _normalize(pred: np.ndarray, sigma):
     """Rows whose predicted box is wider and taller than ``DIMENSION_EPS``, their
-    per-corner dimensions and sigma over them."""
-    dims = _corner_dims(pred)
+    per-corner dimensions (the width for x corners, the height for y) and sigma over them."""
+    dims = (pred[:, 2:] - pred[:, :2])[:, [0, 1, 0, 1]]
     usable = (dims[:, 0] > DIMENSION_EPS) & (dims[:, 1] > DIMENSION_EPS)
     dims = dims[usable]
     return usable, dims, np.asarray(sigma, dtype=float)[usable] / dims
-
-
-def normalize_sigma(record: DetectionRecord, corner: int) -> float:
-    """Sigma of one corner divided by the matching predicted-box dimension.
-
-    Only that dimension is checked, so a box of zero width still
-    normalizes its y corners.
-
-    Raises
-    ------
-    DegenerateBox
-        If the relevant dimension is at or below ``DIMENSION_EPS``.
-    """
-    if corner not in range(4):
-        raise OutOfRange(f"corner must be in 0..3, got {corner!r}")
-    dim = float(_corner_dims(record.pred_box.as_array())[corner])
-    if dim <= DIMENSION_EPS:
-        raise DegenerateBox(
-            f"predicted box dimension {dim!r} too small to normalize corner {corner}"
-        )
-    return float(record.sigma[corner]) / dim
 
 
 @dataclass(frozen=True)
@@ -176,29 +150,16 @@ class SigmaCalibrator:
     n_excluded: int = 0
 
 
-def fit_calibrator(
-    records,
-    scope: str = SCOPE_GLOBAL,
-    min_class_fit: int = MIN_CLASS_FIT,
-) -> SigmaCalibrator:
-    """Fit sigma-recalibration maps from matched records.
-
-    The regression target is the normalized absolute corner residual,
-    the input the normalized sigma; isotonic regression then estimates
-    the monotone link between claimed and realized uncertainty.  Records
-    with a degenerate predicted box are excluded from fitting and counted
-    in ``n_excluded``.  For the per-class scope, any class with fewer than
-    ``min_class_fit`` usable records falls back to the global map.
-    """
-    pred, gt, sigma, gt_class, _ = records_to_arrays(records)
-    return fit_calibrator_arrays(pred, gt, sigma, gt_class, scope, min_class_fit)
-
-
 def fit_calibrator_arrays(
     pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_fit: int = MIN_CLASS_FIT
 ) -> SigmaCalibrator:
-    """Array-level twin of :func:`fit_calibrator` for ``(n, 4)`` inputs: their
-    :func:`sigma_plan`, fitted on every row."""
+    """Fit sigma-recalibration maps on ``(n, 4)`` inputs: their :func:`sigma_plan`, fitted on every row.
+
+    The map runs from normalized sigma to normalized absolute corner
+    residual.  Rows with a degenerate predicted box are left out of the
+    fit and counted in ``n_excluded``; at the per-class scope a class with
+    fewer than ``min_class_fit`` usable rows falls back to the global map.
+    """
     if scope not in SCOPES:
         raise OutOfRange(f"unknown calibration scope {scope!r}")
     if scope == SCOPE_RAW:
@@ -257,7 +218,7 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_f
         raise OutOfRange(f"calibration scope {scope!r} fits no maps")
     pred = np.asarray(pred, dtype=float)
     if len(pred) == 0:
-        raise EmptyFit("fit_calibrator needs at least one record")
+        raise EmptyFit("a sigma-recalibration fit needs at least one record")
     sigma = np.asarray(sigma, dtype=float)
     usable, dims, x = _normalize(pred, sigma)
     y = np.abs(pred[usable] - np.asarray(gt, dtype=float)[usable]) / dims
@@ -282,7 +243,7 @@ def _fit(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool = False):
     the plan rows reads it.
     """
     if not fit_mask.any():
-        raise EmptyFit("fit_calibrator needs at least one record")
+        raise EmptyFit("a sigma-recalibration fit needs at least one record")
     fit = fit_mask & plan.usable
     if not fit.any():
         raise EmptyFit("no records with non-degenerate predicted boxes")

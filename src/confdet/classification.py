@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PredictionSet, RAPSConfig
+from .core import RAPSConfig
 from .errors import InvalidClass, OutOfRange
 from .regression import conformal_quantile
 
 __all__ = [
-    "aps_score",
-    "raps_score",
     "true_class_scores",
     "classification_quantile",
-    "build_prediction_set",
     "prediction_set_matrix",
     "set_totals",
     "sets_from_totals",
@@ -35,31 +32,13 @@ def class_order(class_probs: np.ndarray) -> np.ndarray:
     return np.argsort(-p, axis=-1, kind="stable")
 
 
-def aps_score(class_probs, true_class: int) -> float:
-    """Adaptive score: probability mass from the top class down to the truth.
-
-    Sorts the probabilities in descending order and sums them through the
-    rank of the true class (inclusive).  Low scores mean the true class
-    sits near the top of the ranking.
-    """
-    return float(true_class_scores(np.asarray(class_probs, dtype=float)[None, :], [true_class])[0])
-
-
-def raps_score(class_probs, true_class: int, config: RAPSConfig) -> float:
-    """Regularized adaptive score.
-
-    Equal to :func:`aps_score` plus ``penalty_a * max(0, rank - threshold_b)``
-    where ``rank`` is the 1-based rank of the true class.  The penalty
-    grows with depth, so deep tail classes become expensive and the fitted
-    threshold stops admitting them.
-    """
-    return float(true_class_scores(np.asarray(class_probs, dtype=float)[None, :], [true_class], config)[0])
-
-
 def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig | None = None) -> np.ndarray:
     """Vectorized scores of the true class for an ``(n, K)`` batch.
 
-    ``config=None`` gives plain adaptive scores (no penalty).  The labels
+    ``config=None`` gives plain adaptive scores: the probability mass from
+    the top class down to the true one, inclusive.  A config adds
+    ``penalty_a * max(0, rank - threshold_b)`` for the 1-based rank of the
+    true class, so deep tail classes become expensive.  The labels
     must be ``n`` integers in ``[0, K)``; bool and float labels are
     rejected, not truncated.
     """
@@ -94,32 +73,17 @@ def classification_quantile(scores, alpha: float) -> float:
     return conformal_quantile(scores, alpha)
 
 
-def build_prediction_set(class_probs, qhat: float, config: RAPSConfig) -> PredictionSet:
-    """Assemble the prediction set for one probability vector.
-
-    With ``allow_empty=False`` (default) classes are added in descending
-    probability order while the running total stays below ``qhat``, then
-    the class that crosses the threshold is added too, capped at ``K``; a
-    threshold of zero would yield nothing, in which case the single
-    top-probability class is returned.  With ``allow_empty=True`` the set
-    keeps exactly the classes whose running total is within ``qhat``,
-    which can be empty; this exact rule is the one whose coverage matches
-    the calibration guarantee, while the crossing rule is slightly
-    conservative.
-
-    A ``qhat`` of ``+inf`` (vacuous calibration) returns all classes.
-    """
-    p = np.asarray(class_probs, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise OutOfRange("class_probs must be a non-empty vector")
-    _, sizes = prediction_set_matrix(p[None, :], qhat, config)
-    return PredictionSet(classes=tuple(class_order(p)[: sizes[0]].tolist()), qhat_class=float(qhat))
-
-
 def prediction_set_matrix(probs: np.ndarray, qhat: float, config: RAPSConfig):
     """Vectorized set assembly for an ``(n, K)`` probability batch.
 
-    The composition of :func:`set_totals` and :func:`sets_from_totals`;
+    With ``allow_empty=False`` a set holds the classes, in descending
+    probability, while the running total stays below ``qhat``, plus the
+    class that crosses it; a ``qhat`` of zero keeps the top class.  With
+    ``allow_empty=True`` it holds exactly the classes whose running total
+    is within ``qhat``, possibly none: the rule whose coverage matches the
+    calibration guarantee, where the crossing rule is slightly
+    conservative.  A ``qhat`` of ``+inf`` keeps every class.  The
+    composition of :func:`set_totals` and :func:`sets_from_totals`;
     callers that threshold the same batch at many ``qhat`` call the two
     halves themselves.
 

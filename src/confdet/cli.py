@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,20 +52,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _expects(form: str):
+    """Make a parser's ValueError a usage error that names the ``form`` it expects."""
+
+    def wrap(parse):
+        @functools.wraps(parse)
+        def parsed(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+        return parsed
+
+    return wrap
+
+
+@_expects("image bounds x0,y0,x1,y1")
 def _parse_bounds(text: str) -> BoundingBox:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("image bounds must be x0,y0,x1,y1")
-    try:
-        x0, y0, x1, y1 = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    x0, y0, x1, y1 = (float(p) for p in text.split(","))
     bounds = BoundingBox(x0, y0, x1, y1)
     if not bounds.is_image_extent():
         raise argparse.ArgumentTypeError("image bounds must be finite with x0 < x1 and y0 < y1")
     return bounds
 
 
+@_expects("comma-separated noise scales, each a number or 'lo:hi', e.g. '5,50' or '2:20'")
 def _parse_noise(text: str) -> tuple:
     """Per-class noise spec: entries split by comma, 'lo:hi' for log-uniform."""
     entries = []
@@ -78,6 +91,7 @@ def _parse_noise(text: str) -> tuple:
     return tuple(entries)
 
 
+@_expects("'identity', 'scale:F', or 'power:P' with a number F or P")
 def _parse_bias(text: str) -> tuple:
     if text == "identity":
         return ("identity",)
@@ -93,6 +107,7 @@ def _parse_bias(text: str) -> tuple:
 MAX_GRID_POINTS = 10_000
 
 
+@_expects("'start:stop:step' or comma-separated numbers")
 def _parse_grid(text: str) -> list[float]:
     """'start:stop:step' inclusive grid, or a comma-separated list."""
     if ":" in text:
@@ -108,6 +123,7 @@ def _parse_grid(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
+@_expects("comma-separated numbers")
 def _parse_alphas(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 

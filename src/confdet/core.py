@@ -293,44 +293,6 @@ class QuantileTable:
 
 
 @dataclass(frozen=True)
-class ConformalBox:
-    """Conformalized box region built from four corner intervals.
-
-    ``lows``/``highs`` hold the per-corner interval bounds in corner
-    order.  ``outer`` is the largest box compatible with the intervals
-    (region hull); ``inner`` is the smallest guaranteed-inside box and is
-    None when the corner intervals overlap enough to invert it.
-    """
-
-    lows: tuple[float, float, float, float]
-    highs: tuple[float, float, float, float]
-    outer: BoundingBox
-    inner: BoundingBox | None
-
-    def corner_interval(self, corner: int) -> tuple[float, float]:
-        return self.lows[corner], self.highs[corner]
-
-
-@dataclass(frozen=True)
-class PredictionSet:
-    """Set-valued class prediction.
-
-    ``classes`` is ordered by descending probability (ties broken by
-    ascending class id) and ``qhat_class`` echoes the threshold used to
-    assemble the set.
-    """
-
-    classes: tuple[int, ...]
-    qhat_class: float
-
-    def __contains__(self, class_id) -> bool:
-        return class_id in self.classes
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-@dataclass(frozen=True)
 class CalibrationMap:
     """Monotone step function from a weighted isotonic fit.
 

@@ -50,10 +50,6 @@ class EmptyFit(DataError):
     """No usable pairs remained for fitting a calibration map."""
 
 
-class DegenerateBox(DataError):
-    """A box dimension needed for normalization is (near) zero."""
-
-
 class StratificationImpossible(DataError):
     """A stratified split cannot represent every class."""
 

@@ -16,19 +16,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BoundingBox, ConformalBox, contains_xyxy
 from .errors import LengthMismatch, OutOfRange, TooFewPairs
 
 __all__ = [
     "METRICS",
     "MetricRow",
-    "corner_coverage_event",
     "coverage_events",
-    "iou",
     "iou_xyxy",
-    "interval_score",
     "box_interval_scores",
-    "recovery_rate",
     "recovery_counts",
     "paired_t_test",
     "two_sided_t_pvalue",
@@ -60,23 +55,6 @@ class MetricRow:
 METRICS = tuple(f.name for f in fields(MetricRow) if f.name != "n_eval")
 
 
-def corner_coverage_event(gt_box: BoundingBox, corner_intervals) -> tuple[tuple[bool, bool, bool, bool], bool]:
-    """Coverage of each corner plus the box-level conjunction.
-
-    ``corner_intervals`` is a sequence of four ``(low, high)`` pairs in
-    corner order, or a :class:`~confdet.core.ConformalBox`.  Bounds are
-    inclusive, and infinite bounds are allowed (a vacuous interval covers
-    trivially).
-    """
-    if isinstance(corner_intervals, ConformalBox):
-        corner_intervals = zip(corner_intervals.lows, corner_intervals.highs)
-    lows, highs = np.array(list(corner_intervals), dtype=float).T
-    if np.any(lows > highs):
-        raise OutOfRange("corner intervals must satisfy low <= high")
-    corner_hits, box_hit = coverage_events(gt_box.as_array(), lows, highs)
-    return tuple(corner_hits.tolist()), bool(box_hit)
-
-
 def coverage_events(gt: np.ndarray, lows: np.ndarray, highs: np.ndarray):
     """Vectorized corner and box coverage for ``(n, 4)`` arrays.
 
@@ -100,23 +78,6 @@ def iou_xyxy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes, zero when the union is empty."""
-    return float(iou_xyxy(a.as_array(), b.as_array()))
-
-
-def interval_score(low: float, high: float, value: float, alpha: float) -> float:
-    """Interval score at level ``alpha`` for one interval and observation.
-
-    ``(high - low) + (2 / alpha) * (low - value)_+ + (2 / alpha) * (value - high)_+``.
-    Lower is better; the score is proper, so the expected-score minimizer
-    is the central ``1 - alpha`` interval of the predictive distribution.
-    """
-    if low > high:
-        raise OutOfRange("interval must satisfy low <= high")
-    return float(box_interval_scores([low], [high], [value], alpha))
-
-
 def box_interval_scores(lows: np.ndarray, highs: np.ndarray, gt: np.ndarray, alpha: float) -> np.ndarray:
     """Box-level interval score (sum over four corners), vectorized.
 
@@ -134,25 +95,6 @@ def box_interval_scores(lows: np.ndarray, highs: np.ndarray, gt: np.ndarray, alp
         + 2.0 / alpha * np.clip(gt - highs, 0.0, None)
     )
     return per_corner.sum(axis=-1)
-
-
-def recovery_rate(records, boxes, iou_threshold: float) -> float | None:
-    """Fraction of badly localized predictions rescued by the outer box.
-
-    Among records whose predicted box has IoU below ``iou_threshold``
-    with the ground truth, the rate counts those whose ground truth lies
-    fully inside the outer conformal box (bounds inclusive).  Returns
-    None when no record falls below the threshold.
-    """
-    records = list(records)
-    boxes = list(boxes)
-    if len(records) != len(boxes):
-        raise LengthMismatch(f"{len(records)} records vs {len(boxes)} boxes")
-    pred = np.array([r.pred_box.as_array() for r in records]).reshape(-1, 4)
-    gt = np.array([r.gt_box.as_array() for r in records]).reshape(-1, 4)
-    outer = np.array([b.outer.as_array() for b in boxes]).reshape(-1, 4)
-    rate, _ = recovery_counts(iou_xyxy(pred, gt), contains_xyxy(outer, gt), iou_threshold)
-    return rate
 
 
 def recovery_counts(pred_iou: np.ndarray, contained: np.ndarray, iou_threshold: float) -> tuple[float | None, int]:

@@ -3,7 +3,7 @@
 The residual of each corner is conformalized independently: a
 nonconformity score per corner, a finite-sample quantile of the
 calibration scores, and a symmetric interval around the prediction.  The
-four intervals assemble into a :class:`~confdet.core.ConformalBox`.
+four intervals give an outer and an inner box (:func:`outer_inner_boxes`).
 Everything here is distribution-free; the only randomness assumption is
 exchangeability between calibration and test records.
 """
@@ -24,9 +24,7 @@ from .core import (
     SCOPE_CLASS_AGNOSTIC,
     SCOPE_CLASS_WISE,
     BoundingBox,
-    ConformalBox,
     QuantileTable,
-    records_to_arrays,
 )
 from .errors import DataError, EmptyCalibration, InvalidClass, MissingClass, NonPositiveSigma, OutOfRange
 
@@ -35,33 +33,12 @@ from .errors import DataError, EmptyCalibration, InvalidClass, MissingClass, Non
 MIN_PER_CLASS = 20
 
 
-def score_unscaled(pred_box: BoundingBox, gt_box: BoundingBox) -> np.ndarray:
-    """Absolute corner residuals ``|pred - gt|`` as a length-4 array."""
-    return residual_scores(pred_box.as_array(), gt_box.as_array())
-
-
-def score_scaled(pred_box: BoundingBox, gt_box: BoundingBox, sigma) -> np.ndarray:
-    """Absolute corner residuals divided by the predicted sigma.
-
-    Scaling by a per-corner uncertainty estimate lets a single quantile
-    produce locally adaptive interval widths.
-
-    Raises
-    ------
-    NonPositiveSigma
-        If ``sigma`` is not four strictly positive entries.
-    """
-    s = np.asarray(sigma, dtype=float)
-    if s.shape != (4,):
-        raise NonPositiveSigma(f"sigma must have 4 entries, got shape {s.shape}")
-    return residual_scores(pred_box.as_array(), gt_box.as_array(), s)
-
-
 def residual_scores(pred: np.ndarray, gt: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
     """Vectorized corner scores for ``(n, 4)`` coordinate arrays.
 
     With ``sigma=None`` this is the unscaled score, otherwise the scaled
-    one.  The record-level functions above are one-pair adapters over it.
+    one: residuals divided by a per-corner uncertainty, so that a single
+    quantile gives locally adaptive interval widths.
     """
     resid = np.abs(np.asarray(pred, dtype=float) - np.asarray(gt, dtype=float))
     if sigma is None:
@@ -305,58 +282,6 @@ def fit_quantiles_from_scores(
     )
 
 
-def _record_scores(records, scaling: str, caller: str):
-    """Corner scores, class ids and class count of a list of records."""
-    pred, gt, sigma, gt_class, probs = records_to_arrays(records)
-    if pred.shape[0] == 0:
-        raise EmptyCalibration(f"{caller} needs at least one record")
-    return residual_scores(pred, gt, sigma if scaling == "scaled" else None), gt_class, probs.shape[1]
-
-
-def fit_class_agnostic(records, alpha_corner: float, scaling: str = "unscaled") -> QuantileTable:
-    """Fit one quantile per corner from all records pooled together.
-
-    Parameters
-    ----------
-    records : iterable of DetectionRecord
-        Calibration records.
-    alpha_corner : float
-        Per-corner miscoverage level.
-    scaling : {"unscaled", "scaled"}
-        Score family; ``"scaled"`` divides residuals by the record sigma.
-    """
-    scores, _, _ = _record_scores(records, scaling, "fit_class_agnostic")
-    return fit_quantiles_from_scores(scores, alpha_corner)
-
-
-def fit_class_wise(
-    records,
-    alpha_corner: float,
-    scaling: str = "unscaled",
-    min_per_class: int = MIN_PER_CLASS,
-) -> QuantileTable:
-    """Fit per-class corner quantiles from ground-truth classes.
-
-    Stratifying by class restores the coverage guarantee within each
-    class instead of only on average over the class mix.  Classes with
-    fewer than ``min_per_class`` records are fitted anyway but flagged in
-    the returned table (their quantiles may be unstable or infinite).
-
-    Raises
-    ------
-    MissingClass
-        If any class id in ``[0, K)`` has zero calibration records.
-    """
-    scores, gt_class, n_classes = _record_scores(records, scaling, "fit_class_wise")
-    return fit_quantiles_from_scores(
-        scores,
-        alpha_corner,
-        groups=gt_class,
-        n_classes=n_classes,
-        min_per_class=min_per_class,
-    )
-
-
 def corner_intervals(
     pred: np.ndarray,
     quantiles: np.ndarray,
@@ -369,7 +294,8 @@ def corner_intervals(
     vector ``(4,)`` or a batch ``(n, 4)``.  Corners whose quantile is
     ``+inf`` get the full image extent on their axis (``image_bounds``,
     defaulting to :data:`~confdet.core.DEFAULT_IMAGE_BOUNDS`) so that
-    downstream geometry stays finite.
+    downstream geometry stays finite.  Finite intervals are not clipped,
+    which keeps coverage statements exact.
 
     Returns
     -------
@@ -424,36 +350,3 @@ def outer_inner_boxes(lows: np.ndarray, highs: np.ndarray):
     )
     inner_ok = (inner[..., 0] <= inner[..., 2]) & (inner[..., 1] <= inner[..., 3])
     return outer, inner, inner_ok
-
-
-def build_conformal_box(
-    pred_box: BoundingBox,
-    sigma,
-    quantiles,
-    image_bounds: BoundingBox | None = None,
-) -> ConformalBox:
-    """Assemble the conformal box region for one prediction.
-
-    Parameters
-    ----------
-    pred_box : BoundingBox
-        Predicted box.
-    sigma : length-4 array-like or None
-        Corner sigmas for scaled intervals; None for unscaled.
-    quantiles : length-4 array-like
-        Per-corner conformal quantiles, ``+inf`` allowed.
-    image_bounds : BoundingBox, optional
-        Clamp target for vacuous corners.  No other clipping is applied;
-        outer boxes may extend beyond the image, which keeps coverage
-        statements exact.  Clip for rendering only.
-    """
-    lows, highs = corner_intervals(
-        pred_box.as_array(), np.asarray(quantiles, dtype=float), sigma=None if sigma is None else np.asarray(sigma, dtype=float), image_bounds=image_bounds
-    )
-    outer, inner, inner_ok = outer_inner_boxes(lows, highs)
-    return ConformalBox(
-        lows=tuple(float(v) for v in lows),
-        highs=tuple(float(v) for v in highs),
-        outer=BoundingBox.from_array(outer),
-        inner=BoundingBox.from_array(inner) if bool(inner_ok) else None,
-    )

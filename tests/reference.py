@@ -1,9 +1,8 @@
 """Scalar reference implementations of the record-level rules.
 
-The library states each rule once, as an array kernel, and its
-record-level functions are one-row adapters over those kernels.  These
-per-record loops are the independent oracles the kernels and adapters
-are checked against; keep them written out, one record at a time.  The
+The library states each rule once, as an array kernel over columns.
+These per-record loops are the independent oracles the kernels are
+checked against; keep them written out, one record at a time.  The
 same holds for dataset files: ``load_dataset`` here parses, builds and
 validates one record per line, and the writers call ``json.dumps`` once
 per line, where the library works over columns.
@@ -16,9 +15,8 @@ import numpy as np
 
 from confdet.calibration import DIMENSION_EPS
 from confdet.classification import class_order
-from confdet.core import PROB_SUM_TOL, BoundingBox, ConformalBox, Dataset, DetectionRecord, PredictionSet
+from confdet.core import PROB_SUM_TOL, BoundingBox, Dataset, DetectionRecord
 from confdet.errors import (
-    DegenerateBox,
     EmptyFile,
     InvalidClass,
     NonPositiveSigma,
@@ -27,7 +25,6 @@ from confdet.errors import (
     ValidationError,
 )
 from confdet.io import RECORD_FIELDS, LoadReport
-from confdet.metrics import iou
 
 
 def score_unscaled(pred_box, gt_box):
@@ -67,6 +64,7 @@ def raps_score(class_probs, true_class, config):
 
 
 def build_prediction_set(class_probs, qhat, config):
+    """The classes of the set, in descending probability."""
     p = np.asarray(class_probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise OutOfRange("class_probs must be a non-empty vector")
@@ -74,7 +72,7 @@ def build_prediction_set(class_probs, qhat, config):
         raise OutOfRange(f"qhat must be >= 0, got {qhat!r}")
     order = class_order(p)
     if math.isinf(qhat):
-        return PredictionSet(classes=tuple(int(c) for c in order), qhat_class=qhat)
+        return tuple(int(c) for c in order)
     totals = np.cumsum(p[order])
     if config.penalty_a > 0 and config.penalty_at_inference:
         totals = totals + config.penalty_a * np.maximum(0, np.arange(1, p.size + 1) - config.threshold_b)
@@ -85,12 +83,10 @@ def build_prediction_set(class_probs, qhat, config):
         size = min(1 + int(np.count_nonzero(totals[:-1] < qhat)), p.size)
     else:
         size = 1  # a zero threshold admits nothing; keep the top class
-    return PredictionSet(classes=tuple(int(c) for c in order[:size]), qhat_class=float(qhat))
+    return tuple(int(c) for c in order[:size])
 
 
 def corner_coverage_event(gt_box, corner_intervals):
-    if isinstance(corner_intervals, ConformalBox):
-        corner_intervals = zip(corner_intervals.lows, corner_intervals.highs)
     pairs = [(float(lo), float(hi)) for lo, hi in corner_intervals]
     if any(lo > hi for lo, hi in pairs):
         raise OutOfRange("corner intervals must satisfy low <= high")
@@ -106,23 +102,30 @@ def interval_score(low, high, value, alpha):
     return float((high - low) + 2.0 / alpha * max(low - value, 0.0) + 2.0 / alpha * max(value - high, 0.0))
 
 
-def recovery_rate(records, boxes, iou_threshold):
+def iou(a, b):
+    inter = max(min(a.x1, b.x1) - max(a.x0, b.x0), 0.0) * max(min(a.y1, b.y1) - max(a.y0, b.y0), 0.0)
+    union = max(a.width, 0.0) * max(a.height, 0.0) + max(b.width, 0.0) * max(b.height, 0.0) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def recovery_rate(records, outer_boxes, iou_threshold):
     if not 0.0 < iou_threshold <= 1.0:
         raise OutOfRange(f"iou_threshold must lie in (0, 1], got {iou_threshold!r}")
-    low_iou = [(rec, box) for rec, box in zip(records, boxes) if iou(rec.pred_box, rec.gt_box) < iou_threshold]
+    low_iou = [(rec, o) for rec, o in zip(records, outer_boxes) if iou(rec.pred_box, rec.gt_box) < iou_threshold]
     if not low_iou:
         return None
     recovered = 0
-    for rec, box in low_iou:
-        o, g = box.outer, rec.gt_box
+    for rec, o in low_iou:
+        g = rec.gt_box
         recovered += o.x0 <= g.x0 and o.y0 <= g.y0 and g.x1 <= o.x1 and g.y1 <= o.y1
     return recovered / len(low_iou)
 
 
 def normalize_sigma(record, corner):
+    """Sigma over the corner's predicted-box dimension, None where that dimension is degenerate."""
     dim = record.pred_box.width if corner in (0, 2) else record.pred_box.height
     if dim <= DIMENSION_EPS:
-        raise DegenerateBox(f"predicted box dimension {dim!r} too small to normalize corner {corner}")
+        return None
     return float(record.sigma[corner]) / dim
 
 

@@ -1,10 +1,12 @@
-"""Each record-level function agrees with its scalar oracle.
+"""Each array kernel agrees with its scalar oracle, one record at a time.
 
-The record-level API is one-row adapters over the array kernels; the
-oracles in ``reference.py`` are the per-record loops those adapters
-replaced.  Adaptive scores may differ in the last bits, because the
-kernel takes a cumulative sum where the loop summed a prefix; every other
-adapter must agree exactly.
+The oracles in ``reference.py`` are per-record loops, written out
+independently of the kernels.  Each case here feeds one record (or one
+list of records) to a kernel as a one-row batch and compares the result
+with the oracle's.  Adaptive scores may differ in the last bits, because
+the kernel takes a cumulative sum where the loop summed a prefix; every
+other kernel must agree exactly.  ``validate_record``, one of the two
+record-level functions left, is checked here too.
 """
 
 import math
@@ -13,12 +15,11 @@ import numpy as np
 import pytest
 
 import reference
-from confdet.calibration import normalize_sigma
-from confdet.classification import aps_score, build_prediction_set, raps_score
-from confdet.core import BoundingBox, DetectionRecord, RAPSConfig, validate_columns, validate_record
-from confdet.errors import DegenerateBox
-from confdet.metrics import corner_coverage_event, interval_score, recovery_rate
-from confdet.regression import build_conformal_box, score_scaled, score_unscaled
+from confdet.calibration import _normalize
+from confdet.classification import class_order, prediction_set_matrix, true_class_scores
+from confdet.core import BoundingBox, DetectionRecord, RAPSConfig, contains_xyxy, validate_columns, validate_record
+from confdet.metrics import box_interval_scores, coverage_events, iou_xyxy, recovery_counts
+from confdet.regression import corner_intervals, outer_inner_boxes, residual_scores
 
 N_CASES = 400
 
@@ -49,10 +50,14 @@ def test_class_adapters_match_oracles():
             allow_empty=bool(rng.random() < 0.5),
             penalty_at_inference=bool(rng.random() < 0.7),
         )
-        assert aps_score(p, c) == pytest.approx(reference.aps_score(p, c), rel=1e-15, abs=1e-15)
-        assert raps_score(p, c, cfg) == pytest.approx(reference.raps_score(p, c, cfg), rel=1e-15, abs=1e-15)
+        aps, raps = (float(true_class_scores(p[None, :], [c], config)[0]) for config in (None, cfg))
+        assert aps == pytest.approx(reference.aps_score(p, c), rel=1e-15, abs=1e-15)
+        assert raps == pytest.approx(reference.raps_score(p, c, cfg), rel=1e-15, abs=1e-15)
         qhat = float(rng.choice([0.0, rng.uniform(0, 1.5), math.inf]))
-        assert build_prediction_set(p, qhat, cfg) == reference.build_prediction_set(p, qhat, cfg)
+        member, sizes = prediction_set_matrix(p[None, :], qhat, cfg)
+        expected = reference.build_prediction_set(p, qhat, cfg)
+        assert tuple(class_order(p)[: sizes[0]].tolist()) == expected
+        assert np.flatnonzero(member[0]).tolist() == sorted(expected)
 
 
 def test_box_adapters_match_oracles():
@@ -60,32 +65,35 @@ def test_box_adapters_match_oracles():
     for _ in range(N_CASES):
         rec = random_record(rng)
         pred, gt = rec.pred_box, rec.gt_box
-        assert np.array_equal(score_unscaled(pred, gt), reference.score_unscaled(pred, gt))
-        assert np.array_equal(score_scaled(pred, gt, rec.sigma), reference.score_scaled(pred, gt, rec.sigma))
-        box = build_conformal_box(pred, rec.sigma, rng.uniform(0, 30, size=4))
-        pairs = list(zip(gt.as_array() - rng.uniform(-3, 5, size=4), gt.as_array() + rng.uniform(3, 5, size=4)))
-        for intervals in (box, pairs):
-            assert corner_coverage_event(gt, intervals) == reference.corner_coverage_event(gt, intervals)
+        p, g, sigma = pred.as_array()[None, :], gt.as_array()[None, :], np.array([rec.sigma])
+        assert np.array_equal(residual_scores(p, g)[0], reference.score_unscaled(pred, gt))
+        assert np.array_equal(residual_scores(p, g, sigma)[0], reference.score_scaled(pred, gt, rec.sigma))
+        lows, highs = corner_intervals(p, rng.uniform(0, 30, size=4), sigma)
+        pairs = np.stack([gt.as_array() - rng.uniform(-3, 5, size=4), gt.as_array() + rng.uniform(3, 5, size=4)])
+        for low, high in ((lows[0], highs[0]), pairs):
+            hits, event = coverage_events(g, low, high)
+            assert (tuple(hits[0].tolist()), bool(event[0])) == reference.corner_coverage_event(gt, zip(low, high))
         low, high = sorted(rng.uniform(-10, 10, size=2))
         args = (low, high, float(rng.uniform(-20, 20)), float(rng.uniform(0.001, 0.5)))
-        assert interval_score(*args) == reference.interval_score(*args)
-        for corner in range(4):
-            try:
-                expected = reference.normalize_sigma(rec, corner)
-            except DegenerateBox:
-                with pytest.raises(DegenerateBox):
-                    normalize_sigma(rec, corner)
-            else:
-                assert normalize_sigma(rec, corner) == expected
+        assert float(box_interval_scores(*([v] for v in args[:3]), args[3])) == reference.interval_score(*args)
+        expected = [reference.normalize_sigma(rec, corner) for corner in range(4)]
+        usable, _, x = _normalize(p, sigma)
+        assert usable.tolist() == [None not in expected]
+        if usable[0]:
+            assert x[0].tolist() == expected
 
 
 def test_recovery_rate_matches_oracle():
     rng = np.random.default_rng(33)
     for _ in range(N_CASES // 4):
         records = [random_record(rng) for _ in range(int(rng.integers(0, 25)))]
-        boxes = [build_conformal_box(r.pred_box, None, rng.uniform(0, 80, size=4)) for r in records]
+        pred = np.array([r.pred_box.as_array() for r in records]).reshape(-1, 4)
+        gt = np.array([r.gt_box.as_array() for r in records]).reshape(-1, 4)
+        quantiles = np.array([rng.uniform(0, 80, size=4) for _ in records]).reshape(-1, 4)
+        outer, _, _ = outer_inner_boxes(*corner_intervals(pred, quantiles))
         threshold = float(rng.uniform(0.01, 1.0))
-        assert recovery_rate(records, boxes, threshold) == reference.recovery_rate(records, boxes, threshold)
+        rate, _ = recovery_counts(iou_xyxy(pred, gt), contains_xyxy(outer, gt), threshold)
+        assert rate == reference.recovery_rate(records, [BoundingBox(*o) for o in outer.tolist()], threshold)
 
 
 def odd_record(rng, k, n_sigma=4):

@@ -106,6 +106,30 @@ def test_usage_error_exits_1(data_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--noise", "abc"),
+        ("--noise", "1:2:3"),
+        ("--noise", "1,,2"),
+        ("--alpha-corner", "abc"),
+        ("--thresholds", "a:b:c"),
+        ("--thresholds", "0.1,abc"),
+        ("--sigma-bias", "scale:abc"),
+        ("--image-bounds", "1,2,a,4"),
+    ],
+)
+def test_malformed_option_names_the_option_not_the_parser(data_path, option, value, capsys):
+    # these once printed "invalid _parse_noise value: 'abc'"
+    command = ["simulate", "--records", "50"] if option in ("--noise", "--sigma-bias") else ["recovery", "--data", data_path]
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + ["--seed", "1", option, value])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected " in err
+    assert "_parse" not in err
+
+
 @pytest.mark.parametrize("grid", ["0.1:0.9:0", "0.1:0.9:-0.1"])
 def test_grid_step_not_positive_exits_1(data_path, grid, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -483,11 +483,35 @@ def _nonfinite_dataset(rng, n):
     return Dataset(ids, block(4), block(4), block(4), rng.integers(0, 3, size=n), block(3))
 
 
-@pytest.mark.parametrize("n", [1, _WRITE_CHUNK, _WRITE_CHUNK + 1])
-def test_writers_match_per_record_reference(tmp_path, n):
-    rng = np.random.default_rng(n)
+def _nonfinite_input(n):
+    dataset = _nonfinite_dataset(np.random.default_rng(n), n)
+    return dataset, OracleInfo(true_scales=dataset.sigma[:, 0], base_scales=dataset.sigma[:, 1])
+
+
+def _repeated_sigma_input():
+    """Sigma rows that each repeat one value, as the generator writes them; some
+    rows mix -0.0 with 0.0 and one is NaN, which compare equal or unequal to
+    themselves where their text does not.  The oracle's two scales are equal
+    bit for bit, as they are without a shift."""
+    n = _WRITE_CHUNK + 3
+    rng = np.random.default_rng(7)
     dataset = _nonfinite_dataset(rng, n)
-    info = OracleInfo(true_scales=dataset.sigma[:, 0], base_scales=dataset.sigma[:, 1])
+    scale = rng.uniform(0.5, 20.0, size=n)
+    scale[:4] = [0.1, 1e-300, 12345.678901234567, 2.0 / 3.0]
+    sigma = np.repeat(scale[:, None], 4, axis=1)
+    sigma[4:8] = [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, -0.0, -0.0], [-0.0, 0.0, 0.0, 0.0], [math.nan] * 4]
+    sigma[_WRITE_CHUNK - 1 : _WRITE_CHUNK + 1] = [[-0.0, 0.0, -0.0, 0.0], [0.0] * 4]  # across a chunk boundary
+    dataset = Dataset(dataset.image_ids, dataset.pred, dataset.gt, sigma, dataset.gt_class, dataset.probs)
+    return dataset, OracleInfo(true_scales=sigma[:, 0].copy(), base_scales=sigma[:, 0].copy())
+
+
+@pytest.mark.parametrize(
+    "make_input",
+    [pytest.param(lambda n=n: _nonfinite_input(n), id=str(n)) for n in (1, _WRITE_CHUNK, _WRITE_CHUNK + 1)]
+    + [pytest.param(_repeated_sigma_input, id="repeated-sigma")],
+)
+def test_writers_match_per_record_reference(tmp_path, make_input):
+    dataset, info = make_input()
     for write, oracle, value in ((save_dataset, reference.save_dataset, dataset), (save_oracle_info, reference.save_oracle_info, info)):
         write(value, tmp_path / "new.jsonl")
         oracle(value, tmp_path / "old.jsonl")

@@ -5,32 +5,40 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from confdet.core import BoundingBox
+from confdet.core import BoundingBox, contains_xyxy
 from confdet.errors import LengthMismatch, OutOfRange, TooFewPairs
 from confdet.metrics import (
     box_interval_scores,
-    corner_coverage_event,
     coverage_events,
-    interval_score,
-    iou,
     iou_xyxy,
     paired_t_test,
-    recovery_rate,
+    recovery_counts,
     two_sided_t_pvalue,
 )
-from confdet.regression import build_conformal_box
+from confdet.regression import corner_intervals, outer_inner_boxes
 
 from conftest import make_record
 import reference
+
+# Some test names keep the one-record functions their worked examples were
+# written for (`corner_coverage_event`, `iou`, `interval_score` and
+# `recovery_rate`); each now runs the same numbers through the array kernel.
 
 
 # ---------------------------------------------------------------- coverage
 
 
+def covered(gt, intervals):
+    """Each corner's coverage and the box event, for one box and four ``(low, high)`` pairs."""
+    lows, highs = np.array(intervals, dtype=float).T
+    hits, event = coverage_events(gt.as_array(), lows, highs)
+    return tuple(hits.tolist()), bool(event)
+
+
 def test_corner_coverage_event_partial_miss():
     gt = BoundingBox(1.0, 1.0, 9.0, 9.0)
     intervals = [(0.0, 2.0), (0.0, 2.0), (8.0, 10.0), (0.0, 8.0)]
-    hits, event = corner_coverage_event(gt, intervals)
+    hits, event = covered(gt, intervals)
     assert hits == (True, True, True, False)
     assert event is False
 
@@ -38,7 +46,7 @@ def test_corner_coverage_event_partial_miss():
 def test_corner_coverage_event_all_covered():
     gt = BoundingBox(1.0, 1.0, 9.0, 9.0)
     intervals = [(0.0, 2.0), (0.0, 2.0), (8.0, 10.0), (8.0, 10.0)]
-    hits, event = corner_coverage_event(gt, intervals)
+    hits, event = covered(gt, intervals)
     assert hits == (True, True, True, True)
     assert event is True
 
@@ -46,33 +54,24 @@ def test_corner_coverage_event_all_covered():
 def test_corner_coverage_event_bounds_inclusive():
     gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
     intervals = [(0.0, 5.0), (-1.0, 0.0), (10.0, 12.0), (3.0, 10.0)]
-    _, event = corner_coverage_event(gt, intervals)
+    _, event = covered(gt, intervals)
     assert event is True
 
 
 def test_corner_coverage_event_infinite_interval_covers():
     gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
     intervals = [(-math.inf, math.inf)] * 4
-    hits, event = corner_coverage_event(gt, intervals)
+    hits, event = covered(gt, intervals)
     assert event is True
 
 
 def test_corner_coverage_event_accepts_conformal_box():
-    box = build_conformal_box(
-        BoundingBox(10.0, 10.0, 20.0, 20.0), (1.0, 1.0, 1.0, 1.0), (2.0, 2.0, 2.0, 2.0)
-    )
-    _, inside = corner_coverage_event(BoundingBox(9.0, 9.0, 21.0, 21.0), box)
+    # the corner intervals of a conformal box: pred +- 2 * sigma
+    lows, highs = corner_intervals(np.array([10.0, 10.0, 20.0, 20.0]), np.full(4, 2.0), sigma=np.ones(4))
+    _, inside = covered(BoundingBox(9.0, 9.0, 21.0, 21.0), list(zip(lows, highs)))
     assert inside is True
-    _, outside = corner_coverage_event(BoundingBox(7.0, 9.0, 21.0, 21.0), box)
+    _, outside = covered(BoundingBox(7.0, 9.0, 21.0, 21.0), list(zip(lows, highs)))
     assert outside is False
-
-
-def test_corner_coverage_event_rejects_inverted_interval():
-    with pytest.raises(OutOfRange):
-        corner_coverage_event(
-            BoundingBox(0.0, 0.0, 1.0, 1.0),
-            [(0.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)],
-        )
 
 
 def test_coverage_events_matches_scalar():
@@ -94,27 +93,22 @@ def test_coverage_events_matches_scalar():
 
 
 def test_iou_identical_boxes():
-    box = BoundingBox(3.0, 4.0, 10.0, 12.0)
-    assert iou(box, box) == pytest.approx(1.0)
+    box = np.array([3.0, 4.0, 10.0, 12.0])
+    assert iou_xyxy(box, box) == pytest.approx(1.0)
 
 
 def test_iou_worked_example():
-    a = BoundingBox(0.0, 0.0, 2.0, 2.0)
-    b = BoundingBox(1.0, 1.0, 3.0, 3.0)
-    assert iou(a, b) == pytest.approx(1.0 / 7.0)
+    assert iou_xyxy([0.0, 0.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0]) == pytest.approx(1.0 / 7.0)
 
 
 def test_iou_disjoint_boxes():
-    a = BoundingBox(0.0, 0.0, 1.0, 1.0)
-    b = BoundingBox(5.0, 5.0, 6.0, 6.0)
-    assert iou(a, b) == 0.0
+    assert iou_xyxy([0.0, 0.0, 1.0, 1.0], [5.0, 5.0, 6.0, 6.0]) == 0.0
 
 
 def test_iou_zero_area_box():
-    a = BoundingBox(0.0, 0.0, 0.0, 0.0)
-    b = BoundingBox(0.0, 0.0, 1.0, 1.0)
-    assert iou(a, b) == 0.0
-    assert iou(a, a) == 0.0
+    a = [0.0, 0.0, 0.0, 0.0]
+    assert iou_xyxy(a, [0.0, 0.0, 1.0, 1.0]) == 0.0
+    assert iou_xyxy(a, a) == 0.0
 
 
 def test_iou_symmetric():
@@ -122,9 +116,9 @@ def test_iou_symmetric():
     for _ in range(50):
         x = rng.uniform(0, 50, size=(2, 2))
         y = rng.uniform(0, 50, size=(2, 2))
-        a = BoundingBox(min(x[0]), min(x[1]), max(x[0]), max(x[1]))
-        b = BoundingBox(min(y[0]), min(y[1]), max(y[0]), max(y[1]))
-        assert iou(a, b) == pytest.approx(iou(b, a), rel=1e-12)
+        a = [min(x[0]), min(x[1]), max(x[0]), max(x[1])]
+        b = [min(y[0]), min(y[1]), max(y[0]), max(y[1])]
+        assert iou_xyxy(a, b) == pytest.approx(iou_xyxy(b, a), rel=1e-12)
 
 
 def test_iou_xyxy_broadcasts():
@@ -137,23 +131,22 @@ def test_iou_xyxy_broadcasts():
 
 
 def test_interval_score_covered_is_width():
-    assert interval_score(0.0, 10.0, 5.0, 0.2) == pytest.approx(10.0)
+    assert box_interval_scores([0.0], [10.0], [5.0], 0.2) == pytest.approx(10.0)
 
 
 def test_interval_score_penalizes_miss_below():
     # width 10 plus (2 / 0.2) * 4
-    assert interval_score(0.0, 10.0, -4.0, 0.2) == pytest.approx(50.0)
+    assert box_interval_scores([0.0], [10.0], [-4.0], 0.2) == pytest.approx(50.0)
 
 
 def test_interval_score_penalizes_miss_above():
-    assert interval_score(0.0, 10.0, 12.0, 0.2) == pytest.approx(30.0)
+    assert box_interval_scores([0.0], [10.0], [12.0], 0.2) == pytest.approx(30.0)
 
 
 def test_interval_score_validation():
-    with pytest.raises(OutOfRange):
-        interval_score(0.0, 1.0, 0.5, 0.0)
-    with pytest.raises(OutOfRange):
-        interval_score(1.0, 0.0, 0.5, 0.1)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(OutOfRange):
+            box_interval_scores([0.0], [1.0], [0.5], alpha)
 
 
 def test_box_interval_scores_sum_corners():
@@ -172,12 +165,10 @@ def test_interval_score_is_proper():
     # the central interval of the true distribution wins on average
     rng = np.random.default_rng(8)
     alpha = 0.1
-    samples = rng.normal(size=20_000)
+    samples = rng.normal(size=(20_000, 1))
     z = float(stats.norm.ppf(1.0 - alpha / 2.0))
     scores = {
-        factor: np.mean(
-            [interval_score(-factor * z, factor * z, s, alpha) for s in samples]
-        )
+        factor: np.mean(box_interval_scores(np.full_like(samples, -factor * z), np.full_like(samples, factor * z), samples, alpha))
         for factor in (0.7, 1.0, 1.4)
     }
     assert scores[1.0] < scores[0.7]
@@ -187,38 +178,37 @@ def test_interval_score_is_proper():
 # ---------------------------------------------------------------- recovery
 
 
+def recovery(records, sigma, quantiles, iou_threshold):
+    """Recovery rate and count below the threshold, for one set of corner quantiles per record."""
+    pred = np.array([r.pred_box.as_array() for r in records])
+    gt = np.array([r.gt_box.as_array() for r in records])
+    outer, _, _ = outer_inner_boxes(*corner_intervals(pred, np.array(quantiles, dtype=float), np.array(sigma, dtype=float)))
+    return recovery_counts(iou_xyxy(pred, gt), contains_xyxy(outer, gt), iou_threshold), outer
+
+
 def test_recovery_rate_worked_example():
     # two badly localized predictions; the wide box rescues only one
     far = make_record(pred=(200.0, 200.0, 300.0, 300.0), image_id="far-1")
     far2 = make_record(pred=(200.0, 200.0, 300.0, 300.0), image_id="far-2")
     near = make_record(pred=(1.0, 1.0, 101.0, 101.0), image_id="near")
-    records = [far, far2, near]
-    wide = build_conformal_box(
-        far.pred_box, (1.0,) * 4, (250.0, 250.0, 250.0, 250.0)
-    )
-    tight = build_conformal_box(far2.pred_box, (1.0,) * 4, (5.0, 5.0, 5.0, 5.0))
-    small = build_conformal_box(near.pred_box, (1.0,) * 4, (2.0, 2.0, 2.0, 2.0))
-    assert wide.outer.contains(far.gt_box)
-    assert not tight.outer.contains(far2.gt_box)
-    rate = recovery_rate(records, [wide, tight, small], iou_threshold=0.5)
+    quantiles = [(250.0,) * 4, (5.0,) * 4, (2.0,) * 4]  # wide, tight, small
+    (rate, n_below), outer = recovery([far, far2, near], [(1.0,) * 4] * 3, quantiles, iou_threshold=0.5)
+    assert contains_xyxy(outer[0], far.gt_box.as_array())
+    assert not contains_xyxy(outer[1], far2.gt_box.as_array())
     assert rate == pytest.approx(0.5)
+    assert n_below == 2
 
 
 def test_recovery_rate_none_when_no_record_below_threshold():
-    rec = make_record()
-    box = build_conformal_box(rec.pred_box, (1.0,) * 4, (1.0,) * 4)
-    assert recovery_rate([rec], [box], iou_threshold=0.5) is None
+    (rate, n_below), _ = recovery([make_record()], [(1.0,) * 4], [(1.0,) * 4], iou_threshold=0.5)
+    assert rate is None
+    assert n_below == 0
 
 
 def test_recovery_rate_validation():
-    rec = make_record()
-    box = build_conformal_box(rec.pred_box, (1.0,) * 4, (1.0,) * 4)
-    with pytest.raises(LengthMismatch):
-        recovery_rate([rec], [box, box], iou_threshold=0.5)
-    with pytest.raises(OutOfRange):
-        recovery_rate([rec], [box], iou_threshold=0.0)
-    with pytest.raises(OutOfRange):
-        recovery_rate([rec], [box], iou_threshold=1.5)
+    for iou_threshold in (0.0, 1.5):
+        with pytest.raises(OutOfRange):
+            recovery_counts(np.ones(1), np.ones(1, dtype=bool), iou_threshold)
 
 
 # ---------------------------------------------------------------- t-test

@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from confdet.core import AGNOSTIC, BoundingBox
+from confdet.core import AGNOSTIC, BoundingBox, contains_xyxy
 from confdet.errors import (
     DataError,
     EmptyCalibration,
@@ -14,19 +14,18 @@ from confdet.errors import (
 )
 from confdet.regression import (
     bonferroni_corner_alpha,
-    build_conformal_box,
     conformal_quantile,
     corner_intervals,
-    fit_class_agnostic,
-    fit_class_wise,
+    fit_quantiles_from_scores,
     outer_inner_boxes,
     residual_scores,
-    score_scaled,
-    score_unscaled,
 )
 
-from conftest import make_record
 import reference
+
+# Some test names keep the one-record functions their worked examples were
+# written for (`score_*`, `fit_class_*` and `build_conformal_box`); each now
+# runs the same numbers through the array kernel.
 
 
 def oracle_quantile(scores, alpha):
@@ -40,37 +39,37 @@ def oracle_quantile(scores, alpha):
 
 
 def test_score_unscaled_zero_for_perfect_prediction():
-    box = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    assert_allclose(score_unscaled(box, box), [0.0, 0.0, 0.0, 0.0])
+    box = [[0.0, 0.0, 10.0, 10.0]]
+    assert_allclose(residual_scores(box, box), [[0.0, 0.0, 0.0, 0.0]])
 
 
 def test_score_unscaled_per_corner_differences():
-    pred = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    gt = BoundingBox(1.0, 0.0, 8.0, 13.0)
-    assert_allclose(score_unscaled(pred, gt), [1.0, 0.0, 2.0, 3.0])
+    pred = [[0.0, 0.0, 10.0, 10.0]]
+    gt = [[1.0, 0.0, 8.0, 13.0]]
+    assert_allclose(residual_scores(pred, gt), [[1.0, 0.0, 2.0, 3.0]])
 
 
 def test_score_unscaled_sign_irrelevant():
-    pred = BoundingBox(5.0, 5.0, 5.0, 5.0)
-    gt = BoundingBox(0.0, 0.0, 0.0, 0.0)
-    assert_allclose(score_unscaled(pred, gt), [5.0, 5.0, 5.0, 5.0])
-    assert_allclose(score_unscaled(gt, pred), [5.0, 5.0, 5.0, 5.0])
+    pred = [[5.0, 5.0, 5.0, 5.0]]
+    gt = [[0.0, 0.0, 0.0, 0.0]]
+    assert_allclose(residual_scores(pred, gt), [[5.0, 5.0, 5.0, 5.0]])
+    assert_allclose(residual_scores(gt, pred), [[5.0, 5.0, 5.0, 5.0]])
 
 
 def test_score_scaled_elementwise_division():
-    pred = BoundingBox(2.0, 2.0, 2.0, 2.0)
-    gt = BoundingBox(0.0, 0.0, 0.0, 0.0)
-    assert_allclose(score_scaled(pred, gt, [2.0, 4.0, 1.0, 8.0]), [1.0, 0.5, 2.0, 0.25])
-    assert_allclose(score_scaled(pred, gt, [1.0, 1.0, 1.0, 1.0]), [2.0, 2.0, 2.0, 2.0])
-    assert_allclose(score_scaled(pred, pred, [3.0, 3.0, 3.0, 3.0]), [0.0, 0.0, 0.0, 0.0])
+    pred = [[2.0, 2.0, 2.0, 2.0]]
+    gt = [[0.0, 0.0, 0.0, 0.0]]
+    assert_allclose(residual_scores(pred, gt, [[2.0, 4.0, 1.0, 8.0]]), [[1.0, 0.5, 2.0, 0.25]])
+    assert_allclose(residual_scores(pred, gt, [[1.0, 1.0, 1.0, 1.0]]), [[2.0, 2.0, 2.0, 2.0]])
+    assert_allclose(residual_scores(pred, pred, [[3.0, 3.0, 3.0, 3.0]]), [[0.0, 0.0, 0.0, 0.0]])
 
 
 def test_score_scaled_rejects_nonpositive_sigma():
-    box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    box = [[0.0, 0.0, 1.0, 1.0]]
     with pytest.raises(NonPositiveSigma):
-        score_scaled(box, box, [1.0, 0.0, 1.0, 1.0])
+        residual_scores(box, box, [[1.0, 0.0, 1.0, 1.0]])
     with pytest.raises(NonPositiveSigma):
-        score_scaled(box, box, [1.0, -1.0, 1.0, 1.0])
+        residual_scores(box, box, [[1.0, -1.0, 1.0, 1.0]])
 
 
 def test_residual_scores_matches_record_level():
@@ -150,16 +149,15 @@ def test_bonferroni_corner_alpha():
 # ---------------------------------------------------------------- fitting
 
 
-def records_with_corner0_scores(values):
-    """Records whose corner-0 unscaled score equals the given values, rest 0."""
-    return [
-        make_record(pred=(v, 0.0, 100.0 + v, 100.0), gt=(0.0, 0.0, 100.0 + v, 100.0))
-        for v in values
-    ]
+def corner0_scores(values):
+    """Unscaled scores of boxes whose corner 0 misses by the given values, the rest by 0."""
+    pred = np.array([(v, 0.0, 100.0 + v, 100.0) for v in values], dtype=float).reshape(-1, 4)
+    gt = np.array([(0.0, 0.0, 100.0 + v, 100.0) for v in values], dtype=float).reshape(-1, 4)
+    return residual_scores(pred, gt)
 
 
 def test_fit_class_agnostic_reduces_to_quantile():
-    table = fit_class_agnostic(records_with_corner0_scores(range(1, 10)), 0.5)
+    table = fit_quantiles_from_scores(corner0_scores(range(1, 10)), 0.5)
     assert table.scope == "class_agnostic"
     assert table.corners(AGNOSTIC)[0] == 5.0
     assert table.n_per_group[AGNOSTIC] == 9
@@ -168,46 +166,25 @@ def test_fit_class_agnostic_reduces_to_quantile():
 
 def test_fit_class_agnostic_perfect_predictions():
     # 19 zero scores support alpha = 0.1: the order statistic is 18 of 19
-    records = [make_record() for _ in range(19)]
-    table = fit_class_agnostic(records, 0.1)
+    table = fit_quantiles_from_scores(np.zeros((19, 4)), 0.1)
     assert_allclose(table.corners(AGNOSTIC), [0.0, 0.0, 0.0, 0.0])
 
 
 def test_fit_class_agnostic_vacuous_with_few_records():
-    table = fit_class_agnostic([make_record() for _ in range(4)], 0.025)
+    table = fit_quantiles_from_scores(np.zeros((4, 4)), 0.025)
     assert np.all(np.isinf(table.corners(AGNOSTIC)))
     assert table.level[AGNOSTIC] > 1.0
 
 
 def test_fit_class_agnostic_empty():
     with pytest.raises(EmptyCalibration):
-        fit_class_agnostic([], 0.1)
-
-
-def two_class_records():
-    recs = []
-    for v in range(1, 10):
-        recs.append(
-            make_record(
-                pred=(float(v), 0.0, 100.0 + v, 100.0),
-                gt=(0.0, 0.0, 100.0 + v, 100.0),
-                gt_class=0,
-                class_probs=(1.0, 0.0),
-            )
-        )
-        recs.append(
-            make_record(
-                pred=(float(v), 0.0, 100.0 + v, 100.0),
-                gt=(0.0, 0.0, 100.0 + v, 100.0),
-                gt_class=1,
-                class_probs=(0.0, 1.0),
-            )
-        )
-    return recs
+        fit_quantiles_from_scores(np.empty((0, 4)), 0.1)
 
 
 def test_fit_class_wise_per_class_quantiles():
-    table = fit_class_wise(two_class_records(), 0.5, min_per_class=5)
+    # classes 0 and 1 alternate over corner-0 scores 1, 1, 2, 2, ..., 9, 9
+    scores = corner0_scores(np.repeat(np.arange(1.0, 10.0), 2))
+    table = fit_quantiles_from_scores(scores, 0.5, groups=np.tile([0, 1], 9), n_classes=2, min_per_class=5)
     assert table.scope == "class_wise"
     assert table.corners(0)[0] == 5.0
     assert table.corners(1)[0] == 5.0
@@ -216,20 +193,16 @@ def test_fit_class_wise_per_class_quantiles():
 
 
 def test_fit_class_wise_single_class_equals_agnostic():
-    records = records_with_corner0_scores(range(1, 10))
-    wise = fit_class_wise(records, 0.5, min_per_class=1)
-    agnostic = fit_class_agnostic(records, 0.5)
+    scores = corner0_scores(range(1, 10))
+    wise = fit_quantiles_from_scores(scores, 0.5, groups=np.zeros(9, dtype=int), n_classes=1, min_per_class=1)
+    agnostic = fit_quantiles_from_scores(scores, 0.5)
     assert tuple(wise.corners(0)) == tuple(agnostic.corners(AGNOSTIC))
 
 
 def test_fit_class_wise_flags_small_classes():
     # 45 records support alpha = 0.025 (order statistic 45 of 45); 3 do not
-    records = [
-        make_record(gt_class=0, class_probs=(1.0, 0.0)) for _ in range(45)
-    ] + [
-        make_record(gt_class=1, class_probs=(0.0, 1.0)) for _ in range(3)
-    ]
-    table = fit_class_wise(records, 0.025, min_per_class=20)
+    groups = np.array([0] * 45 + [1] * 3)
+    table = fit_quantiles_from_scores(np.zeros((48, 4)), 0.025, groups=groups, n_classes=2, min_per_class=20)
     assert table.flagged == (1,)
     assert table.n_per_group[1] == 3
     assert np.all(np.isinf(table.corners(1)))
@@ -237,49 +210,49 @@ def test_fit_class_wise_flags_small_classes():
 
 
 def test_fit_class_wise_missing_class():
-    records = [
-        make_record(class_probs=(1.0, 0.0), gt_class=0),
-        make_record(class_probs=(1.0, 0.0), gt_class=0),
-    ]
     with pytest.raises(MissingClass):
-        fit_class_wise(records, 0.5)
+        fit_quantiles_from_scores(np.zeros((2, 4)), 0.5, groups=[0, 0], n_classes=2)
 
 
 # ---------------------------------------------------------------- boxes
 
 
+def conformal_box(pred, sigma, quantiles, image_bounds=None):
+    """Interval bounds, outer box, inner box and whether the inner box exists, for one prediction."""
+    sigma = None if sigma is None else np.asarray(sigma, dtype=float)
+    lows, highs = corner_intervals(np.asarray(pred, dtype=float), np.asarray(quantiles, dtype=float), sigma, image_bounds)
+    return (lows, highs, *outer_inner_boxes(lows, highs))
+
+
 def test_build_conformal_box_zero_quantiles():
-    pred = BoundingBox(10.0, 10.0, 20.0, 20.0)
-    box = build_conformal_box(pred, None, [0.0, 0.0, 0.0, 0.0])
-    assert box.outer == pred
-    assert box.inner == pred
+    pred = [10.0, 10.0, 20.0, 20.0]
+    _, _, outer, inner, inner_ok = conformal_box(pred, None, [0.0, 0.0, 0.0, 0.0])
+    assert_array_equal(outer, pred)
+    assert inner_ok
+    assert_array_equal(inner, pred)
 
 
 def test_build_conformal_box_worked_example():
-    pred = BoundingBox(10.0, 10.0, 20.0, 20.0)
-    box = build_conformal_box(pred, None, [1.0, 2.0, 3.0, 4.0])
-    assert box.corner_interval(0) == (9.0, 11.0)
-    assert box.corner_interval(1) == (8.0, 12.0)
-    assert box.corner_interval(2) == (17.0, 23.0)
-    assert box.corner_interval(3) == (16.0, 24.0)
-    assert box.outer == BoundingBox(9.0, 8.0, 23.0, 24.0)
-    assert box.inner == BoundingBox(11.0, 12.0, 17.0, 16.0)
+    lows, highs, outer, inner, inner_ok = conformal_box([10.0, 10.0, 20.0, 20.0], None, [1.0, 2.0, 3.0, 4.0])
+    assert_array_equal(lows, [9.0, 8.0, 17.0, 16.0])
+    assert_array_equal(highs, [11.0, 12.0, 23.0, 24.0])
+    assert_array_equal(outer, [9.0, 8.0, 23.0, 24.0])
+    assert inner_ok
+    assert_array_equal(inner, [11.0, 12.0, 17.0, 16.0])
 
 
 def test_build_conformal_box_inverted_inner_is_none():
-    pred = BoundingBox(10.0, 10.0, 12.0, 12.0)
-    box = build_conformal_box(pred, None, [5.0, 5.0, 5.0, 5.0])
+    _, _, outer, _, inner_ok = conformal_box([10.0, 10.0, 12.0, 12.0], None, [5.0, 5.0, 5.0, 5.0])
     # x intervals [5,15] and [7,17]: the inner low side (15) passes the
     # inner high side (7), so no inner rectangle exists
-    assert box.inner is None
-    assert box.outer == BoundingBox(5.0, 5.0, 17.0, 17.0)
+    assert not inner_ok
+    assert_array_equal(outer, [5.0, 5.0, 17.0, 17.0])
 
 
 def test_build_conformal_box_scaled_widths():
-    pred = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    box = build_conformal_box(pred, [2.0, 1.0, 0.5, 4.0], [1.0, 1.0, 1.0, 1.0])
-    assert box.corner_interval(0) == (-2.0, 2.0)
-    assert box.corner_interval(3) == (6.0, 14.0)
+    lows, highs, *_ = conformal_box([0.0, 0.0, 10.0, 10.0], [2.0, 1.0, 0.5, 4.0], [1.0, 1.0, 1.0, 1.0])
+    assert (lows[0], highs[0]) == (-2.0, 2.0)
+    assert (lows[3], highs[3]) == (6.0, 14.0)
 
 
 def test_build_conformal_box_outer_contains_pred():
@@ -287,23 +260,23 @@ def test_build_conformal_box_outer_contains_pred():
     for _ in range(50):
         x0, y0 = rng.uniform(0, 100, size=2)
         w, h = rng.uniform(1, 50, size=2)
-        pred = BoundingBox(x0, y0, x0 + w, y0 + h)
+        pred = np.array([x0, y0, x0 + w, y0 + h])
         q = rng.uniform(0, 10, size=4)
-        box = build_conformal_box(pred, None, q)
-        assert box.outer.contains(pred)
-        if box.inner is not None:
-            assert box.outer.contains(box.inner)
+        _, _, outer, inner, inner_ok = conformal_box(pred, None, q)
+        assert contains_xyxy(outer, pred)
+        if inner_ok:
+            assert contains_xyxy(outer, inner)
 
 
 def test_vacuous_quantile_clamps_to_image_bounds():
-    pred = BoundingBox(10.0, 10.0, 20.0, 20.0)
-    box = build_conformal_box(pred, None, [math.inf, 0.0, 0.0, 0.0])
-    assert box.corner_interval(0) == (0.0, 10000.0)
-    assert box.corner_interval(1) == (10.0, 10.0)
+    pred = [10.0, 10.0, 20.0, 20.0]
+    lows, highs, *_ = conformal_box(pred, None, [math.inf, 0.0, 0.0, 0.0])
+    assert (lows[0], highs[0]) == (0.0, 10000.0)
+    assert (lows[1], highs[1]) == (10.0, 10.0)
 
     bounds = BoundingBox(0.0, 0.0, 640.0, 480.0)
-    box = build_conformal_box(pred, None, [math.inf, math.inf, math.inf, math.inf], image_bounds=bounds)
-    assert box.outer == BoundingBox(0.0, 0.0, 640.0, 480.0)
+    _, _, outer, _, _ = conformal_box(pred, None, [math.inf, math.inf, math.inf, math.inf], image_bounds=bounds)
+    assert_array_equal(outer, [0.0, 0.0, 640.0, 480.0])
 
 
 def test_corner_intervals_rejects_negative_quantiles():
