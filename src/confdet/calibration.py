@@ -12,10 +12,10 @@ Every fit goes through one presorted kernel.  :func:`sigma_plan`
 normalizes a table once and stably sorts the points of each map, the
 global one and one per ``(class, corner)``; :func:`recalibrate` fits the
 maps on any subset of the rows from that order, with no sort, and looks
-every row up by the rank of its x.  A resplit experiment builds one plan
-and fits it in every run; :func:`fit_calibrator_arrays` is the plan
-fitted on all its rows, and :func:`calibrated_sigma_array` the lookup
-for a saved calibrator.
+every row up in the fitted maps as :func:`evaluate_map` does.  A resplit
+experiment builds one plan and fits it in every run;
+:func:`fit_calibrator_arrays` is the plan fitted on all its rows, and
+:func:`calibrated_sigma_array` the lookup for a saved calibrator.
 """
 
 from __future__ import annotations
@@ -115,11 +115,14 @@ def evaluate_map(cmap: CalibrationMap, x):
     ``x``, the first value below the first breakpoint, the last value
     above the last.
     """
-    bp = np.asarray(cmap.breakpoints, dtype=float)
-    vals = np.asarray(cmap.values, dtype=float)
-    idx = np.clip(np.searchsorted(bp, np.asarray(x, dtype=float), side="right") - 1, 0, len(bp) - 1)
-    out = vals[idx]
+    out = _step(cmap.breakpoints, cmap.values, np.asarray(x, dtype=float))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+
+
+def _step(breakpoints, values, x: np.ndarray) -> np.ndarray:
+    """The step function's value at each ``x``, by one search of its ascending breakpoints."""
+    idx = np.searchsorted(np.asarray(breakpoints, dtype=float), x, side="right") - 1
+    return np.asarray(values, dtype=float)[np.clip(idx, 0, len(breakpoints) - 1)]
 
 
 def _normalize(pred: np.ndarray, sigma):
@@ -150,44 +153,39 @@ class SigmaCalibrator:
     n_excluded: int = 0
 
 
-def fit_calibrator_arrays(
-    pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_fit: int = MIN_CLASS_FIT
-) -> SigmaCalibrator:
+def fit_calibrator_arrays(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaCalibrator:
     """Fit sigma-recalibration maps on ``(n, 4)`` inputs: their :func:`sigma_plan`, fitted on every row.
 
     The map runs from normalized sigma to normalized absolute corner
     residual.  Rows with a degenerate predicted box are left out of the
     fit and counted in ``n_excluded``; at the per-class scope a class with
-    fewer than ``min_class_fit`` usable rows falls back to the global map.
+    fewer than ``MIN_CLASS_FIT`` usable rows falls back to the global map.
     """
     if scope not in SCOPES:
         raise OutOfRange(f"unknown calibration scope {scope!r}")
     if scope == SCOPE_RAW:
         return SigmaCalibrator(scope=SCOPE_RAW)
-    plan = sigma_plan(pred, gt, sigma, gt_class, scope, min_class_fit)
+    plan = sigma_plan(pred, gt, sigma, gt_class, scope)
     n_excluded, fallback, fits = _fit(plan, np.ones(len(plan.usable), dtype=bool))
-    maps = {m.key: CalibrationMap(tuple(bp.tolist()), tuple(values.tolist()), m.key) for m, _, bp, values in fits}
+    maps = {m.key: CalibrationMap(tuple(bp.tolist()), tuple(values.tolist()), m.key) for m, bp, values in fits}
     global_map = maps.pop("global")
     return SigmaCalibrator(scope, global_map, maps, fallback, n_excluded)
 
 
 class _SortedMap(NamedTuple):
     """The points one map may be fitted on, in stable order of x: each one's
-    ``row * 4 + corner`` in the plan, x, y, and rank among the distinct x."""
+    ``row * 4 + corner`` in the plan, x and y."""
 
     key: object
     group: int  # the class index of a class map, -1 for the global map
     flat: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    ids: np.ndarray
 
 
 def _sorted_map(key, group: int, flat, x, y) -> _SortedMap:
     order = np.argsort(x, kind="stable")
-    x = x[order]
-    ids = np.cumsum(np.concatenate(([False], x[1:] != x[:-1])))[: len(x)]
-    return _SortedMap(key, group, flat[order], x, y[order], ids)
+    return _SortedMap(key, group, flat[order], x[order], y[order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +195,6 @@ class SigmaPlan:
     index into ``classes``, and the points of the global and each ``(class, corner)`` map."""
 
     scope: str
-    min_class_fit: int
     sigma: np.ndarray
     usable: np.ndarray
     dims: np.ndarray
@@ -207,7 +204,7 @@ class SigmaPlan:
     maps: tuple
 
 
-def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_fit: int = MIN_CLASS_FIT) -> SigmaPlan:
+def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPlan:
     """Normalize ``(n, 4)`` rows and sort every map's points once, for :func:`recalibrate`.
 
     A subset of a stable sort is the stable sort of the subset, so a fit
@@ -229,14 +226,14 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL, min_class_f
     maps = [_sorted_map("global", -1, flat.ravel(), x.ravel(), y.ravel())]
     for k in range(len(classes)) if scope == SCOPE_PER_CLASS else ():
         sel = cls[usable] == k
-        if sel.sum() >= max(min_class_fit, 1):
+        if sel.sum() >= MIN_CLASS_FIT:
             maps += [_sorted_map((int(classes[k]), c), k, flat[sel, c], x[sel, c], y[sel, c]) for c in range(4)]
-    return SigmaPlan(scope, min_class_fit, sigma, usable, dims, finite, cls, classes, tuple(maps))
+    return SigmaPlan(scope, sigma, usable, dims, finite, cls, classes, tuple(maps))
 
 
 def _fit(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool = False):
     """``n_excluded``, the fallback classes and, for each map fitted on the
-    rows of ``fit_mask``, ``(map, ids of its breakpoints, breakpoints, values)``.
+    rows of ``fit_mask``, ``(map, breakpoints, values)``.
 
     With ``lookup`` the global map is fitted only if some usable plan row's
     class gets no class map of its own here, the one case where a lookup of
@@ -250,9 +247,8 @@ def _fit(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool = False):
     if not plan.finite[fit].all():
         raise OutOfRange("isotonic_fit needs finite x and y, and finite weights > 0")
     counts = np.bincount(plan.cls[fit], minlength=len(plan.classes))
-    small = (counts > 0) & (counts < plan.min_class_fit)
-    fallback = tuple(plan.classes[small].tolist()) if plan.scope == SCOPE_PER_CLASS else ()
-    fitted = counts >= max(plan.min_class_fit, 1)  # a class fitted here has maps in the plan
+    fitted = counts >= MIN_CLASS_FIT  # a class fitted here has maps in the plan
+    fallback = tuple(plan.classes[(counts > 0) & ~fitted].tolist()) if plan.scope == SCOPE_PER_CLASS else ()
     need_global = not (lookup and plan.scope == SCOPE_PER_CLASS and fitted[plan.cls[plan.usable]].all())
     fits = []
     for m in plan.maps:
@@ -260,7 +256,7 @@ def _fit(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool = False):
             sel = fit[m.flat // 4]
             x = m.x[sel]
             start, values = _pool(x, m.y[sel], np.ones(len(x)))
-            fits.append((m, m.ids[sel][start], x[start], values))
+            fits.append((m, x[start], values))
     return int(fit_mask.sum() - fit.sum()), fallback, fits
 
 
@@ -268,18 +264,16 @@ def recalibrate(plan: SigmaPlan, fit_mask: np.ndarray) -> tuple[np.ndarray, int,
     """Fit the maps on the rows of ``fit_mask`` and recalibrate the sigma of every plan row.
 
     Returns the ``(n, 4)`` sigma as :func:`calibrated_sigma_array` gives it,
-    ``n_excluded`` and the fallback classes.  A map is evaluated by rank:
-    its breakpoints at or below an x are the breakpoint ids up to x's id.
-    At the per-class scope the global map is fitted only when some usable
-    row's class falls back to it (too few fit rows, or no map in the plan);
-    otherwise the class maps cover every usable row.
+    ``n_excluded`` and the fallback classes.  Each fitted map is evaluated
+    at the x of every plan row it covers, fit or not, as :func:`evaluate_map`
+    would evaluate it.  At the per-class scope the global map is fitted
+    only when some usable row's class falls back to it (too few fit rows,
+    or no map in the plan); otherwise the class maps cover every usable row.
     """
     n_excluded, fallback, fits = _fit(plan, np.asarray(fit_mask, dtype=bool), lookup=True)
     mapped = np.empty(plan.sigma.size)
-    for m, bp_ids, _, values in fits:  # global (if fitted) first, then class maps overwrite their rows
-        flags = np.zeros(m.ids[-1] + 1, dtype=np.intp)
-        flags[bp_ids] = 1
-        mapped[m.flat] = values[np.maximum(np.cumsum(flags)[m.ids] - 1, 0)]
+    for m, bp, values in fits:  # global (if fitted) first, then class maps overwrite their rows
+        mapped[m.flat] = _step(bp, values, m.x)
     out = plan.sigma.copy()
     out[plan.usable] = np.maximum(mapped.reshape(-1, 4)[plan.usable] * plan.dims, SIGMA_FLOOR)
     return out, n_excluded, fallback
@@ -338,6 +332,13 @@ def _map_from_dict(d: dict, scope_key) -> CalibrationMap:
     raise MalformedFile(f"calibration map {scope_key} {problem}")
 
 
+def _non_negative_int(value, name: str, stop: float = float("inf")) -> int:
+    """``value`` if it is a JSON integer in ``[0, stop)``; a float, bool or string is not."""
+    if type(value) is not int or not 0 <= value < stop:
+        raise MalformedFile(f"{name} must be an integer in [0, {stop}), got {value!r}")
+    return value
+
+
 def save_calibrator(calibrator: SigmaCalibrator, path) -> None:
     """Serialize a calibrator to a JSON file."""
     doc = {
@@ -358,8 +359,10 @@ def save_calibrator(calibrator: SigmaCalibrator, path) -> None:
 def load_calibrator(path) -> SigmaCalibrator:
     """Load a calibrator previously written by :func:`save_calibrator`.
 
-    Raises :class:`MalformedFile` if the file is not such a calibrator, or
-    if a map is not a step function with strictly ascending breakpoints and
+    Raises :class:`MalformedFile` if the file is not such a calibrator: a
+    class, corner, fallback class or ``n_excluded`` that is not an integer
+    >= 0 (a corner below 4), a repeated ``(class, corner)`` map, or a map
+    that is not a step function with strictly ascending breakpoints and
     finite, non-decreasing values.
     """
     try:
@@ -371,14 +374,16 @@ def load_calibrator(path) -> SigmaCalibrator:
             raise MalformedFile(f"scope {doc['scope']} needs a global map")
         maps = {}
         for entry in doc.get("maps", []):
-            key = (int(entry["class"]), int(entry["corner"]))
+            key = (_non_negative_int(entry["class"], "class"), _non_negative_int(entry["corner"], "corner", 4))
+            if key in maps:
+                raise MalformedFile(f"repeated calibration map {key}")
             maps[key] = _map_from_dict(entry, key)
         return SigmaCalibrator(
             scope=doc["scope"],
             global_map=None if doc.get("global") is None else _map_from_dict(doc["global"], "global"),
             maps=maps,
-            fallback_keys=tuple(int(k) for k in doc.get("fallback_classes", [])),
-            n_excluded=int(doc.get("n_excluded", 0)),
+            fallback_keys=tuple(_non_negative_int(k, "fallback class") for k in doc.get("fallback_classes", [])),
+            n_excluded=_non_negative_int(doc.get("n_excluded", 0), "n_excluded"),
         )
     except (KeyError, TypeError, ValueError, RecursionError, MalformedFile) as exc:  # RecursionError: JSON nested too deeply
         raise MalformedFile(f"{path}: not a sigma calibrator: {exc}") from exc

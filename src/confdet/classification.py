@@ -35,12 +35,12 @@ def class_order(class_probs: np.ndarray) -> np.ndarray:
 def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig | None = None) -> np.ndarray:
     """Vectorized scores of the true class for an ``(n, K)`` batch.
 
-    ``config=None`` gives plain adaptive scores: the probability mass from
-    the top class down to the true one, inclusive.  A config adds
-    ``penalty_a * max(0, rank - threshold_b)`` for the 1-based rank of the
-    true class, so deep tail classes become expensive.  The labels
-    must be ``n`` integers in ``[0, K)``; bool and float labels are
-    rejected, not truncated.
+    The running total of :func:`set_totals` at the true class: the mass
+    from the top class down to it, inclusive, plus the config's penalty
+    ``penalty_a * max(0, rank - threshold_b)`` at its 1-based rank whatever
+    ``penalty_at_inference`` says, so deep tail classes become expensive;
+    ``config=None`` gives plain adaptive scores.  The labels must be ``n``
+    integers in ``[0, K)``; bool and float labels are rejected, not truncated.
     """
     p = np.asarray(probs, dtype=float)
     labels = np.asarray(labels)
@@ -51,16 +51,8 @@ def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig 
         raise InvalidClass(f"labels must be integers, got dtype {labels.dtype}")
     if np.any((labels < 0) | (labels >= k)):
         raise InvalidClass("labels must lie in [0, K)")
-    order = class_order(p)
-    sorted_p = np.take_along_axis(p, order, axis=1)
-    csum = np.cumsum(sorted_p, axis=1)
-    ranks = np.empty((n, k), dtype=int)
-    np.put_along_axis(ranks, order, np.arange(k)[None, :], axis=1)
-    rank_true = ranks[np.arange(n), labels]  # 0-based
-    scores = csum[np.arange(n), rank_true]
-    if config is not None and config.penalty_a > 0:
-        scores = scores + config.penalty_a * np.maximum(0, rank_true + 1 - config.threshold_b)
-    return scores
+    order, totals = _running_totals(p, config, penalize=config is not None)
+    return totals[order == labels[:, None]]  # each row's order holds its label once
 
 
 def classification_quantile(scores, alpha: float) -> float:
@@ -104,12 +96,15 @@ def set_totals(probs: np.ndarray, config: RAPSConfig):
     the probability mass of its top ``j + 1`` classes, plus the rank
     penalty when ``config.penalty_at_inference`` is set.
     """
-    p = np.asarray(probs, dtype=float)
-    k_total = p.shape[1]
+    return _running_totals(np.asarray(probs, dtype=float), config, penalize=config.penalty_at_inference)
+
+
+def _running_totals(p: np.ndarray, config: RAPSConfig | None, penalize: bool):
+    """Each row's class order and running totals, plus the config's rank penalty if ``penalize``."""
     order = class_order(p)
     totals = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
-    if config.penalty_a > 0 and config.penalty_at_inference:
-        totals = totals + config.penalty_a * np.maximum(0, np.arange(1, k_total + 1) - config.threshold_b)
+    if penalize and config.penalty_a > 0:
+        totals = totals + config.penalty_a * np.maximum(0, np.arange(1, p.shape[1] + 1) - config.threshold_b)
     return order, totals
 
 

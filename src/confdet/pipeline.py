@@ -76,7 +76,6 @@ from .metrics import (
 )
 from .regression import (
     GroupSort,
-    column_quantiles,
     corner_intervals,
     group_quantiles,
     masked_group_quantiles,
@@ -656,7 +655,7 @@ def recovery_sweep(
         sig_ev = ev.sigma if scaling == "scaled" else None
         scores = residual_scores(cal.pred, cal.gt, sig_cal)
         for alpha in alphas:
-            q = column_quantiles(scores, alpha)
+            q = group_quantiles(scores, alpha, np.zeros(len(scores), dtype=int), 1)[0][0]  # one group
             lows, highs = corner_intervals(ev.pred, q, sigma=sig_ev, image_bounds=image_bounds)
             outer, _, _ = outer_inner_boxes(lows, highs)
             contained = contains_xyxy(outer, ev.gt)

@@ -58,7 +58,8 @@ def conformal_quantile(scores, alpha: float) -> float:
     small for the requested level) the quantile is ``+inf`` and downstream
     intervals become vacuous.  The rank is computed in exact arithmetic
     with ``alpha`` read at its shortest round-trip decimal, so typed
-    levels like 0.3 sit on the integer boundaries they describe.
+    levels like 0.3 sit on the integer boundaries they describe.  This is
+    the one-group, one-column case of :func:`group_quantiles`.
 
     Parameters
     ----------
@@ -73,30 +74,10 @@ def conformal_quantile(scores, alpha: float) -> float:
         The calibrated quantile, possibly ``+inf``.
     """
     s = np.asarray(scores, dtype=float).ravel()
-    return float(column_quantiles(s[:, None], alpha)[0])
-
-
-def column_quantiles(scores, alpha: float) -> np.ndarray:
-    """:func:`conformal_quantile` of each column of an ``(n, m)`` score matrix.
-
-    All ``m`` order statistics come from one partition along the rows.
-    Returns an ``(m,)`` array, ``+inf`` everywhere when the rank exceeds
-    ``n``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise OutOfRange(f"alpha must lie in (0, 1), got {alpha!r}")
-    s = np.asarray(scores, dtype=float)
-    if s.ndim != 2:
-        raise OutOfRange(f"scores must be an (n, m) matrix, got shape {s.shape}")
-    n = s.shape[0]
-    if n == 0:
+    if s.size == 0:
         raise EmptyCalibration("conformal_quantile needs at least one score")
-    if np.isnan(s).any():  # NaN sorts last, so it would silently shift the rank
-        raise DataError("conformal_quantile got NaN scores")
-    rank = _order_rank(n, alpha)
-    if rank > n:
-        return np.full(s.shape[1], math.inf)
-    return np.partition(s, rank - 1, axis=0)[rank - 1]
+    q, _ = group_quantiles(s[:, None], alpha, np.zeros(s.size, dtype=int), 1)
+    return float(q[0, 0])
 
 
 def bonferroni_corner_alpha(alpha_bbox: float) -> float:
@@ -169,7 +150,7 @@ def presort_groups(scores, groups, n_groups: int) -> GroupSort:
 
 
 def masked_group_quantiles(values, bounds, picked, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`column_quantiles` of each group's picked entries, for a batch of samples.
+    """:func:`conformal_quantile` of each column of each group's picked entries, for a batch of samples.
 
     ``values`` and ``bounds`` are presorted as in :class:`GroupSort`, and
     sample ``b`` holds sorted entry ``values[i, c]`` where ``picked[b, c, i]``;
@@ -225,7 +206,7 @@ def masked_group_quantiles(values, bounds, picked, alpha: float) -> tuple[np.nda
 
 
 def group_quantiles(scores, alpha: float, groups, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`column_quantiles` of each group's rows of an ``(n, m)`` score matrix.
+    """:func:`conformal_quantile` of each column of each group's rows of an ``(n, m)`` score matrix.
 
     ``groups`` holds the group id of each row, in ``[0, n_groups)``.
     Returns the ``(n_groups, m)`` quantiles and the ``(n_groups,)`` row

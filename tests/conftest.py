@@ -1,8 +1,17 @@
-"""Shared helpers for building small hand-made datasets."""
+"""Shared helpers for building small hand-made datasets, and the Hypothesis profile.
+
+Every property test runs under the one profile loaded here: 150 examples,
+no deadline, derandomized (the same examples on every run) and no example
+database.
+"""
 
 import numpy as np
+from hypothesis import settings
 
 from confdet.core import BoundingBox, Dataset, DetectionRecord
+
+settings.register_profile("confdet", max_examples=150, deadline=None, derandomize=True, database=None)
+settings.load_profile("confdet")
 
 
 def make_record(

@@ -10,10 +10,11 @@ per line, where the library works over columns.
 
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 
-from confdet.calibration import DIMENSION_EPS
+from confdet.calibration import DIMENSION_EPS, SCOPE_RAW, SIGMA_FLOOR
 from confdet.classification import class_order
 from confdet.core import PROB_SUM_TOL, BoundingBox, Dataset, DetectionRecord
 from confdet.errors import (
@@ -25,6 +26,19 @@ from confdet.errors import (
     ValidationError,
 )
 from confdet.io import RECORD_FIELDS, LoadReport
+
+
+def exact_rank(n: int, alpha: float) -> int:
+    """ceil((n + 1)(1 - alpha)) in integers, alpha at its shortest round-trip decimal."""
+    num, den = Decimal(repr(float(alpha))).as_integer_ratio()
+    return -((-(n + 1) * (den - num)) // den)
+
+
+def conformal_quantile(scores, alpha):
+    """The exact_rank-th smallest score, inf when that rank exceeds the count."""
+    s = sorted(float(v) for v in scores)
+    rank = exact_rank(len(s), alpha)
+    return s[rank - 1] if rank <= len(s) else math.inf
 
 
 def score_unscaled(pred_box, gt_box):
@@ -127,6 +141,32 @@ def normalize_sigma(record, corner):
     if dim <= DIMENSION_EPS:
         return None
     return float(record.sigma[corner]) / dim
+
+
+def calibrated_sigma(calibrator, record):
+    """One record's recalibrated sigma, corner by corner.
+
+    Each corner's sigma is normalized by its predicted-box dimension, mapped
+    by the record's class map for that corner or else the global map (the
+    value of the last breakpoint at or below it, found by a linear scan, or
+    the first value below them all), denormalized and floored.  A raw
+    calibrator or a degenerate box keeps the raw sigma.
+    """
+    box = record.pred_box
+    if calibrator.scope == SCOPE_RAW or box.width <= DIMENSION_EPS or box.height <= DIMENSION_EPS:
+        return tuple(float(s) for s in record.sigma)
+    out = []
+    for corner in range(4):
+        cmap = (calibrator.maps or {}).get((record.gt_class, corner), calibrator.global_map)
+        x = normalize_sigma(record, corner)
+        value = cmap.values[0]
+        for bp, v in zip(cmap.breakpoints, cmap.values):
+            if bp > x:
+                break
+            value = v
+        dim = box.width if corner in (0, 2) else box.height
+        out.append(max(value * dim, SIGMA_FLOOR))
+    return tuple(out)
 
 
 def validate_record(record):

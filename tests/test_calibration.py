@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
@@ -14,6 +14,7 @@ from confdet.calibration import (
     SCOPE_GLOBAL,
     SCOPE_PER_CLASS,
     SCOPE_RAW,
+    SCOPES,
     SIGMA_FLOOR,
     SigmaCalibrator,
     apply_calibrated_sigma,
@@ -32,6 +33,7 @@ from confdet.calibration import _normalize
 from confdet.core import CalibrationMap, records_to_arrays
 from confdet.errors import DataError, EmptyFit, OutOfRange
 
+import reference
 from conftest import make_record
 
 # Some test names keep the one-record functions their worked examples were
@@ -225,8 +227,6 @@ def test_isotonic_fit_input_validation():
 
 # ---------------------------------------------------------------- properties
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 weighted_points = st.lists(
     st.tuples(
@@ -244,7 +244,6 @@ def fitted_at_inputs(points):
     return x, y, w, evaluate_map(isotonic_fit(x, y, w), x)
 
 
-@PROPERTY
 @given(weighted_points)
 def test_property_fit_is_non_decreasing(points):
     x, _, _, fitted = fitted_at_inputs(points)
@@ -252,7 +251,6 @@ def test_property_fit_is_non_decreasing(points):
     assert (np.diff(fitted[order]) >= 0).all()
 
 
-@PROPERTY
 @given(weighted_points)
 def test_property_refit_is_idempotent(points):
     x, _, w, fitted = fitted_at_inputs(points)
@@ -260,7 +258,6 @@ def test_property_refit_is_idempotent(points):
     assert_allclose(refit, fitted, rtol=1e-12, atol=1e-9)
 
 
-@PROPERTY
 @given(weighted_points)
 def test_property_fit_keeps_weighted_mean(points):
     _, y, w, fitted = fitted_at_inputs(points)
@@ -268,7 +265,6 @@ def test_property_fit_keeps_weighted_mean(points):
     assert float(np.sum(w * fitted)) == pytest.approx(float(np.sum(w * y)), rel=1e-9, abs=1e-9 * scale)
 
 
-@PROPERTY
 @given(weighted_points)
 def test_property_pava_fit_wraps_isotonic_fit(points):
     x, y, w = (np.array(col) for col in zip(*points))
@@ -278,11 +274,11 @@ def test_property_pava_fit_wraps_isotonic_fit(points):
     assert wrapped.values == direct.values
 
 
-@PROPERTY
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 30))
-def test_property_per_class_sigma_matches_loop(seed, n_classes, min_class_fit):
-    # min_class_fit up to 30 of about 20 records per class makes fallback classes
-    # common; evaluating on one class more than fitted adds a class without maps
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 3))
+def test_property_per_class_sigma_matches_loop(seed, n_classes, n_single):
+    # the first n_single rows each make a class of their own, below MIN_CLASS_FIT,
+    # so it falls back (or, on a degenerate box, has no usable row); evaluating
+    # on one class more than fitted adds a class without maps
     rng = np.random.default_rng(seed)
     n = 20 * n_classes
     x0 = rng.uniform(0, 500, size=(n, 2))
@@ -292,8 +288,11 @@ def test_property_per_class_sigma_matches_loop(seed, n_classes, min_class_fit):
     gt = pred + rng.normal(scale=5.0, size=(n, 4))
     sigma = np.round(rng.uniform(0.5, 5.0, size=(n, 4)), 1)
     gt_class = rng.integers(0, n_classes, size=n)
-    calibrator = fit_calibrator_arrays(pred, gt, sigma, gt_class, SCOPE_PER_CLASS, min_class_fit)
-    eval_class = rng.integers(0, n_classes + 1, size=n)
+    gt_class[:n_single] = n_classes + np.arange(n_single)
+    calibrator = fit_calibrator_arrays(pred, gt, sigma, gt_class, SCOPE_PER_CLASS)
+    usable = (pred[:, 2:] - pred[:, :2] > DIMENSION_EPS).all(axis=1)
+    assert {n_classes + i for i in range(n_single) if usable[i]} <= set(calibrator.fallback_keys)
+    eval_class = rng.integers(0, n_classes + n_single + 1, size=n)
     assert_array_equal(
         calibrated_sigma_array(calibrator, pred, sigma, eval_class),
         _reference_per_class_sigma(calibrator, pred, sigma, eval_class),
@@ -354,7 +353,6 @@ def sigma_tables(draw):
     return pred, gt, sigma, np.array([0, 3, 7, 9])[gt_class], fit
 
 
-@PROPERTY
 @given(sigma_tables(), st.sampled_from([SCOPE_PER_CLASS, SCOPE_GLOBAL]))
 def test_property_presorted_fit_matches_isotonic_fit(table, scope):
     pred, gt, sigma, gt_class, fit = table
@@ -368,7 +366,7 @@ def test_property_presorted_fit_matches_isotonic_fit(table, scope):
                 call()
         return
     _, _, fits = fit_plan(plan, fit)
-    maps = {m.key: (tuple(bp.tolist()), tuple(values.tolist())) for m, _, bp, values in fits}
+    maps = {m.key: (tuple(bp.tolist()), tuple(values.tolist())) for m, bp, values in fits}
     ref_maps = {key: (cmap.breakpoints, cmap.values) for key, cmap in ref.maps.items()}
     assert maps == {"global": (ref.global_map.breakpoints, ref.global_map.values), **ref_maps}
     # a lookup fits the global map only if some usable row's class has no class map
@@ -376,12 +374,28 @@ def test_property_presorted_fit_matches_isotonic_fit(table, scope):
     needs_global = any((int(k), 0) not in ref.maps for k in gt_class[usable])
     _, _, looked_up = fit_plan(plan, fit, lookup=True)
     assert {m.key for m, *_ in looked_up} == set(maps) - (set() if needs_global else {"global"})
-    # by rank, every row is mapped as evaluate_map maps it, the unfitted rows included
+    # by one search of each fitted map's breakpoints, every row is mapped as
+    # evaluate_map maps it, the unfitted rows included
     out, n_excluded, fallback = recalibrate(plan, fit)
     assert_array_equal(out, _reference_per_class_sigma(ref, pred, sigma, gt_class))
     calibrator = fit_calibrator_arrays(*rows, scope)
     assert (n_excluded, fallback) == (calibrator.n_excluded, calibrator.fallback_keys)
     assert (n_excluded, fallback) == (ref.n_excluded, ref.fallback_keys)
+
+
+@given(sigma_tables(), st.sampled_from(SCOPES), st.data())
+def test_property_apply_calibrated_sigma_matches_per_record_oracle(table, scope, data):
+    # the tables hold degenerate boxes and, in about half the draws, a class
+    # fitted on one row that falls back to the global map; class 11 is in no fit
+    pred, gt, sigma, gt_class, fit = table
+    try:
+        calibrator = fit_calibrator_arrays(pred[fit], gt[fit], sigma[fit], gt_class[fit], scope)
+    except EmptyFit:
+        return
+    classes = data.draw(hnp.arrays(np.int64, len(pred), elements=st.sampled_from([0, 3, 7, 9, 11])))
+    for p, s, k in zip(pred.tolist(), sigma.tolist(), classes.tolist()):
+        record = make_record(pred=p, sigma=s, gt_class=k, class_probs=[1.0] + [0.0] * 11)
+        assert apply_calibrated_sigma(calibrator, record) == reference.calibrated_sigma(calibrator, record)
 
 
 def test_recalibrate_reads_the_global_map_only_where_a_class_has_no_map():
@@ -672,6 +686,19 @@ def _set_class_map(**entries):
         (_set_global(breakpoints=[], values=[]), "map global"),
         (_set_class_map(breakpoints=[0.01, 0.02], values=[0.1, 0.05]), "map (0, 3)"),
         (lambda doc: doc.pop("scope"), "scope"),
+        (_set_class_map(corner=-1), "corner"),
+        (_set_class_map(corner=7), "corner"),
+        (_set_class_map(corner=2.0), "corner"),
+        (_set_class_map(**{"class": 1.7}), "class"),
+        (_set_class_map(**{"class": True}), "class"),
+        (_set_class_map(**{"class": "1"}), "class"),
+        (_set_class_map(**{"class": -1}), "class"),
+        (_set_class_map(corner=2), "repeated calibration map (0, 2)"),
+        (lambda doc: doc.update(fallback_classes=[2.5]), "fallback class"),
+        (lambda doc: doc.update(fallback_classes=[-1]), "fallback class"),
+        (lambda doc: doc.update(n_excluded=-3), "n_excluded"),
+        (lambda doc: doc.update(n_excluded=1.0), "n_excluded"),
+        (lambda doc: doc.update(n_excluded=False), "n_excluded"),
     ],
     ids=[
         "unknown-scope",
@@ -685,6 +712,19 @@ def _set_class_map(**entries):
         "empty",
         "decreasing-class-map",
         "no-scope",
+        "negative-corner",
+        "corner-past-3",
+        "float-corner",
+        "float-class",
+        "bool-class",
+        "string-class",
+        "negative-class",
+        "repeated-map",
+        "float-fallback-class",
+        "negative-fallback-class",
+        "negative-n-excluded",
+        "float-n-excluded",
+        "bool-n-excluded",
     ],
 )
 def test_load_calibrator_rejects_malformed_maps(tmp_path, edit, names):

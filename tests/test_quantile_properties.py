@@ -1,11 +1,10 @@
 """Hypothesis properties of the quantile and label-set kernels."""
 
 import math
-from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,14 +13,14 @@ from confdet.core import RAPSConfig
 from confdet.errors import DataError, InvalidClass, MissingClass
 from confdet.regression import (
     _order_rank,
-    column_quantiles,
     conformal_quantile,
     group_quantiles,
     masked_group_quantiles,
     presort_groups,
 )
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+import reference
+from reference import exact_rank
 
 # typed levels such as 0.72 sit on integer boundaries of (n + 1)(1 - alpha)
 levels = st.one_of(
@@ -32,13 +31,6 @@ levels = st.one_of(
 score_values = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0, 1e6))
 
 
-def exact_rank(n: int, alpha: float) -> int:
-    """ceil((n + 1)(1 - alpha)) in integers, alpha at its shortest round-trip decimal."""
-    num, den = Decimal(repr(float(alpha))).as_integer_ratio()
-    return -((-(n + 1) * (den - num)) // den)
-
-
-@PROPERTY
 @given(st.integers(1, 10**6), levels)
 def test_property_order_rank_is_exact_ceil(n, alpha):
     expected = exact_rank(n, alpha)
@@ -62,27 +54,27 @@ def score_matrices(draw):
     return draw(arrays(float, (n, m), elements=score_values))
 
 
-@PROPERTY
+def pooled(scores):
+    """One group id per row of ``scores``: the class-agnostic fit."""
+    return np.zeros(len(scores), dtype=int)
+
+
 @given(score_matrices(), levels)
-def test_property_column_quantiles_match_conformal_quantile(scores, alpha):
-    got = column_quantiles(scores, alpha)
-    assert got.shape == (scores.shape[1],)
-    expected = [conformal_quantile(scores[:, c], alpha) for c in range(scores.shape[1])]
-    assert got.tolist() == expected
-    if exact_rank(scores.shape[0], alpha) > scores.shape[0]:
-        assert np.isinf(got).all()
-    else:
-        assert all(v in scores[:, c] for c, v in enumerate(got))
+def test_property_pooled_quantiles_match_order_statistic_oracle(scores, alpha):
+    q, counts = group_quantiles(scores, alpha, pooled(scores), 1)
+    assert q.shape == (1, scores.shape[1]) and counts.tolist() == [len(scores)]
+    expected = [reference.conformal_quantile(scores[:, c], alpha) for c in range(scores.shape[1])]
+    assert q[0].tolist() == expected
+    assert [conformal_quantile(scores[:, c], alpha) for c in range(scores.shape[1])] == expected
 
 
-@PROPERTY
 @given(score_matrices(), levels, st.data())
 def test_property_nan_raises_in_both_forms(scores, alpha, data):
     i = data.draw(st.integers(0, scores.shape[0] - 1))
     c = data.draw(st.integers(0, scores.shape[1] - 1))
     scores[i, c] = math.nan
     with pytest.raises(DataError):
-        column_quantiles(scores, alpha)
+        group_quantiles(scores, alpha, pooled(scores), 1)
     with pytest.raises(DataError):
         conformal_quantile(scores[:, c], alpha)
 
@@ -97,7 +89,6 @@ def grouped_scores(draw):
     return draw(arrays(float, (len(labels), m), elements=score_values)), labels, g
 
 
-@PROPERTY
 @given(grouped_scores(), levels)
 def test_property_group_quantiles_are_conformal_quantiles_per_group(grouped, alpha):
     scores, labels, g = grouped
@@ -106,7 +97,7 @@ def test_property_group_quantiles_are_conformal_quantiles_per_group(grouped, alp
     assert counts.tolist() == np.bincount(labels, minlength=g).tolist()
     for k in range(g):
         rows = scores[labels == k]
-        assert q[k].tolist() == [conformal_quantile(rows[:, c], alpha) for c in range(scores.shape[1])]
+        assert q[k].tolist() == [reference.conformal_quantile(rows[:, c], alpha) for c in range(scores.shape[1])]
 
 
 def test_group_quantiles_names_the_first_empty_group():
@@ -142,7 +133,6 @@ def masked_samples(draw):
     return scores, labels, g, mask
 
 
-@PROPERTY
 @given(masked_samples(), levels)
 def test_property_masked_group_quantiles_are_each_samples_group_quantiles(sample, alpha):
     scores, labels, g, mask = sample
@@ -159,8 +149,9 @@ def test_property_masked_group_quantiles_are_each_samples_group_quantiles(sample
         expected_q, expected_counts = group_quantiles(scores[row], alpha, labels[row], g)
         assert q[b].tolist() == expected_q.tolist()
         assert counts[b].tolist() == expected_counts.tolist()
-        for k in range(g):  # and the partition of each group's rows agrees
-            assert q[b, k].tolist() == column_quantiles(scores[row][labels[row] == k], alpha).tolist()
+        for k in range(g):  # and the order-statistic oracle on each group's rows agrees
+            rows = scores[row][labels[row] == k]
+            assert q[b, k].tolist() == [reference.conformal_quantile(rows[:, c], alpha) for c in range(scores.shape[1])]
 
 
 def test_masked_group_quantiles_ignore_nan_in_rows_no_sample_holds():
@@ -194,7 +185,6 @@ raps_configs = st.builds(
 thresholds = st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 3.0))
 
 
-@PROPERTY
 @given(probability_batches(), raps_configs, thresholds, thresholds)
 def test_property_set_size_is_monotone_in_qhat(probs, config, q1, q2):
     lo, hi = sorted((q1, q2))

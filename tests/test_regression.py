@@ -28,13 +28,6 @@ import reference
 # runs the same numbers through the array kernel.
 
 
-def oracle_quantile(scores, alpha):
-    """k-th order statistic with k = ceil((n+1)(1-alpha)), or inf."""
-    s = sorted(scores)
-    k = math.ceil((len(s) + 1) * (1.0 - alpha))
-    return s[k - 1] if k <= len(s) else math.inf
-
-
 # ---------------------------------------------------------------- scores
 
 
@@ -98,7 +91,7 @@ def test_conformal_quantile_matches_oracle_on_random_vectors():
         n = int(rng.integers(1, 25))
         scores = rng.uniform(0, 10, size=n)
         alpha = float(rng.uniform(0.01, 0.99))
-        assert conformal_quantile(scores, alpha) == oracle_quantile(scores, alpha)
+        assert conformal_quantile(scores, alpha) == reference.conformal_quantile(scores, alpha)
 
 
 def test_conformal_quantile_monotone_in_alpha():
