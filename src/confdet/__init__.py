@@ -12,7 +12,6 @@ from .calibration import (
     SCOPE_RAW,
     SCOPES,
     SigmaCalibrator,
-    apply_calibrated_sigma,
     evaluate_map,
     isotonic_fit,
     load_calibrator,
@@ -110,7 +109,6 @@ __all__ = [
     "SigmaCalibrator",
     "StratificationImpossible",
     "ValidationError",
-    "apply_calibrated_sigma",
     "bonferroni_corner_alpha",
     "box_interval_scores",
     "classification_quantile",

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import CalibrationMap, DetectionRecord, records_to_arrays
+from .core import CalibrationMap, _label_array
 from .errors import EmptyFit, MalformedFile, OutOfRange
 
 #: Box dimensions at or below this are too degenerate to normalize by.
@@ -221,7 +221,7 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPla
     y = np.abs(pred[usable] - np.asarray(gt, dtype=float)[usable]) / dims
     finite = np.zeros(len(usable), dtype=bool)
     finite[usable] = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
-    classes, cls = np.unique(np.asarray(gt_class, dtype=int), return_inverse=True)
+    classes, cls = np.unique(_label_array(gt_class, len(pred)), return_inverse=True)
     flat = np.flatnonzero(usable)[:, None] * 4 + np.arange(4)
     maps = [_sorted_map("global", -1, flat.ravel(), x.ravel(), y.ravel())]
     for k in range(len(classes)) if scope == SCOPE_PER_CLASS else ():
@@ -284,13 +284,15 @@ def calibrated_sigma_array(calibrator: SigmaCalibrator, pred, sigma, gt_class) -
 
     Records with a degenerate predicted box keep their raw sigma (the
     normalization is undefined there); everything else is normalized,
-    mapped, denormalized, and floored at ``SIGMA_FLOOR``.
+    mapped, denormalized, and floored at ``SIGMA_FLOOR``.  ``gt_class`` holds
+    one integer per row; a class with no map of its own takes the global map.
     """
     sigma = np.asarray(sigma, dtype=float)
+    labels = _label_array(gt_class, len(sigma))
     if calibrator.scope == SCOPE_RAW:
         return sigma.copy()
     usable, dims, x = _normalize(np.asarray(pred, dtype=float), sigma)
-    cls = np.asarray(gt_class, dtype=int)[usable]
+    cls = labels[usable]
     # one search of the global map for every entry; each class map then
     # overwrites its own class's column
     mapped = evaluate_map(calibrator.global_map, x)
@@ -302,13 +304,6 @@ def calibrated_sigma_array(calibrator: SigmaCalibrator, pred, sigma, gt_class) -
     out = sigma.copy()
     out[usable] = np.maximum(mapped * dims, SIGMA_FLOOR)
     return out
-
-
-def apply_calibrated_sigma(calibrator: SigmaCalibrator, record: DetectionRecord) -> tuple[float, float, float, float]:
-    """Recalibrated sigma vector for a single record."""
-    pred, _, sigma, gt_class, _ = records_to_arrays([record])
-    out = calibrated_sigma_array(calibrator, pred, sigma, gt_class)
-    return tuple(float(v) for v in out[0])
 
 
 def _map_to_dict(cmap: CalibrationMap) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import RAPSConfig
+from .core import RAPSConfig, _label_array
 from .errors import InvalidClass, OutOfRange
 from .regression import conformal_quantile
 
@@ -43,12 +43,8 @@ def true_class_scores(probs: np.ndarray, labels: np.ndarray, config: RAPSConfig 
     integers in ``[0, K)``; bool and float labels are rejected, not truncated.
     """
     p = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels)
     n, k = p.shape
-    if labels.shape != (n,):
-        raise InvalidClass(f"labels must have one entry per row, got shape {labels.shape} for {n} rows")
-    if labels.dtype.kind not in "iu":
-        raise InvalidClass(f"labels must be integers, got dtype {labels.dtype}")
+    labels = _label_array(labels, n)
     if np.any((labels < 0) | (labels >= k)):
         raise InvalidClass("labels must lie in [0, K)")
     order, totals = _running_totals(p, config, penalize=config is not None)

@@ -129,6 +129,7 @@ def _parse_alphas(text: str) -> list[float]:
 
 
 def _resolve_workers(flag_value: int | None) -> int:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     env = os.environ.get("CONFDET_WORKERS")
     if env:
         try:
@@ -137,27 +138,27 @@ def _resolve_workers(flag_value: int | None) -> int:
             raise ConfigError(f"CONFDET_WORKERS must be an integer, got {env!r}") from None
     elif flag_value is not None:
         workers, source = flag_value, "--workers"
-    elif hasattr(os, "sched_getaffinity"):  # the cores this process may run on
-        return len(os.sched_getaffinity(0))
-    else:
-        return os.cpu_count() or 1
+    else:  # the cores this process may run on
+        return cores
     if workers < 1:
         raise ConfigError(f"{source} must be at least 1, got {workers}")
-    return workers
+    if workers > cores:  # a cap, not an error: reports are the same for every worker count
+        print(f"confdet: {source} {workers} is more than the {cores} cores this process may use; using {cores}", file=sys.stderr)
+    return min(workers, cores)
 
 
 def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
-    p.add_argument("--regime", choices=REGIMES, default="class_agnostic")
+    p.add_argument("--regime", choices=REGIMES, default=RunConfig.regime)
     p.add_argument("--alpha-corner", type=float, default=0.025, help="per-corner miscoverage")
-    p.add_argument("--alpha-class", type=float, default=0.01, help="label-set miscoverage")
-    p.add_argument("--scaling", choices=SCALINGS, default="unscaled")
-    p.add_argument("--scope", choices=SCOPES, default="raw", help="sigma recalibration scope")
-    p.add_argument("--runs", type=int, default=100, help="number of seeded runs")
-    p.add_argument("--calib-frac", type=float, default=0.8)
+    p.add_argument("--alpha-class", type=float, default=MiscoverageConfig.alpha_class, help="label-set miscoverage")
+    p.add_argument("--scaling", choices=SCALINGS, default=RunConfig.scaling)
+    p.add_argument("--scope", choices=SCOPES, default=RunConfig.calibration_scope, help="sigma recalibration scope")
+    p.add_argument("--runs", type=int, default=RunConfig.n_runs, help="number of seeded runs")
+    p.add_argument("--calib-frac", type=float, default=RunConfig.calib_fraction)
     p.add_argument("--seed", type=int, required=require_seed, default=None, help="master seed")
-    p.add_argument("--min-per-class", type=int, default=20)
-    p.add_argument("--raps-a", type=float, default=0.01, help="set-size penalty weight")
-    p.add_argument("--raps-b", type=int, default=5, help="penalty-free set depth")
+    p.add_argument("--min-per-class", type=int, default=RunConfig.min_per_class)
+    p.add_argument("--raps-a", type=float, default=RunConfig.raps.penalty_a, help="set-size penalty weight")
+    p.add_argument("--raps-b", type=int, default=RunConfig.raps.threshold_b, help="penalty-free set depth")
     p.add_argument("--image-bounds", type=_parse_bounds, default=None, metavar="X0,Y0,X1,Y1")
     p.add_argument(
         "--workers",
@@ -290,10 +291,10 @@ def build_parser() -> _Parser:
         default=(10.0,),
         help="per-class noise scale(s), e.g. '5,50' or '2:20' for log-uniform",
     )
-    p_sim.add_argument("--sigma-bias", type=_parse_bias, default=("identity",), help="'identity', 'scale:F', or 'power:P'")
-    p_sim.add_argument("--accuracy", type=float, default=1.0)
-    p_sim.add_argument("--temperature", type=float, default=1.0)
-    p_sim.add_argument("--noise-corr", type=float, default=0.0)
+    p_sim.add_argument("--sigma-bias", type=_parse_bias, default=OracleSpec.sigma_bias, help="'identity', 'scale:F', or 'power:P'")
+    p_sim.add_argument("--accuracy", type=float, default=OracleSpec.classifier_accuracy)
+    p_sim.add_argument("--temperature", type=float, default=OracleSpec.prob_temperature)
+    p_sim.add_argument("--noise-corr", type=float, default=OracleSpec.noise_correlation)
     p_sim.add_argument("--shift", type=float, default=None, help="noise multiplier marking a shifted domain")
     p_sim.add_argument("--oracle-seed", type=int, default=None, help="generator seed (default: --seed)")
     p_sim.add_argument("--data-out", default=None, help="write the generated JSONL here")

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import OutOfRange, ValidationError
+from .errors import InvalidClass, OutOfRange, ValidationError
 
 #: Index of the group key used by class-agnostic quantile tables.
 AGNOSTIC = "agnostic"
@@ -56,15 +56,6 @@ class BoundingBox:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.y0, self.x1, self.y1], dtype=float)
-
-    @classmethod
-    def from_array(cls, arr) -> "BoundingBox":
-        x0, y0, x1, y1 = (float(v) for v in arr)
-        return cls(x0, y0, x1, y1)
-
-    def contains(self, other: "BoundingBox") -> bool:
-        """True when ``other`` lies fully inside this box (bounds inclusive)."""
-        return bool(contains_xyxy(self.as_array(), other.as_array()))
 
     def is_image_extent(self) -> bool:
         """True when the box can bound an image: finite, ``x0 < x1`` and ``y0 < y1``."""
@@ -120,6 +111,16 @@ def _exact_sum(values) -> float:
 def _is_label(value) -> bool:
     # exact: bool is an int subclass, and a float or string label is not converted
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _label_array(labels, n: int) -> np.ndarray:
+    """``labels`` as an ``(n,)`` integer array; a bool, float or string label is rejected, not truncated."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidClass(f"labels must have one entry per row, got shape {labels.shape} for {n} rows")
+    if labels.dtype.kind not in "iu":
+        raise InvalidClass(f"labels must be integers, got dtype {labels.dtype}")
+    return labels
 
 
 def validate_columns(pred, gt, sigma, gt_class, probs) -> dict[int, list[str]]:

@@ -75,6 +75,7 @@ from .metrics import (
     recovery_counts,
 )
 from .regression import (
+    MIN_PER_CLASS,
     GroupSort,
     corner_intervals,
     group_quantiles,
@@ -124,7 +125,7 @@ class RunConfig:
     raps: RAPSConfig = RAPSConfig()
     master_seed: int = 0
     image_bounds: BoundingBox | None = None
-    min_per_class: int = 20
+    min_per_class: int = MIN_PER_CLASS
     stratified: bool | None = None
     calibrator_fit_fraction: float | None = None
 

@@ -25,6 +25,7 @@ from .core import (
     SCOPE_CLASS_WISE,
     BoundingBox,
     QuantileTable,
+    _label_array,
 )
 from .errors import DataError, EmptyCalibration, InvalidClass, MissingClass, NonPositiveSigma, OutOfRange
 
@@ -120,7 +121,7 @@ class GroupSort(NamedTuple):
 
 def _grouped(scores, groups, n_groups: int):
     """The rows of ``scores`` group by group (stable), the row each came from, and the group bounds."""
-    groups = np.asarray(groups, dtype=int)
+    groups = _label_array(groups, len(scores))
     if groups.size and not (groups.min() >= 0 and groups.max() < n_groups):
         raise InvalidClass(f"group ids must lie in [0, {n_groups})")
     by_group = np.argsort(groups, kind="stable")
@@ -136,7 +137,7 @@ def presort_groups(scores, groups, n_groups: int) -> GroupSort:
     Raises
     ------
     InvalidClass
-        If a group id lies outside ``[0, n_groups)``.
+        If ``groups`` is not one integer per row, or an id lies outside ``[0, n_groups)``.
     """
     values, by_group, bounds = _grouped(scores, groups, n_groups)
     order = np.empty(values.shape, dtype=np.intp)
@@ -216,7 +217,7 @@ def group_quantiles(scores, alpha: float, groups, n_groups: int) -> tuple[np.nda
     Raises
     ------
     InvalidClass
-        If a group id lies outside ``[0, n_groups)``.
+        If ``groups`` is not one integer per row, or an id lies outside ``[0, n_groups)``.
     MissingClass
         If a group has no rows; the first empty group is named.
     """
@@ -248,7 +249,7 @@ def fit_quantiles_from_scores(
         raise EmptyCalibration("no calibration scores")
 
     pooled = groups is None
-    groups = np.zeros(len(scores), dtype=int) if pooled else np.asarray(groups, dtype=int)
+    groups = np.zeros(len(scores), dtype=int) if pooled else _label_array(groups, len(scores))
     if pooled or n_classes is None:  # pooled: one group, whatever n_classes says
         n_classes = int(groups.max()) + 1
     q, counts = group_quantiles(scores, alpha_corner, groups, n_classes)

@@ -17,7 +17,6 @@ from confdet.calibration import (
     SCOPES,
     SIGMA_FLOOR,
     SigmaCalibrator,
-    apply_calibrated_sigma,
     calibrated_sigma_array,
     evaluate_map,
     fit_calibrator_arrays,
@@ -37,8 +36,8 @@ import reference
 from conftest import make_record
 
 # Some test names keep the one-record functions their worked examples were
-# written for (`normalize_sigma` and `fit_calibrator`); each now runs the same
-# numbers through the array kernel.
+# written for (`normalize_sigma`, `fit_calibrator` and `apply_calibrated_sigma`);
+# each now runs the same numbers through the array kernel.
 
 
 def unit_pairs(xs, ys):
@@ -393,9 +392,10 @@ def test_property_apply_calibrated_sigma_matches_per_record_oracle(table, scope,
     except EmptyFit:
         return
     classes = data.draw(hnp.arrays(np.int64, len(pred), elements=st.sampled_from([0, 3, 7, 9, 11])))
-    for p, s, k in zip(pred.tolist(), sigma.tolist(), classes.tolist()):
+    out = calibrated_sigma_array(calibrator, pred, sigma, classes)
+    for row, p, s, k in zip(out.tolist(), pred.tolist(), sigma.tolist(), classes.tolist()):
         record = make_record(pred=p, sigma=s, gt_class=k, class_probs=[1.0] + [0.0] * 11)
-        assert apply_calibrated_sigma(calibrator, record) == reference.calibrated_sigma(calibrator, record)
+        assert tuple(row) == reference.calibrated_sigma(calibrator, record)
 
 
 def test_recalibrate_reads_the_global_map_only_where_a_class_has_no_map():
@@ -500,6 +500,12 @@ def fit_records(records, scope=SCOPE_GLOBAL):
     return fit_calibrator_arrays(pred, gt, sigma, gt_class, scope)
 
 
+def record_sigma(calibrator, record):
+    """:func:`calibrated_sigma_array` on one record's row, as a tuple."""
+    pred, _, sigma, gt_class, _ = records_to_arrays([record])
+    return tuple(calibrated_sigma_array(calibrator, pred, sigma, gt_class)[0].tolist())
+
+
 def doubling_records(n, seed=0, n_classes=1):
     """Sigma understates the uncertainty by 2x in normalized terms.
 
@@ -536,7 +542,7 @@ def test_fit_calibrator_raw_scope_is_identity():
     records = doubling_records(20)
     calibrator = fit_records(records, scope=SCOPE_RAW)
     for rec in records[:5]:
-        assert apply_calibrated_sigma(calibrator, rec) == rec.sigma
+        assert record_sigma(calibrator, rec) == rec.sigma
 
 
 def test_fit_calibrator_recovers_known_doubling():
@@ -552,7 +558,7 @@ def test_calibrated_sigma_positive_and_floored():
     records = doubling_records(200, seed=2)
     calibrator = fit_records(records, scope=SCOPE_GLOBAL)
     rec = make_record(pred=(0.0, 0.0, 100.0, 100.0), sigma=(1e-12, 1.0, 1.0, 1.0))
-    out = apply_calibrated_sigma(calibrator, rec)
+    out = record_sigma(calibrator, rec)
     assert all(v >= SIGMA_FLOOR for v in out)
 
 
@@ -572,14 +578,20 @@ def test_sigma_floor_binds_on_zero_residual_block():
     ]
     calibrator = fit_records(records, scope=SCOPE_GLOBAL)
     rec = make_record(sigma=(0.5, 0.5, 0.5, 0.5))
-    assert apply_calibrated_sigma(calibrator, rec) == (SIGMA_FLOOR,) * 4
+    assert record_sigma(calibrator, rec) == (SIGMA_FLOOR,) * 4
 
 
 def test_apply_calibrated_sigma_degenerate_box_keeps_raw():
     records = doubling_records(50, seed=3)
     calibrator = fit_records(records, scope=SCOPE_GLOBAL)
     rec = make_record(pred=(5.0, 0.0, 5.0, 10.0), sigma=(2.0, 2.0, 2.0, 2.0))
-    assert apply_calibrated_sigma(calibrator, rec) == (2.0, 2.0, 2.0, 2.0)
+    assert record_sigma(calibrator, rec) == (2.0, 2.0, 2.0, 2.0)
+
+
+def test_fit_calibrator_rejects_an_unknown_scope():
+    pred, gt, sigma, gt_class, _ = records_to_arrays(doubling_records(5))
+    with pytest.raises(OutOfRange, match="unknown calibration scope 'bogus'"):
+        fit_calibrator_arrays(pred, gt, sigma, gt_class, scope="bogus")
 
 
 def test_fit_calibrator_excludes_degenerate_boxes():
@@ -602,8 +614,8 @@ def test_per_class_fallback_for_small_classes():
     assert (1, 0) not in calibrator.maps
     assert (0, 0) in calibrator.maps
     rec = make_record(gt_class=1, class_probs=(0.0, 1.0), sigma=(3.0, 3.0, 3.0, 3.0))
-    fallback = apply_calibrated_sigma(calibrator, rec)
-    global_only = apply_calibrated_sigma(
+    fallback = record_sigma(calibrator, rec)
+    global_only = record_sigma(
         fit_records(records, scope=SCOPE_GLOBAL), rec
     )
     assert fallback == global_only
@@ -635,7 +647,7 @@ def test_calibrated_sigma_array_matches_record_level():
     pred, _, sigma, gt_class, _ = records_to_arrays(records)
     batch = calibrated_sigma_array(calibrator, pred, sigma, gt_class)
     for i in (0, 17, 55, 99):
-        assert_allclose(batch[i], apply_calibrated_sigma(calibrator, records[i]))
+        assert_allclose(batch[i], record_sigma(calibrator, records[i]))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -73,6 +73,7 @@ def test_parse_grid_forms():
 
 
 def test_resolve_workers_priority(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
     monkeypatch.setenv("CONFDET_WORKERS", "3")
     assert _resolve_workers(8) == 3
     monkeypatch.delenv("CONFDET_WORKERS")
@@ -89,6 +90,19 @@ def test_default_workers_are_the_cores_this_process_may_use(monkeypatch):
     assert _resolve_workers(None) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert _resolve_workers(None) == 64
+
+
+def test_workers_are_capped_at_the_cores_this_process_may_use(monkeypatch, capsys):
+    # 5,000 workers once meant 5,000 processes, each with a copy of the experiment
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("CONFDET_WORKERS", raising=False)
+    assert _resolve_workers(5000) == 2
+    assert capsys.readouterr().err == "confdet: --workers 5000 is more than the 2 cores this process may use; using 2\n"
+    monkeypatch.setenv("CONFDET_WORKERS", "5000")
+    assert _resolve_workers(None) == 2
+    assert "CONFDET_WORKERS 5000 is more than the 2 cores" in capsys.readouterr().err
+    monkeypatch.delenv("CONFDET_WORKERS")
+    assert _resolve_workers(2) == 2 and capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- exit codes
@@ -443,6 +457,15 @@ def _string_metric(text: str) -> str:
     return json.dumps(doc)
 
 
+def _seed_holding(value):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc["per_run"][0]["seed"][1] = value
+        return json.dumps(doc)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "make_text",
     [
@@ -451,9 +474,11 @@ def _string_metric(text: str) -> str:
         lambda report: "[1,2]",
         _renamed_metric,
         _string_metric,
+        _seed_holding(1.5),
+        _seed_holding(True),
         lambda report: "[" * 100_000 + "]" * 100_000,
     ],
-    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric", "nested-too-deeply"],
+    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric", "float-seed", "bool-seed", "nested-too-deeply"],
 )
 def test_compare_on_a_non_report_exits_2(data_path, tmp_path, capsys, make_text):
     good = tmp_path / "good.json"

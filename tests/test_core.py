@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -8,15 +10,27 @@ import confdet
 from confdet.core import (
     AGNOSTIC,
     BoundingBox,
+    CalibrationMap,
     Dataset,
     MiscoverageConfig,
     QuantileTable,
     RAPSConfig,
+    contains_xyxy,
     records_to_arrays,
     validate_record,
 )
-from confdet.calibration import apply_calibrated_sigma, fit_calibrator_arrays
-from confdet.errors import OutOfRange, ValidationError
+from confdet.calibration import (
+    SCOPE_GLOBAL,
+    SCOPE_PER_CLASS,
+    SCOPE_RAW,
+    SigmaCalibrator,
+    calibrated_sigma_array,
+    fit_calibrator_arrays,
+    sigma_plan,
+)
+from confdet.classification import true_class_scores
+from confdet.errors import InvalidClass, OutOfRange, ValidationError
+from confdet.regression import fit_quantiles_from_scores, group_quantiles, presort_groups
 
 from conftest import make_record
 
@@ -29,20 +43,34 @@ def test_every_exported_name_resolves():
     assert set(confdet.__all__) <= set(namespace)
 
 
+def test_only_core_binds_the_record_form():
+    # records enter as DetectionRecord and leave as columns in core alone; the
+    # kernels and the pipeline take arrays (the package root re-exports the type)
+    modules = [info.name for info in pkgutil.iter_modules(confdet.__path__) if info.name not in ("core", "__main__")]
+    assert "calibration" in modules
+    bound = {
+        (module, name)
+        for module in modules
+        for name in ("DetectionRecord", "records_to_arrays")
+        if hasattr(importlib.import_module(f"confdet.{module}"), name)
+    }
+    assert bound == set()
+
+
 def test_bounding_box_dimensions():
     box = BoundingBox(1.0, 2.0, 4.0, 10.0)
     assert box.width == 3.0
     assert box.height == 8.0
     assert_allclose(box.as_array(), [1.0, 2.0, 4.0, 10.0])
-    assert BoundingBox.from_array(box.as_array()) == box
+    assert BoundingBox(*box.as_array().tolist()) == box
 
 
 def test_bounding_box_contains_inclusive():
-    outer = BoundingBox(0.0, 0.0, 10.0, 10.0)
-    assert outer.contains(BoundingBox(0.0, 0.0, 10.0, 10.0))
-    assert outer.contains(BoundingBox(2.0, 2.0, 8.0, 8.0))
-    assert not outer.contains(BoundingBox(-0.1, 0.0, 10.0, 10.0))
-    assert not outer.contains(BoundingBox(0.0, 0.0, 10.1, 10.0))
+    outer = np.array([[0.0, 0.0, 10.0, 10.0]])
+    assert contains_xyxy(outer, [[0.0, 0.0, 10.0, 10.0]]).tolist() == [True]
+    assert contains_xyxy(outer, [[2.0, 2.0, 8.0, 8.0]]).tolist() == [True]
+    assert contains_xyxy(outer, [[-0.1, 0.0, 10.0, 10.0]]).tolist() == [False]
+    assert contains_xyxy(outer, [[0.0, 0.0, 10.1, 10.0]]).tolist() == [False]
 
 
 def test_validate_record_well_formed():
@@ -193,12 +221,51 @@ def test_from_records_rejects_non_string_image_id():
     assert exc_info.value.line == 2
 
 
-def test_apply_calibrated_sigma_rejects_non_integer_class():
-    pred, gt, sigma, gt_class, _ = records_to_arrays(_records_with_classes([0] * 6))
-    calibrator = fit_calibrator_arrays(pred, gt, sigma, gt_class)
-    for bad in (1.7, True):
-        with pytest.raises(ValidationError, match="is not an integer"):
-            apply_calibrated_sigma(calibrator, make_record(class_probs=(0.5, 0.5), gt_class=bad))
+# every array kernel that takes labels or group ids, called on two rows of two classes
+_PRED = np.array([[0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 20.0, 20.0]])
+_SIGMA = np.ones((2, 4))
+_GLOBAL = SigmaCalibrator(SCOPE_GLOBAL, global_map=CalibrationMap((0.0,), (1.0,)))
+label_kernels = pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda labels: true_class_scores([[0.5, 0.5], [0.9, 0.1]], labels),
+        lambda labels: sigma_plan(_PRED, _PRED + 1.0, _SIGMA, labels, SCOPE_PER_CLASS),
+        lambda labels: fit_calibrator_arrays(_PRED, _PRED + 1.0, _SIGMA, labels, SCOPE_PER_CLASS),
+        lambda labels: calibrated_sigma_array(_GLOBAL, _PRED, _SIGMA, labels),
+        lambda labels: calibrated_sigma_array(SigmaCalibrator(SCOPE_RAW), _PRED, _SIGMA, labels),
+        lambda labels: group_quantiles(np.ones((2, 4)), 0.1, labels, 2),
+        lambda labels: presort_groups(np.ones((2, 4)), labels, 2),
+        lambda labels: fit_quantiles_from_scores(np.ones((2, 4)), 0.1, labels),
+    ],
+    ids=[
+        "true_class_scores",
+        "sigma_plan",
+        "fit_calibrator_arrays",
+        "calibrated_sigma_array",
+        "calibrated_sigma_array-raw",
+        "group_quantiles",
+        "presort_groups",
+        "fit_quantiles_from_scores",
+    ],
+)
+
+
+@label_kernels
+def test_array_kernels_reject_non_integer_labels(kernel):
+    # all but true_class_scores once read 1.7, True and "1" as class 1
+    for bad in ([0.0, 1.7], [False, True], ["0", "1"]):
+        with pytest.raises(InvalidClass, match="labels must be integers"):
+            kernel(bad)
+    for bad in ([0, 1, 1], [0], [[0], [1]], 1):
+        with pytest.raises(InvalidClass, match="one entry per row"):
+            kernel(bad)
+    kernel([0, 1])
+    kernel(np.array([0, 1], dtype=np.uint8))
+
+
+def test_dataset_from_records_rejects_zero_records():
+    with pytest.raises(ValidationError, match="cannot build a dataset from zero records"):
+        Dataset.from_records([])
 
 
 def test_dataset_from_records_rejects_k_mismatch():

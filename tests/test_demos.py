@@ -2,8 +2,8 @@
 
 Each demo runs as a child process on this checkout's ``src/``; the
 sha256 of its stdout was recorded with numpy 2.4.6 and scipy 1.17.1.
-Demo 04 is the only caller of a record-level wrapper outside the tests
-(``apply_calibrated_sigma``), so this also guards that wrapper end to end.
+The demos call only the array kernels and the experiment API, so this
+guards those end to end.
 """
 
 import hashlib

@@ -205,8 +205,8 @@ def _data(seed: int, shift=None, lone_class: bool = False):
     data = generate(OracleSpec(seed=seed, shift=shift, **_BASE))[0]
     if lone_class:
         # all but one class-3 record become class 0: the lone record always
-        # lands in calibration, below min_per_class and below the calibrator's
-        # min_class_fit
+        # lands in calibration, below min_per_class and below
+        # calibration.MIN_CLASS_FIT
         gt_class = data.gt_class.copy()
         gt_class[(gt_class == 3).nonzero()[0][1:]] = 0
         data = dataclasses.replace(data, gt_class=gt_class)

@@ -10,6 +10,7 @@ from numpy.testing import assert_array_equal
 from confdet.core import BoundingBox, Dataset, MiscoverageConfig, RAPSConfig
 from confdet.errors import (
     DataError,
+    EmptyCalibration,
     EmptySetConfig,
     InvalidClass,
     OutOfRange,
@@ -261,6 +262,37 @@ def test_run_diagnostics_reach_the_report_not_the_log(caplog):
         assert "classes below min_per_class: 1" in run.warnings
 
 
+def test_recalibrated_runs_skip_degenerate_boxes_and_keep_their_raw_sigma(monkeypatch):
+    # rows 0-9 have zero-width predicted boxes, so no sigma map can normalize them
+    ds = make_dataset(60, seed=5)
+    pred = ds.pred.copy()
+    pred[:10, 2] = pred[:10, 0]
+    ds = dataclasses.replace(ds, pred=pred)
+    sigmas = []
+    recalibrate = pipeline._cal.recalibrate
+
+    def spy(plan, fit):
+        out = recalibrate(plan, fit)
+        sigmas.append(out[0])
+        return out
+
+    monkeypatch.setattr(pipeline._cal, "recalibrate", spy)
+    config = small_config(scaling="scaled", calibration_scope="global_relative")
+    report = run_experiment(ds, config)
+    for run, sigma in zip(report.per_run, sigmas, strict=True):
+        calib = random_split(ds, config.calib_fraction, run.seed).calib_idx
+        n_skipped = int((calib < 10).sum())
+        assert n_skipped > 0
+        assert f"calibrator skipped {n_skipped} degenerate box(es)" in run.warnings
+        assert_array_equal(sigma[:10], ds.sigma[:10])
+        assert (sigma[10:] != ds.sigma[10:]).any()
+
+
+def test_run_experiment_rejects_an_empty_dataset():
+    with pytest.raises(EmptyCalibration, match="run_experiment needs a non-empty dataset"):
+        run_experiment(make_dataset(5).take(np.arange(0)), small_config())
+
+
 def test_single_class_class_wise_matches_agnostic():
     ds = make_dataset(120, n_classes=1, seed=11)
     config = small_config(min_per_class=5)
@@ -361,6 +393,8 @@ def test_run_config_validation():
         RunConfig(miscoverage=mc, calibration_scope="classwise")
     with pytest.raises(OutOfRange):
         RunConfig(miscoverage=mc, calibrator_fit_fraction=0.0)
+    with pytest.raises(OutOfRange, match="min_per_class must be >= 0, got -1"):
+        RunConfig(miscoverage=mc, min_per_class=-1)
     for scope in ("global_relative", "per_coordinate_per_class_relative"):
         # unscaled scores never read sigma, so a recalibration scope would be ignored
         with pytest.raises(OutOfRange, match="needs scaling='scaled'"):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from confdet.classification import prediction_set_matrix, set_totals, sets_from_totals
 from confdet.core import RAPSConfig
-from confdet.errors import DataError, InvalidClass, MissingClass
+from confdet.errors import DataError, InvalidClass, MissingClass, OutOfRange
 from confdet.regression import (
     _order_rank,
     conformal_quantile,
@@ -163,6 +163,17 @@ def test_masked_group_quantiles_ignore_nan_in_rows_no_sample_holds():
     assert counts.tolist() == [[1, 2]]
     picked = presorted.picked([[True, False, True, True], [True, True, True, False]])
     with pytest.raises(DataError):
+        masked_group_quantiles(presorted.values, presorted.bounds, picked, 0.5)
+
+
+def test_masked_group_quantiles_reject_malformed_picks():
+    presorted = presort_groups(np.array([[1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]]), [0, 0, 1, 1], 2)
+    for shape in ((2, 4), (1, 4, 2), (1, 2, 3)):
+        with pytest.raises(OutOfRange, match=r"picked must be a \(B, 2, 4\) array"):
+            masked_group_quantiles(presorted.values, presorted.bounds, np.ones(shape, dtype=bool), 0.5)
+    # column 1 picks one entry of group 0 where column 0 picks two
+    picked = np.array([[[True, True, True, True], [True, False, True, True]]])
+    with pytest.raises(OutOfRange, match="every column of a sample must pick the same number"):
         masked_group_quantiles(presorted.values, presorted.bounds, picked, 0.5)
 
 

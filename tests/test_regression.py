@@ -129,6 +129,17 @@ def test_corner_intervals_rejects_nan():
         corner_intervals(pred[:1], np.array([math.nan, 1.0, 1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_corner_intervals_rejects_nonpositive_sigma(bad):
+    with pytest.raises(NonPositiveSigma):
+        corner_intervals(np.zeros((1, 4)), np.ones(4), sigma=[[1.0, bad, 1.0, 1.0]])
+
+
+def test_fit_quantiles_from_scores_needs_four_columns():
+    with pytest.raises(OutOfRange, match=r"scores must have shape \(n, 4\), got \(5, 3\)"):
+        fit_quantiles_from_scores(np.zeros((5, 3)), 0.1)
+
+
 def test_bonferroni_corner_alpha():
     assert bonferroni_corner_alpha(0.1) == 0.025
     assert bonferroni_corner_alpha(0.4) == pytest.approx(0.1)
