@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import CalibrationMap, _label_array
-from .errors import EmptyFit, MalformedFile, OutOfRange
+from .errors import EmptyFit, InvalidClass, MalformedFile, OutOfRange
 
 #: Box dimensions at or below this are too degenerate to normalize by.
 DIMENSION_EPS = 1e-6
@@ -209,7 +209,8 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPla
 
     A subset of a stable sort is the stable sort of the subset, so a fit
     over any rows takes its points from the plan in the order
-    :func:`isotonic_fit` would sort them in.
+    :func:`isotonic_fit` would sort them in.  At the per-class scope a
+    negative class id raises :class:`InvalidClass`.
     """
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_CLASS):
         raise OutOfRange(f"calibration scope {scope!r} fits no maps")
@@ -222,6 +223,8 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPla
     finite = np.zeros(len(usable), dtype=bool)
     finite[usable] = np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1)
     classes, cls = np.unique(_label_array(gt_class, len(pred)), return_inverse=True)
+    if scope == SCOPE_PER_CLASS and classes[0] < 0:  # load_calibrator reads class map keys >= 0 only
+        raise InvalidClass(f"per-class maps need class ids >= 0, got {int(classes[0])}")
     flat = np.flatnonzero(usable)[:, None] * 4 + np.arange(4)
     maps = [_sorted_map("global", -1, flat.ravel(), x.ravel(), y.ravel())]
     for k in range(len(classes)) if scope == SCOPE_PER_CLASS else ():

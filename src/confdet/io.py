@@ -11,6 +11,11 @@ KITTI style annotation pairs into this shape is a few lines of caller
 code.  Reports are emitted deterministically (sorted keys, reals rendered
 with 6 significant digits) so byte-identical output means identical
 results.
+
+:func:`save_dataset` and :func:`save_oracle_info` write each line as the
+bytes of ``json.dumps(record, sort_keys=True)``: floats at full precision,
+so a file loads back bit for bit, and a non-finite float as the ``NaN``,
+``Infinity`` or ``-Infinity`` that ``json.dumps`` writes.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ import logging
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .core import Dataset, validate_columns
-from .errors import DataError, EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
+from .errors import DataError, EmptyFile, LengthMismatch, MalformedFile, OutOfRange, ParseError, ValidationError
 from .metrics import METRICS, MetricRow
 from .pipeline import RunReport, RunResult
 
@@ -233,46 +238,83 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     )
 
 
-#: Rows formatted per write; bounds the Python objects that ``tolist()`` makes.
+#: Rows formatted per write; bounds a chunk's object array of cells and its formatted text.
 _WRITE_CHUNK = 4096
 
 
-def _json_values(block: np.ndarray) -> list[str]:
-    """JSON text of each entry of a float block: numbers for 1-D, lists for 2-D."""
-    # str() writes a float, or a list of floats, as JSON does unless it is
-    # nan or infinite, which JSON writes as NaN and Infinity
-    return list(map(str if np.isfinite(block).all() else json.dumps, block.tolist()))
+def _put_floats(cells: np.ndarray, block: np.ndarray) -> None:
+    """Assign a float block to a view of the cells, non-finite values as the JSON text of them."""
+    # a finite float's str is its repr, which is its JSON text; nan and
+    # infinities go in as the NaN and Infinity that json.dumps writes
+    cells[...] = block
+    bad = ~np.isfinite(block)
+    if bad.any():
+        cells[bad] = list(map(json.dumps, block[bad].tolist()))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where ``a`` and ``b`` hold the same float bit for bit (``-0.0`` differs from ``0.0``, NaN equals itself)."""
+    return a.view(np.int64) == b.view(np.int64)
+
+
+def _format_once(cells: np.ndarray, rows) -> None:
+    """Put the text of each row's first cell in all of that row's cells."""
+    cells[rows] = np.array(list(map(str, cells[rows, 0])), dtype=object)[:, None]
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset as JSONL (full float precision, round-trip exact)."""
+    """Write a dataset as JSONL (full float precision, round-trip exact).
+
+    Raises :class:`LengthMismatch`, before the file is opened, when the
+    columns differ in row count.
+    """
+    rows = {f.name: len(getattr(dataset, f.name)) for f in fields(dataset)}
+    if len(set(rows.values())) > 1:
+        raise LengthMismatch(f"dataset columns differ in row count: {rows}")
+    probs, gt, pred, sigma = (np.asarray(b, dtype=float) for b in (dataset.probs, dataset.gt, dataset.pred, dataset.sigma))
+    k = probs.shape[1]
+    # keys in sorted order, as json.dumps(..., sort_keys=True) writes them
+    line = (
+        f'{{"class_probs": [{", ".join(["%s"] * k)}], "gt_box": [%s, %s, %s, %s], "gt_class": %s, '
+        '"image_id": %s, "pred_box": [%s, %s, %s, %s], "sigma": [%s, %s, %s, %s]}\n'
+    )
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(dataset), _WRITE_CHUNK):
             part = slice(start, start + _WRITE_CHUNK)
-            rows = zip(
-                _json_values(dataset.probs[part]),
-                _json_values(dataset.gt[part]),
-                dataset.gt_class[part].tolist(),
-                map(encode_basestring_ascii, dataset.image_ids[part].tolist()),
-                _json_values(dataset.pred[part]),
-                _json_values(dataset.sigma[part]),
-            )
-            # keys in sorted order, as json.dumps(..., sort_keys=True) writes them
-            fh.writelines(
-                f'{{"class_probs": {c}, "gt_box": {g}, "gt_class": {k}, "image_id": {i}, "pred_box": {p}, "sigma": {s}}}\n'
-                for c, g, k, i, p, s in rows
-            )
+            s = sigma[part]
+            cells = np.empty((len(s), k + 14), dtype=object)
+            _put_floats(cells[:, :k], probs[part])
+            _put_floats(cells[:, k : k + 4], gt[part])
+            cells[:, k + 4] = dataset.gt_class[part].tolist()
+            cells[:, k + 5] = list(map(encode_basestring_ascii, dataset.image_ids[part].tolist()))
+            _put_floats(cells[:, k + 6 : k + 10], pred[part])
+            _put_floats(cells[:, k + 10 :], s)
+            _format_once(cells[:, k + 10 :], _same_bits(s, s[:, :1]).all(axis=1))
+            fh.write(line * len(s) % tuple(cells.ravel().tolist()))
 
 
 def save_oracle_info(info, path) -> None:
-    """Write the generator's side channel as JSONL, one line per record."""
-    true_scales = np.asarray(info.true_scales, dtype=float)
+    """Write the generator's side channel as JSONL, one line per record.
+
+    Raises :class:`LengthMismatch`, before the file is opened, unless the
+    scales are 1-D arrays of one length.
+    """
     base_scales = np.asarray(info.base_scales, dtype=float)
+    true_scales = np.asarray(info.true_scales, dtype=float)
+    if base_scales.ndim != 1 or base_scales.shape != true_scales.shape:
+        raise LengthMismatch(
+            f"oracle scales must be 1-D arrays of one length, got shapes {base_scales.shape} and {true_scales.shape}"
+        )
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, len(true_scales), _WRITE_CHUNK):
-            part = slice(start, start + _WRITE_CHUNK)
-            rows = zip(_json_values(base_scales[part]), range(start, len(true_scales)), _json_values(true_scales[part]))
-            fh.writelines(f'{{"base_scale": {b}, "index": {i}, "true_scale": {t}}}\n' for b, i, t in rows)
+            base, true = base_scales[start : start + _WRITE_CHUNK], true_scales[start : start + _WRITE_CHUNK]
+            cells = np.empty((len(base), 3), dtype=object)
+            _put_floats(cells[:, 0], base)
+            cells[:, 1] = range(start, start + len(base))
+            _put_floats(cells[:, 2], true)
+            if _same_bits(base, true).all():
+                _format_once(cells[:, ::2], slice(None))
+            fh.write('{"base_scale": %s, "index": %s, "true_scale": %s}\n' * len(base) % tuple(cells.ravel().tolist()))
 
 
 def _sig6(x: float) -> float:

@@ -30,7 +30,7 @@ from confdet.calibration import (
 from confdet.calibration import _fit as fit_plan
 from confdet.calibration import _normalize
 from confdet.core import CalibrationMap, records_to_arrays
-from confdet.errors import DataError, EmptyFit, OutOfRange
+from confdet.errors import DataError, EmptyFit, InvalidClass, OutOfRange
 
 import reference
 from conftest import make_record
@@ -664,6 +664,32 @@ def test_save_load_round_trip(tmp_path):
     key = (0, 2)
     assert loaded.maps[key].breakpoints == calibrator.maps[key].breakpoints
     assert loaded.maps[key].values == calibrator.maps[key].values
+
+
+def test_per_class_fit_rejects_a_negative_class_id(tmp_path):
+    # such a fit once succeeded, and load_calibrator rejected the file that
+    # save_calibrator wrote for it ("class must be an integer in [0, inf)")
+    pred, gt, sigma, gt_class, _ = records_to_arrays(doubling_records(40, seed=9, n_classes=2))
+    labels = gt_class - 1  # classes -1 and 0
+    with pytest.raises(InvalidClass, match="got -1"):
+        sigma_plan(pred, gt, sigma, labels, SCOPE_PER_CLASS)
+    with pytest.raises(InvalidClass, match="got -1"):
+        fit_calibrator_arrays(pred, gt, sigma, labels, SCOPE_PER_CLASS)
+    # the global scope fits no class maps, so its file loads back
+    save_calibrator(fit_calibrator_arrays(pred, gt, sigma, labels, SCOPE_GLOBAL), tmp_path / "maps.json")
+    assert load_calibrator(tmp_path / "maps.json").maps == {}
+
+
+def test_saved_calibrator_gives_the_same_sigma(tmp_path):
+    # class 2 has too few rows for maps of its own, so the file carries a fallback class
+    pred, gt, sigma, gt_class, _ = records_to_arrays(doubling_records(300, seed=10, n_classes=2))
+    gt_class[: MIN_CLASS_FIT - 1] = 2
+    calibrator = fit_calibrator_arrays(pred, gt, sigma, gt_class, SCOPE_PER_CLASS)
+    assert calibrator.fallback_keys == (2,)
+    save_calibrator(calibrator, tmp_path / "maps.json")
+    loaded = load_calibrator(tmp_path / "maps.json")
+    expected = calibrated_sigma_array(calibrator, pred, sigma, gt_class)
+    assert calibrated_sigma_array(loaded, pred, sigma, gt_class).tobytes() == expected.tobytes()
 
 
 def _saved_doc(tmp_path):

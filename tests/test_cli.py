@@ -11,7 +11,9 @@ from confdet.calibration import load_calibrator
 from confdet.cli import _parse_bias, _parse_grid, _parse_noise, _resolve_workers, main
 from confdet.errors import ConfigError
 from confdet.io import load_report, save_dataset
+from confdet.oracle import OracleSpec, generate
 
+import reference
 from conftest import make_dataset
 
 
@@ -387,6 +389,24 @@ def test_simulate_writes_data_and_report(tmp_path):
     assert len(oracle_out.read_text(encoding="utf-8").splitlines()) == 150
     report = load_report(out)
     assert report.aggregate["n_eval_total"] == 2 * 30
+
+
+def test_simulate_writes_the_reference_bytes_when_the_oracle_columns_differ(tmp_path):
+    # with a shift the true scales differ from the base scales, and a scale
+    # bias moves sigma off both, so no column repeats another
+    args = ["simulate", "--records", "300", "--classes", "3", "--noise", "2:20", "--shift", "1.3"]
+    args += ["--sigma-bias", "scale:2", "--seed", "6", "--runs", "2", "--workers", "1"]
+    args += ["--data-out", str(tmp_path / "data.jsonl"), "--oracle-out", str(tmp_path / "oracle.jsonl")]
+    assert main([*args, "--out", str(tmp_path / "r.json")]) == 0
+    spec = OracleSpec(
+        n_records=300, n_classes=3, corner_noise=_parse_noise("2:20") * 3, sigma_bias=_parse_bias("scale:2"), shift=1.3, seed=6
+    )
+    dataset, info = generate(spec)
+    assert (info.true_scales != info.base_scales).all() and (dataset.sigma[:, 0] != info.base_scales).all()
+    reference.save_dataset(dataset, tmp_path / "ref-data.jsonl")
+    reference.save_oracle_info(info, tmp_path / "ref-oracle.jsonl")
+    for name in ("data", "oracle"):
+        assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / f"ref-{name}.jsonl").read_bytes()
 
 
 def test_simulate_bad_spec_exits_1(tmp_path):

@@ -3,14 +3,17 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from confdet.core import PROB_SUM_TOL, Dataset, MiscoverageConfig
-from confdet.errors import EmptyFile, MalformedFile, OutOfRange, ParseError, ValidationError
+from confdet.errors import EmptyFile, LengthMismatch, MalformedFile, OutOfRange, ParseError, ValidationError
 from confdet.io import (
     _WRITE_CHUNK,
     CSV_COLUMNS,
@@ -518,6 +521,68 @@ def test_writers_match_per_record_reference(tmp_path, make_input):
         assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
 
 
+#: Floats whose text is easy to get wrong: signed zeros, subnormals, the
+#: neighbours of 1e16 and 1e-5 (where repr switches to and from exponent
+#: form) and the values JSON writes as NaN and Infinity.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, math.nan, math.inf, -math.inf] + [
+    v for edge in (1e16, 1e-5, -1e16) for v in (np.nextafter(edge, -math.inf), edge, np.nextafter(edge, math.inf))
+]
+_floats = st.one_of(st.sampled_from([float(v) for v in _EDGE_FLOATS]), st.floats())
+
+
+@st.composite
+def _writer_inputs(draw):
+    """A dataset and oracle side channel of K = 1..5 classes: sigma rows that
+    repeat one value or hold four, and oracle scales that are equal or not."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+
+    def block(m):
+        return draw(hnp.arrays(np.float64, (n, m), elements=_floats))
+
+    row = st.one_of(_floats.map(lambda v: [v] * 4), st.lists(_floats, min_size=4, max_size=4))
+    sigma = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=float).reshape(n, 4)
+    text = st.text(st.one_of(st.sampled_from('"\\\x00\n\x1f\x7f\u00e9\u2028\ud800\U0001f600'), st.characters()), max_size=8)
+    ids = np.array(draw(st.lists(text, min_size=n, max_size=n)), dtype=object)
+    labels = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)), dtype=np.int64)
+    dataset = Dataset(ids, block(4), block(4), sigma, labels, block(k))
+    base = block(1)[:, 0]
+    true = base.copy() if draw(st.booleans()) else block(1)[:, 0]
+    return dataset, OracleInfo(true_scales=true, base_scales=base)
+
+
+@given(_writer_inputs())
+def test_property_writers_match_per_record_reference(tmp_path_factory, drawn):
+    path = tmp_path_factory.mktemp("writers")
+    dataset, info = drawn
+    for write, oracle, value in ((save_dataset, reference.save_dataset, dataset), (save_oracle_info, reference.save_oracle_info, info)):
+        write(value, path / "new.jsonl")
+        oracle(value, path / "old.jsonl")
+        assert (path / "new.jsonl").read_bytes() == (path / "old.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("column", ["image_ids", "pred", "gt", "sigma", "gt_class", "probs"])
+def test_save_dataset_rejects_columns_of_unequal_length(tmp_path, column):
+    # the writer once zipped its columns and wrote as many lines as the shortest had rows
+    dataset = make_dataset(2, n_classes=2, seed=41)
+    ragged = replace(dataset, **{column: getattr(dataset, column)[:1]})
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(LengthMismatch, match="row count"):
+        save_dataset(ragged, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "true, base",
+    [([1.0, 2.0, 3.0], [1.0]), ([1.0], [1.0, 2.0]), ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]), (1.0, 1.0)],
+    ids=["short-base", "short-true", "2-d", "0-d"],
+)
+def test_save_oracle_info_rejects_scales_that_are_not_one_column(tmp_path, true, base):
+    path = tmp_path / "oracle.jsonl"
+    with pytest.raises(LengthMismatch, match="1-D arrays of one length"):
+        save_oracle_info(OracleInfo(true_scales=true, base_scales=base), path)
+    assert not path.exists()
+
+
 def test_save_dataset_bytes_match_recorded_digest(tmp_path):
     # recorded when datasets were still stored as records: the columnar
     # form must write the same bytes (valid for numpy 2.4.6's generator)
@@ -558,10 +623,12 @@ def test_save_oracle_info(tmp_path):
     path = tmp_path / "oracle.jsonl"
     save_oracle_info(info, path)
     lines = path.read_text(encoding="utf-8").splitlines()
+    # the writer round-trips floats exactly
+    assert [json.loads(line) for line in lines] == [
+        {"base_scale": b, "index": i, "true_scale": t}
+        for i, (b, t) in enumerate(zip(info.base_scales.tolist(), info.true_scales.tolist()))
+    ]
     assert len(lines) == 5
-    first = json.loads(lines[0])
-    assert first["true_scale"] == pytest.approx(info.true_scales[0])
-    assert first["base_scale"] == pytest.approx(info.base_scales[0])
 
 
 # ---------------------------------------------------------------- reports
