@@ -61,8 +61,8 @@ def main():
     print(f"  mean IoU        t = {iou['t']:+8.2f}   p = {iou['p']:.2e}")
     print(f"  interval score  t = {score['t']:+8.2f}   p = {score['p']:.2e}")
 
-    q_uns = unscaled.per_run[0].quantile_summary
-    q_sc = scaled.per_run[0].quantile_summary
+    q_uns = unscaled.per_run[0].quantiles
+    q_sc = scaled.per_run[0].quantiles
     print(
         "\nFirst run's quantiles: unscaled are pixel widths "
         f"(max {q_uns['max']:.1f}px), scaled are sigma multiples "

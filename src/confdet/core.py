@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidClass, OutOfRange, ValidationError
+from .errors import InvalidClass, LengthMismatch, OutOfRange, ValidationError
 
 #: Index of the group key used by class-agnostic quantile tables.
 AGNOSTIC = "agnostic"
@@ -318,7 +318,8 @@ class Dataset:
     ``sigma`` are ``(n, 4)`` float arrays in corner order; ``gt_class``
     is an ``(n,)`` int array and ``probs`` the ``(n, K)`` class
     probabilities.  Indexing or iterating yields the rows as
-    :class:`DetectionRecord` values, built on demand.
+    :class:`DetectionRecord` values, built on demand.  Columns that differ
+    in row count raise :class:`LengthMismatch`.
     """
 
     image_ids: np.ndarray
@@ -327,6 +328,11 @@ class Dataset:
     sigma: np.ndarray
     gt_class: np.ndarray
     probs: np.ndarray
+
+    def __post_init__(self):
+        rows = {f.name: len(getattr(self, f.name)) for f in fields(self)}
+        if len(set(rows.values())) > 1:
+            raise LengthMismatch(f"dataset columns differ in row count: {rows}")
 
     @property
     def n_classes(self) -> int:

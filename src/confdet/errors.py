@@ -55,7 +55,7 @@ class StratificationImpossible(DataError):
 
 
 class LengthMismatch(DataError):
-    """Two paired sequences differ in length."""
+    """Two paired sequences, or the columns of a dataset, differ in length."""
 
 
 class TooFewPairs(DataError):

@@ -27,7 +27,7 @@ import logging
 import math
 from array import array
 from collections import defaultdict
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -263,14 +263,7 @@ def _format_once(cells: np.ndarray, rows) -> None:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    """Write a dataset as JSONL (full float precision, round-trip exact).
-
-    Raises :class:`LengthMismatch`, before the file is opened, when the
-    columns differ in row count.
-    """
-    rows = {f.name: len(getattr(dataset, f.name)) for f in fields(dataset)}
-    if len(set(rows.values())) > 1:
-        raise LengthMismatch(f"dataset columns differ in row count: {rows}")
+    """Write a dataset as JSONL (full float precision, round-trip exact)."""
     probs, gt, pred, sigma = (np.asarray(b, dtype=float) for b in (dataset.probs, dataset.gt, dataset.pred, dataset.sigma))
     k = probs.shape[1]
     # keys in sorted order, as json.dumps(..., sort_keys=True) writes them
@@ -322,7 +315,7 @@ def _sig6(x: float) -> float:
 
 
 def _round_floats(obj):
-    """Recursively round floats to 6 significant digits for emission."""
+    """JSON-ready copy of ``obj``: floats rounded to 6 significant digits, a dataclass as a dict of its fields."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -333,28 +326,9 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _round_floats(getattr(obj, f.name)) for f in fields(obj)}
     return obj
-
-
-def report_to_dict(report: RunReport) -> dict:
-    """JSON-ready representation of a report (floats rounded)."""
-    doc = {
-        "regime": report.regime,
-        "config": report.config,
-        "per_run": [
-            {
-                "run": r.run_index,
-                "seed": list(r.seed),
-                "metrics": asdict(r.metrics),
-                "quantiles": r.quantile_summary,
-                "warnings": list(r.warnings),
-            }
-            for r in report.per_run
-        ],
-        "aggregate": report.aggregate,
-        "significance": report.significance,
-    }
-    return _round_floats(doc)
 
 
 def _csv_cell(value) -> str:
@@ -380,7 +354,7 @@ def csv_text(columns, rows) -> str:
 def report_to_csv(report: RunReport) -> str:
     """CSV rendering: one row per run plus one aggregate row."""
     rows = [
-        [r.run_index, "-".join(map(str, r.seed)), *(getattr(r.metrics, m) for m in METRICS), r.metrics.n_eval]
+        [r.run, "-".join(map(str, r.seed)), *(getattr(r.metrics, m) for m in METRICS), r.metrics.n_eval]
         for r in report.per_run
     ]
     agg = report.aggregate
@@ -398,7 +372,7 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
     if format not in REPORT_FORMATS:
         raise OutOfRange(f"format must be one of {REPORT_FORMATS}, got {format!r}")
     if format == "json":
-        text = json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_round_floats(report), sort_keys=True, indent=2) + "\n"
     else:
         text = report_to_csv(report)
     if path is not None:
@@ -408,20 +382,21 @@ def emit_report(report: RunReport, format: str = "json", path=None) -> str:
 
 
 def _run_result(entry: dict) -> RunResult:
-    """One ``per_run`` entry of a report; seeds must be integers, metrics numbers or null."""
-    seed, metrics = tuple(entry["seed"]), MetricRow(**entry["metrics"])
+    """One ``per_run`` entry: integer run and seeds, metrics numbers or null, quantiles an object, warnings strings."""
+    run, seed, quantiles, warnings = entry["run"], tuple(entry["seed"]), entry.get("quantiles", {}), entry.get("warnings", [])
+    metrics = MetricRow(**entry["metrics"])
     # exact types, as in _read_line: bool is an int subclass, and int() would parse a string
+    if type(run) is not int:
+        raise TypeError(f"run {run!r} is not an integer")
     if not {int}.issuperset(map(type, seed)):
         raise TypeError(f"seed {list(seed)!r} does not hold integers")
     if not {int, float, type(None)}.issuperset(map(type, vars(metrics).values())):
         raise TypeError(f"metrics {vars(metrics)!r} are not all numbers or null")
-    return RunResult(
-        run_index=int(entry["run"]),
-        seed=seed,
-        metrics=metrics,
-        quantile_summary=entry.get("quantiles", {}),
-        warnings=tuple(entry.get("warnings", ())),
-    )
+    if type(quantiles) is not dict:
+        raise TypeError(f"quantiles {quantiles!r} are not an object")
+    if type(warnings) is not list or not {str}.issuperset(map(type, warnings)):
+        raise TypeError(f"warnings {warnings!r} are not a list of strings")
+    return RunResult(run=run, seed=seed, metrics=metrics, quantiles=quantiles, warnings=tuple(warnings))
 
 
 def load_report(path) -> RunReport:
@@ -433,12 +408,9 @@ def load_report(path) -> RunReport:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         per_run = tuple(_run_result(entry) for entry in doc["per_run"])
-        return RunReport(
-            regime=doc["regime"],
-            config=doc.get("config", {}),
-            per_run=per_run,
-            aggregate=doc.get("aggregate", {}),
-            significance=doc.get("significance"),
-        )
+        regime, config, aggregate = doc["regime"], doc.get("config", {}), doc.get("aggregate", {})
+        if type(regime) is not str or type(config) is not dict or type(aggregate) is not dict:
+            raise TypeError("regime must be a string, config and aggregate objects")
+        return RunReport(regime=regime, config=config, per_run=per_run, aggregate=aggregate)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise MalformedFile(f"{path}: not a confdet report ({type(exc).__name__}: {exc})") from exc

@@ -178,24 +178,23 @@ class DatasetSplit:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of a single run: metrics plus provenance."""
+    """Outcome of a single run: metrics plus provenance; the fields are a ``per_run`` entry's keys."""
 
-    run_index: int
+    run: int
     seed: tuple[int, int]
     metrics: MetricRow
-    quantile_summary: dict
+    quantiles: dict
     warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-run results plus aggregate statistics for one experiment."""
+    """Per-run results plus aggregate statistics for one experiment; the fields are the report's keys."""
 
     regime: str
     config: dict
     per_run: tuple[RunResult, ...]
     aggregate: dict
-    significance: dict | None = None
 
 
 def _round_half_up(x: float) -> int:
@@ -508,15 +507,15 @@ def _run_chunk(ctx: _Context, runs: range) -> list[RunResult]:
     n_vacuous = np.isinf(q).sum(axis=(1, 2)).tolist()
     q_min, q_max = q.min(axis=(1, 2)).tolist(), q.max(axis=(1, 2)).tolist()
     results = []
-    for b, run_index in enumerate(runs):
+    for b, run in enumerate(runs):
         warnings = fixed + sigma_warnings[b]
         if below[b].any():
             warnings.append("classes below min_per_class: " + ",".join(str(k) for k in np.flatnonzero(below[b])))
         results.append(RunResult(
-            run_index=run_index,
-            seed=(master, run_index),
+            run=run,
+            seed=(master, run),
             metrics=metrics[b],
-            quantile_summary={"n_groups": ctx.n_groups, "n_vacuous": n_vacuous[b], "min": q_min[b], "max": q_max[b]},
+            quantiles={"n_groups": ctx.n_groups, "n_vacuous": n_vacuous[b], "min": q_min[b], "max": q_max[b]},
             warnings=tuple(warnings),
         ))
     return results

@@ -5,10 +5,18 @@ no deadline, derandomized (the same examples on every run) and no example
 database.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
 from confdet.core import BoundingBox, Dataset, DetectionRecord
+
+# pyproject's pytest ``pythonpath`` puts src/ on the path of this process only; the
+# tests that start ``python -m confdet`` pass the environment on, so name it there too
+_SRC = str(Path(__file__).parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 settings.register_profile("confdet", max_examples=150, deadline=None, derandomize=True, database=None)
 settings.load_profile("confdet")

@@ -486,6 +486,15 @@ def _seed_holding(value):
     return edit
 
 
+def _run_entry_holding(key: str, value):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc["per_run"][0][key] = value
+        return json.dumps(doc)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "make_text",
     [
@@ -497,8 +506,20 @@ def _seed_holding(value):
         _seed_holding(1.5),
         _seed_holding(True),
         lambda report: "[" * 100_000 + "]" * 100_000,
+        _run_entry_holding("run", "1"),
+        _run_entry_holding("run", 2.7),
+        _run_entry_holding("run", True),
+        _run_entry_holding("warnings", "abc"),
+        _run_entry_holding("warnings", [1]),
+        _run_entry_holding("quantiles", "abc"),
+        lambda report: json.dumps({**json.loads(report), "aggregate": []}),
+        lambda report: json.dumps({**json.loads(report), "regime": 3}),
     ],
-    ids=["no-per-run", "not-json", "list", "renamed-metric", "string-metric", "float-seed", "bool-seed", "nested-too-deeply"],
+    ids=[
+        "no-per-run", "not-json", "list", "renamed-metric", "string-metric", "float-seed", "bool-seed", "nested-too-deeply",
+        "string-run", "float-run", "bool-run", "string-warnings", "number-warning", "string-quantiles", "list-aggregate",
+        "number-regime",
+    ],
 )
 def test_compare_on_a_non_report_exits_2(data_path, tmp_path, capsys, make_text):
     good = tmp_path / "good.json"

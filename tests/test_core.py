@@ -29,10 +29,10 @@ from confdet.calibration import (
     sigma_plan,
 )
 from confdet.classification import true_class_scores
-from confdet.errors import InvalidClass, OutOfRange, ValidationError
+from confdet.errors import InvalidClass, LengthMismatch, OutOfRange, ValidationError
 from confdet.regression import fit_quantiles_from_scores, group_quantiles, presort_groups
 
-from conftest import make_record
+from conftest import make_dataset, make_record
 
 
 def test_every_exported_name_resolves():
@@ -331,3 +331,12 @@ def test_dataset_take_keeps_row_order_in_every_column():
     assert len(empty) == 0
     assert empty.n_classes == 3
     assert list(empty) == []
+
+
+@pytest.mark.parametrize("column", ["image_ids", "pred", "gt", "sigma", "gt_class", "probs"])
+def test_dataset_rejects_columns_of_unequal_length(column):
+    # if it could be built, such a dataset would reach run_experiment and fail outside the DataError
+    # family (gt_class, pred, sigma) or be scored on its shortest column (probs, image_ids)
+    ds = make_dataset(200, n_classes=2, seed=3)
+    with pytest.raises(LengthMismatch, match=f"dataset columns differ in row count: .*'{column}': 150"):
+        dataclasses.replace(ds, **{column: getattr(ds, column)[:150]})

@@ -271,41 +271,43 @@ def test_lone_class_fires_every_run_warning():
 # Whole-text digests: the JSON report including ``config``, and the
 # bytes the command line writes, so that the option echo and the CLI
 # writers are guarded as well as the results.  They were recorded before
-# the metric and option lists were derived from `MetricRow` and `RunConfig`.
+# the metric and option lists were derived from `MetricRow` and `RunConfig`,
+# and re-recorded when the always-null `significance` key left the report:
+# each new text is the old one with that key deleted, serialized again.
 WHOLE_JSON = {
-    "class_agnostic-unscaled": "df91e687c2df2431001fe293c5f36f23a7de6014494c6e811bc360407d896e48",
-    "class_agnostic-scaled-raw": "59acde9a1c526c4c6882f197e0bb5feb12609b9fa57cd66a036ba450954fae1a",
-    "class_agnostic-scaled-recal": "05bd12feab38185ffce23034181a16f8db72816919adf00a276651a79a71366b",
-    "class_wise-unscaled": "fffbe7bd4b6f3e1f97f968f18b52ddff7f084f3bc0c60117236b03ed77372eb5",
-    "class_wise-scaled-raw": "09f5c350f14353acb3186d756639277f19a9d469e2ee07502eeac07988265b13",
-    "class_wise-scaled-recal": "248dd1dad69f1631bc63e490bd4b0492a207e6a9bc7ea14266c93450b3680241",
-    "two_step-unscaled": "88ce75b9114f8f17923ea74b7be8945c8f87789c6bae10c426110e8d179ad0de",
-    "two_step-scaled-raw": "b67609a7e244ac796f5900d5ed84e77da4afecdf2869429e9fd14669dbeba39b",
-    "two_step-scaled-recal": "7c00b9c2ff85c53cc20a2a64e02d35bcda3c89c8bf5d19ae518e415bb7ce9225",
-    "naive_worst_case-unscaled": "00f3f649d86fb0b4e67e3151d26bdc6508da61a9b258e8d3efb97b8952bac59b",
-    "naive_worst_case-scaled-raw": "7bef9a042c50803aaf259e8e708cbca9e6d5cdfbf0ec0f084036006a44ac1d4e",
-    "naive_worst_case-scaled-recal": "02805226f557996327eddccfca3edd5eb8575379b22a53ea81ec55724d5a94bf",
-    "two_step-scaled-raw-transfer": "a2a6c752d2d43fff0b8f08a5ef499b249841f4ba55ce14d0110f4e75aae088ea",
-    "two_step-raps-no-penalty": "dcb0c9225485ed6ba264ec16e61c72ce51ef5586175963a390063c3172144238",
-    "two_step-raps-penalty": "2a15d904c80f24e7ead4b0b424729325d7c0d97bc7b3297db7d1c58a14495086",
-    "two_step-raps-calibration-penalty-only": "11bcad773ce666a9aa1ccc7dcb1f93b46b5f274a68b75bbe26e97dcb0229db3b",
-    "two_step-scaled-recal-transfer": "935a5b32494b07b871f6700a60c6ef4518cdb4ce2b38073d2a7357af980a2928",
-    "class_wise-unscaled-transfer": "a044f464c2dd5baef7dc8bfbf4ad14a1d3f8cd135d892580eb8ec513287871ec",
-    "class_agnostic-scaled-recal-full": "3277a848a830254021d3197db2d48f503711ea7a56e9562af34c61f3d6e7c334",
-    "class_wise-scaled-recal-full": "5c4af1175eb5b9635c15de64bbd35cd2ea33138a1b23240161b387f492bbc415",
-    "two_step-scaled-recal-full-transfer": "6a2f23dbdbe16d15fd076cca0f8078368904c8da8ff2495e6ff5128b6d692af8",
-    "class_agnostic-scaled-global": "174fb22e5c71b395e882067d29bd169a32bb6a7a96e16eee183a974ab68bccb1",
-    "class_wise-unstratified": "a722874be688ef8e1ec069e3618dab1c91df0eca3dad2405f1c638e13a1e2f84",
-    "two_step-unstratified": "8530ce766a3740b59b429acc8451213e422ccfdef64ad81d41cdf82ee9169dea",
-    "naive_worst_case-scaled-raw-transfer": "362913b8d528d1f8bf686e76a555b9686930a4619af89953e66d2073e86c290a",
-    "two_step-23-runs": "def9a514a0b53267ead3bf2c9c6ab22d07ece98bc237365af7db9d8c585d6cf5",
-    "two_step-lone-class": "10b14d7bbd0bd3eaea397da30ff1dc0ac09f6b853468eea01bdf4dde49664e42",
+    "class_agnostic-unscaled": "4417a20b4f58d3c70a44a17330487d64962c58b41884c968791d8a6827326db2",
+    "class_agnostic-scaled-raw": "f4b732722984431e00a2c1ca46792bf4a4c1f85c6c55b811959fe0e54da0acb0",
+    "class_agnostic-scaled-recal": "2996395bec207c292172e7f3d7e1266cf8877f624a979b9b860159a97bfbf8ae",
+    "class_wise-unscaled": "e62333929b643699e8da67b984c152ae932f53400897680199ff728ff4072170",
+    "class_wise-scaled-raw": "d4ffe0ceadb65bb95389d51452a2e775dd489a06a2a12c98d83ca74d07c4e04c",
+    "class_wise-scaled-recal": "77c86b4c77023dea47503e300da76d57543e3312df817db9d57251c933ec1e19",
+    "two_step-unscaled": "76007e43e78388d821b00ceb06cc60430fbecb4e3d4c71ff723979c995cf5c75",
+    "two_step-scaled-raw": "2ace2237766bb43af208c40e38dd0d54711eb5e65a859bf11de99ea508855ee2",
+    "two_step-scaled-recal": "f8b696f4a075ac1770ca1d573744ad0c99c516e638a9a4af4f7c4a2116a4f7e3",
+    "naive_worst_case-unscaled": "2addeaf0d94422614eed0d4f4808940dfbfe8320980bf343857270a0b2e104b5",
+    "naive_worst_case-scaled-raw": "8e7bc89d359c4a8c93f304854e5e7871943ef3e57db499752ad39492d6beed1b",
+    "naive_worst_case-scaled-recal": "f2ef4aaa5fb2da56153f520e9a4d2458a175d8e9fd892ce5ef24769176859a94",
+    "two_step-scaled-raw-transfer": "d4597cff848a8a0e15fd286a979e614dcc78ba317aee8f64579532600b1ef33b",
+    "two_step-raps-no-penalty": "91b3c7cde7833d0850c0a37ab91eeb4018cf66b084c09ec378dfbe9cc20c0e2f",
+    "two_step-raps-penalty": "78935bb976e8e8a076dcb78053bce0554ada1b4656eb53a8e8ce68de691de720",
+    "two_step-raps-calibration-penalty-only": "69d249aa6099e71257f0e09de5e37ef8be596c4a2edcc0ecd57b27723d54ae6e",
+    "two_step-scaled-recal-transfer": "c1ec34d30fd2e8f7db30cebe997119edfea2976203d4612918028578ef2279f2",
+    "class_wise-unscaled-transfer": "5489e5846cffce2cc49af2e1806cc778269ac7238a786671e72376451dfb1b3c",
+    "class_agnostic-scaled-recal-full": "142b281533699278eef1e54348ef442b17ee9f3ee70aa0ed352df09191fad948",
+    "class_wise-scaled-recal-full": "4f17ddf06b04c1201af1bdd4196732ebc6011899e5ba22b91319a093a6c2f0cf",
+    "two_step-scaled-recal-full-transfer": "064ff1f5ba2be7c791780fad239756da2757c3170300bb54a1724965ed19c699",
+    "class_agnostic-scaled-global": "9527dd1813f5e24fbfa832bbc46fe13b5b25394716ec7644b19db773f0f59d0e",
+    "class_wise-unstratified": "e1cdfd243c77e58b33d5b76758cde7a9f080df82f729a580b83f99189d34b691",
+    "two_step-unstratified": "c1025a162bd2171c8e5f833cff26d2ba41ab9011c876aadf3124de9c7ae62f32",
+    "naive_worst_case-scaled-raw-transfer": "8417d860398f3097cd5a9bdd3bf30be22e2fa134b7859241186cf1ce987ecebe",
+    "two_step-23-runs": "a45692756d482335c7b875d04d21de0863b1a155b03fcb0c0889ed9861e90b72",
+    "two_step-lone-class": "c81bc41c2571c22a1cc14acaacd24fe7097103bbc980e4d5e981e4c93f48b2b5",
 }
 
 CLI_GOLDEN = {
     "run-csv-stdout": "0ca5afa8ed892e6bcd45b42f21add4892d9b958b7bf70ac05ccfad2fef787753",
-    "run-two_step-unscaled-json": "1a32c55b1ab46c4b3990c92bec0e9df3d99266cbc91dbd17287b2b14e31f0998",
-    "run-two_step-scaled-json": "a58ef7705f13a5f8270e407dbc23ae5cc2965265b9b7531c4dc9cf8199b57861",
+    "run-two_step-unscaled-json": "b75bb52a8bb8541eaa1466a428ecc0918b99930702edca6110f331e5e0700448",
+    "run-two_step-scaled-json": "d21687d8956ed2997a93dbd85bdec9387ed33948f53da1c1e3f46c432daf060d",
     "compare-json": "83205ca9922b4f07e19b271efd000d81f086c17f2d36f54bf5d3d108b77cdb39",
     "recovery-csv": "b9bb8d3f85ca237767644b315a8a39c78fd4fe1f07f986e85de89ad44fcd66ea",
 }

@@ -24,7 +24,7 @@ from confdet.io import (
     save_oracle_info,
 )
 from confdet.oracle import OracleInfo, OracleSpec, generate
-from confdet.pipeline import RunConfig, run_experiment
+from confdet.pipeline import RunConfig, RunReport, RunResult, run_experiment
 
 from conftest import make_dataset
 from reference import record_to_dict
@@ -562,12 +562,11 @@ def test_property_writers_match_per_record_reference(tmp_path_factory, drawn):
 
 @pytest.mark.parametrize("column", ["image_ids", "pred", "gt", "sigma", "gt_class", "probs"])
 def test_save_dataset_rejects_columns_of_unequal_length(tmp_path, column):
-    # the writer once zipped its columns and wrote as many lines as the shortest had rows
+    # a ragged dataset cannot be built, so the writer never sees one
     dataset = make_dataset(2, n_classes=2, seed=41)
-    ragged = replace(dataset, **{column: getattr(dataset, column)[:1]})
     path = tmp_path / "data.jsonl"
     with pytest.raises(LengthMismatch, match="row count"):
-        save_dataset(ragged, path)
+        save_dataset(replace(dataset, **{column: getattr(dataset, column)[:1]}), path)
     assert not path.exists()
 
 
@@ -656,6 +655,15 @@ def test_emit_load_emit_round_trip(tmp_path):
     assert loaded.per_run[0].seed == (17, 0)
 
 
+def test_report_keys_are_the_fields_of_the_report_types():
+    doc = json.loads(emit_report(small_report()))
+    assert set(doc) == {f.name for f in fields(RunReport)}
+    assert "significance" not in doc
+    assert [f.name for f in fields(RunResult)] == ["run", "seed", "metrics", "quantiles", "warnings"]
+    for entry in doc["per_run"]:
+        assert set(entry) == {f.name for f in fields(RunResult)}
+
+
 def test_emitted_floats_use_six_significant_digits():
     report = small_report()
     doc = json.loads(emit_report(report))
@@ -672,13 +680,13 @@ def test_vacuous_quantiles_emit_infinity_token(tmp_path):
         miscoverage=MiscoverageConfig(alpha_corner=0.025), n_runs=1, master_seed=3
     )
     report = run_experiment(ds, config)
-    assert report.per_run[0].quantile_summary["n_vacuous"] == 4
+    assert report.per_run[0].quantiles["n_vacuous"] == 4
     text = emit_report(report)
     assert "Infinity" in text
     path = tmp_path / "inf.json"
     emit_report(report, path=path)
     loaded = load_report(path)
-    assert loaded.per_run[0].quantile_summary["max"] == math.inf
+    assert loaded.per_run[0].quantiles["max"] == math.inf
 
 
 def test_csv_layout():

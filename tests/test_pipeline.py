@@ -130,11 +130,11 @@ def test_run_report_shape_and_config_echo():
     assert report.regime == "class_agnostic"
     assert len(report.per_run) == 3
     for i, run in enumerate(report.per_run):
-        assert run.run_index == i
+        assert run.run == i
         assert run.seed == (17, i)
         assert 0.0 <= run.metrics.coverage <= 1.0
         assert run.metrics.n_eval == 40
-        assert run.quantile_summary["n_groups"] == 1
+        assert run.quantiles["n_groups"] == 1
     assert report.config["alpha_corner"] == 0.025
     assert report.config["regime"] == "class_agnostic"
     assert report.config["stratified"] is False
@@ -442,7 +442,7 @@ def test_class_wise_quantile_summary_counts_groups():
     ds = make_dataset(200, n_classes=4, seed=17)
     config = small_config(n_runs=1, regime="class_wise", min_per_class=5)
     report = run_experiment(ds, config)
-    assert report.per_run[0].quantile_summary["n_groups"] == 4
+    assert report.per_run[0].quantiles["n_groups"] == 4
 
 
 # ---------------------------------------------------------------- comparison
