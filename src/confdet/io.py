@@ -16,15 +16,37 @@ results.
 bytes of ``json.dumps(record, sort_keys=True)``: floats at full precision,
 so a file loads back bit for bit, and a non-finite float as the ``NaN``,
 ``Infinity`` or ``-Infinity`` that ``json.dumps`` writes.
+
+:func:`load_dataset` keeps what it loads from a regular file in a cache,
+and rebuilds a later load of the same bytes from that entry instead of
+parsing them again.  An entry is named by a BLAKE2b digest of the file's
+bytes keyed with a digest of the code that decides a load's result: the
+source of ``io.py``, ``core.py`` and ``errors.py`` and the Python and
+numpy versions, so an entry written under other rules is never read.
+Entries live in ``$CONFDET_CACHE_DIR``, by default
+``$XDG_CACHE_HOME/confdet`` or else ``~/.cache/confdet``; an empty
+``CONFDET_CACHE_DIR`` turns the cache off, and a file that is not a
+regular file (a FIFO, say) bypasses it.  An entry is one line of JSON
+text (image ids, rejected lines and their messages), the raw bytes of the
+numeric columns and a checksum; nothing is pickled.  It is about 0.6
+times the size of its file and safe to delete at any time.  A load
+returns the same dataset and report, and logs the same warning, whether
+the cache is cold, warm or off; any fault in the cache falls back to
+parsing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _stdio
 import json
 import logging
 import math
+import os
+import stat
+import sys
+import zlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass, fields, is_dataclass
@@ -55,6 +77,9 @@ class LoadReport:
     messages: tuple[str, ...]
 
 
+#: The whitespace ``json.loads`` skips around a value; a line of nothing else is blank.
+_JSON_SPACE = " \t\n\r"
+
 #: The C scan under ``json.loads``: ``(value, end)`` for the JSON value that
 #: starts at an index.  Where ``json.loads`` would say "Expecting value" it
 #: raises ``StopIteration``; it raises ``json.JSONDecodeError`` for other
@@ -76,7 +101,7 @@ def _read_line(line: str, lineno: int) -> tuple[array, object, str]:
     """
     try:
         line.encode("utf-8")  # the file is decoded with surrogateescape
-        text = line.strip(" \t\n\r")  # the whitespace json.loads skips around a value
+        text = line.strip(_JSON_SPACE)
         doc, end = _scan(text, 0)
         p, g, s, c = doc["pred_box"], doc["gt_box"], doc["sigma"], doc["class_probs"]
         label, image_id = doc["gt_class"], doc["image_id"]
@@ -174,10 +199,13 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
 
     In the default lenient mode invalid lines are skipped and collected
     in the returned :class:`LoadReport`; with ``strict=True`` the first
-    bad line aborts the load.  Blank lines are ignored.  A line that is
-    not valid UTF-8 is invalid.  The data rules are checked once over the
-    loaded columns of each class count (:func:`~confdet.core.validate_columns`).
-    The file's class count is that of its first valid line.
+    bad line aborts the load.  Blank lines, those that hold nothing but
+    JSON whitespace (space, tab, newline, carriage return), are ignored;
+    a line of other whitespace is invalid JSON.  A line that is not valid
+    UTF-8 is invalid.  The data rules are checked once over the loaded
+    columns of each class count (:func:`~confdet.core.validate_columns`).
+    The file's class count is that of its first valid line.  A regular
+    file's result is cached by content (see the module docstring).
 
     Raises
     ------
@@ -186,27 +214,42 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     ParseError, ValidationError
         In strict mode, for the first offending line.
     """
+    with open(path, "rb", buffering=0) as raw:
+        entry, loaded = _cache_read(raw, strict)
+        if loaded is None:
+            reader = raw if entry is None else _Digesting(raw)
+            with _stdio.TextIOWrapper(_stdio.BufferedReader(reader), encoding="utf-8", errors="surrogateescape") as fh:
+                loaded = _parse(fh, path, strict)
+            if entry is not None and reader.digest.hexdigest() == os.path.basename(entry):
+                _cache_write(entry, *loaded)
+    lines = loaded[1].rejected_lines
+    if lines:
+        logger.warning("%s: rejected %d line(s): %s", path, len(lines), list(lines[:20]))
+    return loaded
+
+
+def _parse(fh, path, strict: bool) -> tuple[Dataset, LoadReport]:
+    """:func:`load_dataset` of the lines of the text file ``fh``, by parsing them."""
     groups: defaultdict[int, _Rows] = defaultdict(_Rows)  # by class count
     # line number -> the exception in strict mode, else its message: a caught exception's
     # traceback refers back to this frame, which would hold the buffers in a reference cycle
     rejected: dict[int, DataError | str] = {}
     keep = (lambda exc: exc) if strict else str
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                values, label, image_id = _read_line(line, lineno)
-            except (ParseError, ValidationError) as exc:
-                rejected[lineno] = keep(exc)
-                if strict:
-                    break  # an earlier line may still break a data rule
-                continue
-            rows = groups[len(values) - 12]
-            rows.values += values
-            rows.lines.append(lineno)
-            rows.labels.append(label)
-            rows.image_ids.append(image_id)
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip(_JSON_SPACE):
+            continue
+        try:
+            values, label, image_id = _read_line(line, lineno)
+        except (ParseError, ValidationError) as exc:
+            rejected[lineno] = keep(exc)
+            if strict:
+                break  # an earlier line may still break a data rule
+            continue
+        rows = groups[len(values) - 12]
+        rows.values += values
+        rows.lines.append(lineno)
+        rows.labels.append(label)
+        rows.image_ids.append(image_id)
     problems = {k: rows.problems() for k, rows in groups.items()}  # once on a well-formed file
     first, n_classes = math.inf, None
     for k, rows in groups.items():
@@ -228,14 +271,147 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     if n_classes is None:
         raise EmptyFile(f"{path}: no usable records")
     lines = sorted(rejected)
-    if lines:
-        logger.warning("%s: rejected %d line(s): %s", path, len(lines), lines[:20])
     dataset = groups[n_classes].dataset(problems[n_classes])
     return dataset, LoadReport(
         n_loaded=len(dataset),
         rejected_lines=tuple(lines),
         messages=tuple(rejected[line] for line in lines),
     )
+
+
+class _Digesting(_stdio.RawIOBase):
+    """A binary reader that digests each byte it reads from ``raw``.
+
+    The digest is BLAKE2b keyed with :func:`_code_digest`; its hex digest
+    names the cache entry of the bytes read.
+    """
+
+    def __init__(self, raw):
+        self.raw, self.digest = raw, _blake2b(key=_code_digest(), digest_size=20)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        with memoryview(buffer) as view:
+            self.digest.update(view[:n])
+        return n
+
+
+def _blake2b(data: bytes = b"", **params):
+    """``hashlib.blake2b``, imported lazily and from where hashlib gets it.
+
+    Importing ``hashlib`` itself maps OpenSSL, which lifts a process's peak
+    RSS by about 3 MB.
+    """
+    try:
+        from _blake2 import blake2b
+    except ImportError:  # an interpreter without CPython's module
+        from hashlib import blake2b
+    return blake2b(data, **params)
+
+
+def _code_digest() -> bytes:
+    """A digest of what decides a load's result: the loader's source and the Python and numpy versions."""
+    digest = _blake2b(f"{sys.version}\0{np.__version__}\0{sys.byteorder}".encode(), digest_size=32)
+    for name in ("io.py", "core.py", "errors.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.digest()
+
+
+#: The arrays of a cache entry, in order, by name, dtype and row shape (``None``: the class count).
+_ENTRY_COLUMNS = (
+    ("pred", np.float64, (4,)),
+    ("gt", np.float64, (4,)),
+    ("sigma", np.float64, (4,)),
+    ("gt_class", np.int64, ()),
+    ("probs", np.float64, (None,)),
+)
+
+
+def _cache_read(raw, strict: bool):
+    """``(entry, loaded)``: the cache entry named for the open file ``raw``, and what it holds.
+
+    ``entry`` is None when the cache is off, the file is not a regular file
+    (reading a FIFO would consume it) or its digest cannot be taken.
+    ``loaded`` is the ``(dataset, report)`` of the entry, or None when there
+    is no usable entry, or in strict mode when the entry records rejected
+    lines, so that the parse raises what it raises.  Rewinds ``raw`` when
+    it hashed it.  Never raises.
+    """
+    try:
+        root = os.environ.get("CONFDET_CACHE_DIR")
+        if root is None:
+            root = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "confdet")
+        if not root or not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            return None, None
+        hashed, chunk = _Digesting(raw), bytearray(1 << 16)
+        try:
+            while hashed.readinto(chunk):
+                pass
+        finally:
+            raw.seek(0)
+        entry = os.path.join(root, hashed.digest.hexdigest())
+    except OSError:  # the cache never fails a load: a file that cannot be read fails in the parse
+        return None, None
+    try:
+        with open(entry, "rb") as fh:
+            line = fh.readline()
+            head = json.loads(line)
+            if strict and head["rejected_lines"]:
+                return entry, None
+            image_ids, n_classes = head["image_ids"], head["n_classes"]
+            check, columns = zlib.adler32(line), []
+            for _, dtype, row in _ENTRY_COLUMNS:
+                # read into arrays of their own: np.load's header parse leaves reference cycles
+                column = np.empty((len(image_ids), *(n_classes if d is None else d for d in row)), dtype=dtype)
+                data = column.data.cast("B")
+                if fh.readinto(data) != column.nbytes:
+                    return entry, None
+                check = zlib.adler32(data, check)
+                columns.append(column)
+            if fh.read() != check.to_bytes(4, "little"):
+                return entry, None
+        dataset = Dataset(np.array(image_ids, dtype=object), *columns)
+        report = LoadReport(len(dataset), tuple(head["rejected_lines"]), tuple(head["messages"]))
+        return entry, (dataset, report)
+    except Exception as exc:  # no entry, or one that does not read back: parse instead
+        logger.debug("load cache entry %s not read: %s", entry, repr(exc))  # not exc: its traceback holds the frame
+        return entry, None
+
+
+def _cache_write(entry: str, dataset: Dataset, report: LoadReport) -> None:
+    """Store a load's result as ``entry``, atomically (a temporary file, then a rename).  Never raises."""
+    import tempfile
+
+    tmp = None
+    try:
+        os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry), prefix=".", suffix=".tmp")
+        with open(fd, "wb") as fh:
+            head = {
+                "image_ids": dataset.image_ids.tolist(),
+                "messages": list(report.messages),
+                "n_classes": dataset.n_classes,
+                "rejected_lines": list(report.rejected_lines),
+            }
+            # ASCII JSON text: every string round-trips, a NUL or lone surrogate included
+            line = json.dumps(head).encode("ascii") + b"\n"
+            fh.write(line)
+            check = zlib.adler32(line)
+            for name, dtype, _ in _ENTRY_COLUMNS:
+                data = np.ascontiguousarray(getattr(dataset, name), dtype=dtype).data.cast("B")
+                fh.write(data)
+                check = zlib.adler32(data, check)
+            fh.write(check.to_bytes(4, "little"))  # a checksum of all before it
+        os.replace(tmp, entry)
+    except Exception as exc:
+        logger.debug("load cache entry %s not written: %s", entry, repr(exc))
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 #: Rows formatted per write; bounds a chunk's object array of cells and its formatted text.

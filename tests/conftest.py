@@ -1,14 +1,16 @@
-"""Shared helpers for building small hand-made datasets, and the Hypothesis profile.
+"""Shared helpers for building small hand-made datasets, the Hypothesis profile, and the load cache.
 
 Every property test runs under the one profile loaded here: 150 examples,
 no deadline, derandomized (the same examples on every run) and no example
-database.
+database.  The loader's cache lives in a fresh directory for each session,
+so no test reads or writes a developer's own cache.
 """
 
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from confdet.core import BoundingBox, Dataset, DetectionRecord
@@ -20,6 +22,14 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 settings.register_profile("confdet", max_examples=150, deadline=None, derandomize=True, database=None)
 settings.load_profile("confdet")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _load_cache_dir(tmp_path_factory):
+    """``CONFDET_CACHE_DIR`` for the session, inherited by the ``python -m confdet`` children too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("CONFDET_CACHE_DIR", str(tmp_path_factory.mktemp("load-cache")))
+        yield
 
 
 def make_record(

@@ -254,7 +254,7 @@ def load_dataset(path, strict=False):
     n_classes = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.strip(" \t\n\r"):  # blank: JSON whitespace only
                 continue
             try:
                 record = _parse_line(line, lineno, n_classes)

@@ -183,6 +183,20 @@ def test_rejected_lines_are_logged(tmp_path, caplog):
     assert f"{path}: rejected 1 line(s): [2]" in caplog.text
 
 
+@pytest.mark.parametrize("space", ["\x0c", "\xa0", "\x0b", "\x1f", "\u2003", " \x0c\t"])
+def test_a_line_of_whitespace_json_does_not_skip_is_invalid_json(tmp_path, space):
+    # such a line was skipped as blank because str.strip() removes it, though json.loads rejects it
+    path = tmp_path / "spaces.jsonl"
+    path.write_text("\n".join([good_line("ok-1"), space, " \t", good_line("ok-2")]) + "\n", encoding="utf-8")
+    dataset, report = load_dataset(path)
+    assert report.rejected_lines == (2,)
+    assert report.messages[0].startswith("line 2: invalid JSON")
+    assert [r.image_id for r in dataset.records] == ["ok-1", "ok-2"]
+    with pytest.raises(ParseError) as excinfo:
+        load_dataset(path, strict=True)
+    assert excinfo.value.line == 2
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_undecodable_line_is_a_parse_error(tmp_path, newline):
     # a byte that is not UTF-8 once raised UnicodeDecodeError out of the loader
