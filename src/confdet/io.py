@@ -19,26 +19,30 @@ so a file loads back bit for bit, and a non-finite float as the ``NaN``,
 
 :func:`load_dataset` keeps what it loads from a regular file in a cache,
 and rebuilds a later load of the same bytes from that entry instead of
-parsing them again.  An entry is named by a BLAKE2b digest of the file's
-bytes keyed with a digest of the code that decides a load's result: the
-source of ``io.py``, ``core.py`` and ``errors.py`` and the Python and
-numpy versions, so an entry written under other rules is never read.
-Entries live in ``$CONFDET_CACHE_DIR``, by default
-``$XDG_CACHE_HOME/confdet`` or else ``~/.cache/confdet``; an empty
-``CONFDET_CACHE_DIR`` turns the cache off, and a file that is not a
-regular file (a FIFO, say) bypasses it.  An entry is one line of JSON
-text (image ids, rejected lines and their messages), the raw bytes of the
-numeric columns and a checksum; nothing is pickled.  It is about 0.6
-times the size of its file and safe to delete at any time.  A load
-returns the same dataset and report, and logs the same warning, whether
-the cache is cold, warm or off; any fault in the cache falls back to
-parsing.
+parsing them again.  The first load of some bytes leaves an empty entry,
+the second stores its result, and every later one reads it, so a file
+loaded once pays only for the digest.  An entry is
+``$CONFDET_CACHE_DIR/<code digest>/<file digest>``: a BLAKE2b digest of
+the file's bytes, in a directory named by a digest of the code that
+decides a load's result (the source of ``io.py``, ``core.py`` and
+``errors.py`` and the Python and numpy versions), so an entry written
+under other rules is never read.  Making a code digest's directory
+removes those of other digests.  ``CONFDET_CACHE_DIR`` defaults to
+``$XDG_CACHE_HOME/confdet`` or else ``~/.cache/confdet``; an empty value
+turns the cache off, and a file that is not a regular file (a FIFO, say)
+bypasses it.  An entry is one line of JSON text (image ids, rejected
+lines and their messages), the raw bytes of the numeric columns and a
+checksum; nothing is pickled.  It is about 0.6 times the size of its
+file and safe to delete at any time.  A load returns the same dataset and
+report, and logs the same warning, whether the cache is cold, warm or
+off; any fault in the cache falls back to parsing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io as _stdio
 import json
 import logging
@@ -214,14 +218,20 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
     ParseError, ValidationError
         In strict mode, for the first offending line.
     """
-    with open(path, "rb", buffering=0) as raw:
-        entry, loaded = _cache_read(raw, strict)
-        if loaded is None:
-            reader = raw if entry is None else _Digesting(raw)
+    entry, seen, loaded = _cache_read(path, strict)
+    if loaded is None and seen:
+        # a repeated load: digest the bytes the parse reads, and store its result under them
+        with open(path, "rb", buffering=0) as raw:
+            reader = _Digesting(raw)
             with _stdio.TextIOWrapper(_stdio.BufferedReader(reader), encoding="utf-8", errors="surrogateescape") as fh:
                 loaded = _parse(fh, path, strict)
-            if entry is not None and reader.digest.hexdigest() == os.path.basename(entry):
-                _cache_write(entry, *loaded)
+        if reader.digest.hexdigest() == os.path.basename(entry):
+            _cache_write(entry, loaded)
+    elif loaded is None:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            loaded = _parse(fh, path, strict)
+        if entry is not None:
+            _cache_write(entry)  # an empty entry: the next load of these bytes stores its result
     lines = loaded[1].rejected_lines
     if lines:
         logger.warning("%s: rejected %d line(s): %s", path, len(lines), list(lines[:20]))
@@ -280,14 +290,10 @@ def _parse(fh, path, strict: bool) -> tuple[Dataset, LoadReport]:
 
 
 class _Digesting(_stdio.RawIOBase):
-    """A binary reader that digests each byte it reads from ``raw``.
-
-    The digest is BLAKE2b keyed with :func:`_code_digest`; its hex digest
-    names the cache entry of the bytes read.
-    """
+    """A binary reader that digests each byte it reads from ``raw``; the hex digest names the bytes' cache entry."""
 
     def __init__(self, raw):
-        self.raw, self.digest = raw, _blake2b(key=_code_digest(), digest_size=20)
+        self.raw, self.digest = raw, _blake2b(digest_size=20)
 
     def readable(self) -> bool:
         return True
@@ -312,9 +318,10 @@ def _blake2b(data: bytes = b"", **params):
     return blake2b(data, **params)
 
 
+@functools.lru_cache(maxsize=None)
 def _code_digest() -> bytes:
     """A digest of what decides a load's result: the loader's source and the Python and numpy versions."""
-    digest = _blake2b(f"{sys.version}\0{np.__version__}\0{sys.byteorder}".encode(), digest_size=32)
+    digest = _blake2b(f"{sys.version}\0{np.__version__}\0{sys.byteorder}".encode(), digest_size=16)
     for name in ("io.py", "core.py", "errors.py"):
         with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
             digest.update(fh.read())
@@ -331,80 +338,91 @@ _ENTRY_COLUMNS = (
 )
 
 
-def _cache_read(raw, strict: bool):
-    """``(entry, loaded)``: the cache entry named for the open file ``raw``, and what it holds.
+def _cache_read(path, strict: bool):
+    """``(entry, seen, loaded)``: the cache entry named for the bytes of the file ``path``, and what it holds.
 
     ``entry`` is None when the cache is off, the file is not a regular file
-    (reading a FIFO would consume it) or its digest cannot be taken.
-    ``loaded`` is the ``(dataset, report)`` of the entry, or None when there
-    is no usable entry, or in strict mode when the entry records rejected
-    lines, so that the parse raises what it raises.  Rewinds ``raw`` when
-    it hashed it.  Never raises.
+    (reading a FIFO would consume it) or its digest cannot be taken; it is
+    ``root/<code digest>/<file digest>``.  ``seen`` says that the entry
+    exists, so these bytes were loaded before.  ``loaded`` is the
+    ``(dataset, report)`` the entry holds, or None when it holds none (it is
+    empty or does not read back), or in strict mode when it records rejected
+    lines, so that the parse raises what it raises.  Never raises.
     """
     try:
         root = os.environ.get("CONFDET_CACHE_DIR")
         if root is None:
             root = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "confdet")
-        if not root or not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-            return None, None
-        hashed, chunk = _Digesting(raw), bytearray(1 << 16)
-        try:
+        if not root or not stat.S_ISREG(os.stat(os.fspath(path)).st_mode):  # not a file descriptor either
+            return None, False, None
+        with open(path, "rb", buffering=0) as raw:
+            hashed, chunk = _Digesting(raw), bytearray(1 << 16)
             while hashed.readinto(chunk):
                 pass
-        finally:
-            raw.seek(0)
-        entry = os.path.join(root, hashed.digest.hexdigest())
-    except OSError:  # the cache never fails a load: a file that cannot be read fails in the parse
-        return None, None
+        entry = os.path.join(root, _code_digest().hex(), hashed.digest.hexdigest())
+    except (OSError, TypeError, ValueError):  # the cache never fails a load: a bad path fails in the parse
+        return None, False, None
     try:
         with open(entry, "rb") as fh:
             line = fh.readline()
-            head = json.loads(line)
-            if strict and head["rejected_lines"]:
-                return entry, None
-            image_ids, n_classes = head["image_ids"], head["n_classes"]
-            check, columns = zlib.adler32(line), []
-            for _, dtype, row in _ENTRY_COLUMNS:
-                # read into arrays of their own: np.load's header parse leaves reference cycles
-                column = np.empty((len(image_ids), *(n_classes if d is None else d for d in row)), dtype=dtype)
-                data = column.data.cast("B")
-                if fh.readinto(data) != column.nbytes:
-                    return entry, None
-                check = zlib.adler32(data, check)
-                columns.append(column)
-            if fh.read() != check.to_bytes(4, "little"):
-                return entry, None
+            head = json.loads(line) if line else None  # an empty entry marks a first load
+            if head is None or (strict and head["rejected_lines"]):
+                return entry, True, None
+            # read whole and copied out: freeing a block this large raises glibc's mmap threshold,
+            # as freeing the parse's buffers does; reading straight into the columns left it at
+            # 128 KB, so that two_step_runs mapped each larger temporary afresh and ran 0.04 s slower
+            payload = fh.read()
+        with memoryview(payload) as view:
+            if zlib.adler32(view[:-4], zlib.adler32(line)).to_bytes(4, "little") != payload[-4:]:
+                return entry, True, None
+        image_ids, n_classes, columns, offset = head["image_ids"], head["n_classes"], [], 0
+        for _, dtype, row in _ENTRY_COLUMNS:
+            shape = (len(image_ids), *(n_classes if d is None else d for d in row))
+            columns.append(np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape).copy())
+            offset += columns[-1].nbytes
+        if offset + 4 != len(payload):
+            return entry, True, None
         dataset = Dataset(np.array(image_ids, dtype=object), *columns)
         report = LoadReport(len(dataset), tuple(head["rejected_lines"]), tuple(head["messages"]))
-        return entry, (dataset, report)
-    except Exception as exc:  # no entry, or one that does not read back: parse instead
+        return entry, True, (dataset, report)
+    except FileNotFoundError:
+        return entry, False, None
+    except Exception as exc:  # an entry that does not read back: parse instead, and store again
         logger.debug("load cache entry %s not read: %s", entry, repr(exc))  # not exc: its traceback holds the frame
-        return entry, None
+        return entry, True, None
 
 
-def _cache_write(entry: str, dataset: Dataset, report: LoadReport) -> None:
-    """Store a load's result as ``entry``, atomically (a temporary file, then a rename).  Never raises."""
+def _cache_write(entry: str, loaded: tuple[Dataset, LoadReport] | None = None) -> None:
+    """Store ``loaded``, a load's result, as ``entry``; with None, make ``entry`` empty if it does not exist.
+
+    An entry is written atomically (a temporary file, then a rename).
+    Making the directory of the code digest removes those of other digests,
+    whose entries can never be read again.  Never raises.
+    """
+    import re
+    import shutil
     import tempfile
 
     tmp = None
     try:
-        os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(entry), prefix=".", suffix=".tmp")
+        folder = os.path.dirname(entry)
+        root = os.path.dirname(folder)
+        os.makedirs(root, mode=0o700, exist_ok=True)
+        with contextlib.suppress(FileExistsError):
+            os.mkdir(folder, mode=0o700)
+            for name in os.listdir(root):
+                if name != os.path.basename(folder) and re.fullmatch("[0-9a-f]{32}", name):
+                    shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+        if loaded is None:
+            with contextlib.suppress(FileExistsError):
+                os.close(os.open(entry, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600))
+            return
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=".", suffix=".tmp")
         with open(fd, "wb") as fh:
-            head = {
-                "image_ids": dataset.image_ids.tolist(),
-                "messages": list(report.messages),
-                "n_classes": dataset.n_classes,
-                "rejected_lines": list(report.rejected_lines),
-            }
-            # ASCII JSON text: every string round-trips, a NUL or lone surrogate included
-            line = json.dumps(head).encode("ascii") + b"\n"
-            fh.write(line)
-            check = zlib.adler32(line)
-            for name, dtype, _ in _ENTRY_COLUMNS:
-                data = np.ascontiguousarray(getattr(dataset, name), dtype=dtype).data.cast("B")
-                fh.write(data)
-                check = zlib.adler32(data, check)
+            check = zlib.adler32(b"")
+            for piece in _entry_pieces(*loaded):
+                fh.write(piece)
+                check = zlib.adler32(piece, check)
             fh.write(check.to_bytes(4, "little"))  # a checksum of all before it
         os.replace(tmp, entry)
     except Exception as exc:
@@ -412,6 +430,23 @@ def _cache_write(entry: str, dataset: Dataset, report: LoadReport) -> None:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+
+
+def _entry_pieces(dataset: Dataset, report: LoadReport):
+    """The bytes of a cache entry, in pieces: a line of JSON text, then the raw bytes of each column.
+
+    The text is ASCII, so every string round-trips, a NUL or lone surrogate
+    included.  Its image ids are formatted a chunk at a time, so that no
+    piece holds all of them.
+    """
+    head = {"messages": list(report.messages), "n_classes": dataset.n_classes, "rejected_lines": list(report.rejected_lines)}
+    yield json.dumps(head)[:-1].encode("ascii") + b', "image_ids": ['
+    ids = dataset.image_ids
+    for start in range(0, len(ids), _WRITE_CHUNK):
+        yield (b", " if start else b"") + json.dumps(ids[start : start + _WRITE_CHUNK].tolist())[1:-1].encode("ascii")
+    yield b"]}\n"
+    for name, dtype, _ in _ENTRY_COLUMNS:
+        yield np.ascontiguousarray(getattr(dataset, name), dtype=dtype).data.cast("B")
 
 
 #: Rows formatted per write; bounds a chunk's object array of cells and its formatted text.

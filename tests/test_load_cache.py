@@ -1,9 +1,11 @@
 """The loader's content-addressed cache: a hit gives the bytes of a parse, and any fault in the cache falls back to one.
 
-Each test points ``CONFDET_CACHE_DIR`` at a directory of its own.  A hit is
-made certain by forbidding the parse while the second load runs.
+Each test points ``CONFDET_CACHE_DIR`` at a directory of its own.  The
+first load of some bytes leaves an empty entry, the second stores its
+result, and the third is a hit, made certain by forbidding the parse.
 """
 
+import gc
 import json
 import logging
 import os
@@ -56,6 +58,13 @@ def hit(path, monkeypatch, strict=False):
         return loaded(path, strict)
 
 
+def stored(path, strict=False):
+    """:func:`loaded` twice, so that the second load stores the result; the first load's result."""
+    first = loaded(path, strict)
+    assert loaded(path, strict) == first
+    return first
+
+
 def uncached(path, monkeypatch, strict=False):
     with monkeypatch.context() as patch:
         patch.setenv("CONFDET_CACHE_DIR", "")
@@ -63,7 +72,11 @@ def uncached(path, monkeypatch, strict=False):
 
 
 def entries(root):
-    return sorted(os.listdir(root)) if root.exists() else []
+    """The entries under ``root``, each as ``(code digest, file digest, size)``."""
+    found = []
+    for folder in sorted(root.iterdir()) if root.exists() else []:
+        found += [(folder.name, entry.name, entry.stat().st_size) for entry in sorted(folder.iterdir())]
+    return found
 
 
 @pytest.mark.parametrize(
@@ -75,7 +88,9 @@ def test_a_hit_gives_the_bytes_of_a_parse(tmp_path, cache, monkeypatch, dataset)
     path = tmp_path / "data.jsonl"
     save_dataset(dataset(), path)
     miss = loaded(path)
-    assert len(entries(cache)) == 1
+    assert [size for _, _, size in entries(cache)] == [0]  # the first load marks the bytes
+    assert loaded(path) == miss
+    assert [size for _, _, size in entries(cache)] > [0]  # the second stores its result
     assert hit(path, monkeypatch) == miss
     assert hit(path, monkeypatch, strict=True) == miss
     assert uncached(path, monkeypatch) == miss
@@ -108,6 +123,9 @@ def test_a_hit_reports_and_logs_every_rejected_line_as_a_parse(tmp_path, cache, 
         miss = loaded(path)
         miss_log = caplog.text
         caplog.clear()
+        assert loaded(path) == miss
+        assert caplog.text == miss_log
+        caplog.clear()
         warm = hit(path, monkeypatch)
         assert caplog.text == miss_log
     assert warm == miss
@@ -120,7 +138,7 @@ def test_every_image_id_round_trips(tmp_path, cache, monkeypatch):
     ids = ["nul\u0000", "\u0000", "lone-\ud800", "café", "日本", 'q"uote', "back\\slash", "", "\U0001f600"]
     path = tmp_path / "ids.jsonl"
     path.write_text("\n".join(good_line(i) for i in ids) + "\n", encoding="ascii")
-    miss = loaded(path)
+    miss = stored(path)
     assert miss[0]["image_ids"][2] == ids
     assert hit(path, monkeypatch) == miss
 
@@ -128,7 +146,7 @@ def test_every_image_id_round_trips(tmp_path, cache, monkeypatch):
 def test_strict_loads_raise_what_a_parse_raises(tmp_path, cache, monkeypatch):
     clean = tmp_path / "clean.jsonl"
     clean.write_text(good_line("a") + "\n" + good_line("b") + "\n", encoding="utf-8")
-    miss = loaded(clean, strict=True)
+    miss = stored(clean, strict=True)
     assert hit(clean, monkeypatch, strict=True) == miss == hit(clean, monkeypatch)
 
     bad = tmp_path / "bad.jsonl"
@@ -136,7 +154,7 @@ def test_strict_loads_raise_what_a_parse_raises(tmp_path, cache, monkeypatch):
         bad.write_text(good_line("a") + "\n" + broken + "\n", encoding="utf-8")
         with pytest.raises((ParseError, ValidationError)) as cold:
             load_dataset(bad, strict=True)
-        loaded(bad)  # a lenient load records the rejected line
+        stored(bad)  # a lenient load records the rejected line
         with pytest.raises((ParseError, ValidationError)) as warm:
             load_dataset(bad, strict=True)
         assert (type(warm.value), str(warm.value), warm.value.line) == (type(cold.value), str(cold.value), 2)
@@ -145,7 +163,7 @@ def test_strict_loads_raise_what_a_parse_raises(tmp_path, cache, monkeypatch):
 def test_a_changed_byte_misses(tmp_path, cache, monkeypatch):
     path = tmp_path / "data.jsonl"
     save_dataset(_data(3), path)
-    loaded(path)
+    stored(path)
     data = bytearray(path.read_bytes())
     data[data.index(b"1")] = ord("2")
     path.write_bytes(bytes(data))
@@ -156,17 +174,23 @@ def test_a_changed_byte_misses(tmp_path, cache, monkeypatch):
 def test_a_changed_code_digest_misses(tmp_path, cache, monkeypatch):
     path = tmp_path / "data.jsonl"
     path.write_text(good_line() + "\n", encoding="utf-8")
-    miss = loaded(path)
-    monkeypatch.setattr(cio, "_code_digest", lambda: b"other rules")
+    miss = stored(path)
+    ((code, name, size),) = entries(cache)
+    assert code == cio._code_digest().hex() and size > 0
+    (cache / "keep").mkdir()  # not named like a code digest: not the cache's to remove
+    monkeypatch.setattr(cio, "_code_digest", lambda: b"other rules 16 b")
     assert loaded(path) == miss
-    assert len(entries(cache)) == 2
+    # the entries of other code can never be read again, so their directory goes
+    assert entries(cache) == [(b"other rules 16 b".hex(), name, 0)]
+    assert (cache / "keep").is_dir()
 
 
 def test_a_truncated_or_garbage_entry_falls_back_to_a_parse(tmp_path, cache, monkeypatch):
     path = tmp_path / "mixed.jsonl"
     path.write_text("\n".join([good_line("a"), "{oops", good_line("b")]) + "\n", encoding="utf-8")
-    miss = loaded(path)
-    (entry,) = cache.iterdir()
+    miss = stored(path)
+    ((code, name, _),) = entries(cache)
+    entry = cache / code / name
     whole = entry.read_bytes()
     head = whole.index(b"\n") + 1
     damaged = [whole[:n] for n in (0, 1, head - 2, head, head + 1, len(whole) - 1)]
@@ -192,7 +216,7 @@ def test_a_cache_that_is_off_or_unwritable_is_bypassed(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     monkeypatch.setenv("CONFDET_CACHE_DIR", str(blocker / "cache"))
-    assert loaded(path) == expected
+    assert stored(path) == expected
     assert sorted(os.listdir(tmp_path)) == ["data.jsonl", "file"]
 
 
@@ -202,8 +226,9 @@ def test_the_default_directory_is_private_and_under_the_user_cache(tmp_path, mon
     monkeypatch.delenv("CONFDET_CACHE_DIR")
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     loaded(path)
-    assert len(entries(tmp_path / "xdg" / "confdet")) == 1
+    ((code, _, _),) = entries(tmp_path / "xdg" / "confdet")
     assert os.stat(tmp_path / "xdg" / "confdet").st_mode & 0o777 == 0o700
+    assert os.stat(tmp_path / "xdg" / "confdet" / code).st_mode & 0o777 == 0o700
     monkeypatch.delenv("XDG_CACHE_HOME")
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     loaded(path)
@@ -231,6 +256,14 @@ def test_a_fifo_bypasses_the_cache(tmp_path, cache, monkeypatch):
     assert from_fifo == uncached(regular, monkeypatch)
 
 
+def test_a_file_descriptor_bypasses_the_cache(tmp_path, cache, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    save_dataset(_data(3).take(np.arange(50)), path)
+    for _ in range(3):
+        assert loaded(os.open(path, os.O_RDONLY)) == uncached(path, monkeypatch)
+    assert entries(cache) == []
+
+
 def test_racing_writers_leave_one_whole_entry(tmp_path, cache, monkeypatch):
     path = tmp_path / "data.jsonl"
     save_dataset(_data(3), path)
@@ -241,14 +274,16 @@ def test_racing_writers_leave_one_whole_entry(tmp_path, cache, monkeypatch):
         start.wait()
         return loaded(path)
 
-    with ThreadPoolExecutor(4) as pool:
-        assert list(pool.map(load, range(4))) == [expected] * 4
-    assert len(entries(cache)) == 1  # no temporary file is left behind
+    for _ in range(2):  # racing first loads, then racing stores
+        start.reset()
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(load, range(4))) == [expected] * 4
+        assert len(entries(cache)) == 1  # no temporary file is left behind
     assert hit(path, monkeypatch) == expected
-    dataset, report = load_dataset(path)
-    (entry,) = cache.iterdir()
+    result = load_dataset(path)
+    ((code, name, _),) = entries(cache)
     with ThreadPoolExecutor(4) as pool:
-        list(pool.map(lambda _: cio._cache_write(str(entry), dataset, report), range(8)))
+        list(pool.map(lambda _: cio._cache_write(str(cache / code / name), result), range(8)))
     assert len(entries(cache)) == 1
     assert hit(path, monkeypatch) == expected
 
@@ -264,3 +299,24 @@ def test_neither_importing_the_cli_nor_a_load_imports_hashlib(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "False False\n"
+
+
+@pytest.mark.parametrize("step", ["off", "first", "stored", "hit"])
+def test_no_load_leaves_a_reference_cycle(tmp_path, cache, monkeypatch, step):
+    # a kept exception's traceback refers back to the frame that caught it, and np.load's
+    # header parse builds cycles: either would hold a load's buffers until the next collection
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join([good_line(), "{broken", "[1, 2]", good_line()]) + "\n", encoding="utf-8")
+    if step == "off":
+        monkeypatch.setenv("CONFDET_CACHE_DIR", "")
+    for _ in range(["off", "first", "stored", "hit"].index(step) - 1):
+        load_dataset(path)
+    gc.collect()
+    gc.disable()
+    try:
+        _, report = load_dataset(path)
+        assert report.rejected_lines == (2, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [size > 0 for _, _, size in entries(cache)] == {"off": [], "first": [False]}.get(step, [True])
