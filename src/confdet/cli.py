@@ -21,7 +21,7 @@ import os
 import sys
 import traceback
 
-from .calibration import SCOPE_GLOBAL, SCOPES, fit_calibrator_arrays, save_calibrator
+from .calibration import SCOPE_GLOBAL, SCOPE_RAW, SCOPES, fit_calibrator_arrays, save_calibrator
 from .core import BoundingBox, MiscoverageConfig, RAPSConfig
 from .errors import ConfigError, DataError
 from .io import (
@@ -153,6 +153,14 @@ def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
     p.add_argument("--alpha-class", type=float, default=MiscoverageConfig.alpha_class, help="label-set miscoverage")
     p.add_argument("--scaling", choices=SCALINGS, default=RunConfig.scaling)
     p.add_argument("--scope", choices=SCOPES, default=RunConfig.calibration_scope, help="sigma recalibration scope")
+    p.add_argument(
+        "--calibrator-fit-frac",
+        type=float,
+        default=RunConfig.calibrator_fit_fraction,
+        metavar="F",
+        help="fit the sigma maps on this share of each run's calibration rows, and the quantiles on the rest "
+        "(default: both on all of them)",
+    )
     p.add_argument("--runs", type=int, default=RunConfig.n_runs, help="number of seeded runs")
     p.add_argument("--calib-frac", type=float, default=RunConfig.calib_fraction)
     p.add_argument("--seed", type=int, required=require_seed, default=None, help="master seed")
@@ -171,7 +179,7 @@ def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
 
 
 def _run_config(args) -> RunConfig:
-    return RunConfig(
+    config = RunConfig(
         miscoverage=MiscoverageConfig(alpha_corner=args.alpha_corner, alpha_class=args.alpha_class),
         n_runs=args.runs,
         calib_fraction=args.calib_frac,
@@ -182,7 +190,15 @@ def _run_config(args) -> RunConfig:
         master_seed=args.seed,
         image_bounds=args.image_bounds,
         min_per_class=args.min_per_class,
+        calibrator_fit_fraction=args.calibrator_fit_frac,
     )
+    if config.calibration_scope != SCOPE_RAW and config.calibrator_fit_fraction is None:
+        print(
+            f"confdet: --scope {config.calibration_scope} fits the sigma maps on the rows that calibrate the "
+            "quantiles, so coverage is not guaranteed; --calibrator-fit-frac F fits them on a disjoint share",
+            file=sys.stderr,
+        )
+    return config
 
 
 def _write(path, text: str) -> None:

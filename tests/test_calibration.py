@@ -28,7 +28,7 @@ from confdet.calibration import (
     sigma_plan,
 )
 from confdet.calibration import _fit as fit_plan
-from confdet.calibration import _normalize
+from confdet.calibration import _normalize, _pool, _running_sums
 from confdet.core import CalibrationMap, records_to_arrays
 from confdet.errors import DataError, EmptyFit, InvalidClass, OutOfRange
 
@@ -204,7 +204,8 @@ def test_isotonic_fit_matches_reference_pava():
 def test_isotonic_fit_linear_on_one_pool_per_pass_input():
     # the last point drags every other into its block, but each pass pools
     # only the last two blocks, so passes alone would be quadratic (n passes,
-    # minutes at this n); the block stack must take over after the first pass
+    # minutes at this n); the block stack must take over once the map's
+    # passes (twice the bit length of its block count) are spent
     n = 200_000
     y = np.concatenate([np.arange(n, dtype=float), [-float(n) ** 2]])
     start = time.perf_counter()
@@ -222,6 +223,100 @@ def test_isotonic_fit_input_validation():
     for bad in ((float("nan"), 1.0, 1.0), (1.0, float("inf"), 1.0), (1.0, 1.0, float("nan")), (1.0, 1.0, -1.0)):
         with pytest.raises(OutOfRange):
             isotonic_fit([bad[0]], [bad[1]], [bad[2]])
+
+
+def fit_batch(maps, weighted: bool) -> list:
+    """Each map's ``(breakpoints, values)`` from one call of the kernel on all of
+    ``maps`` (each an ``(x, y, w)`` triple), back to back."""
+    maps = [tuple(np.asarray(col, dtype=float)[np.argsort(m[0], kind="stable")] for col in m) for m in maps]
+    x, y, w = (np.concatenate(col) for col in zip(*maps))
+    bounds = np.cumsum([0] + [len(m[0]) for m in maps])
+    new = np.concatenate(([True], x[1:] != x[:-1]))
+    new[bounds[:-1]] = True
+    sums = _running_sums(w * y, bounds, compensated=True) if weighted else _running_sums(y, bounds)
+    weights = _running_sums(w, bounds, compensated=True) if weighted else None
+    first, values, block_maps = _pool(sums, weights, np.flatnonzero(new), bounds)
+    return [(tuple(x[first[a:b]].tolist()), tuple(values[a:b].tolist())) for a, b in zip(block_maps[:-1], block_maps[1:])]
+
+
+def one_pool_per_pass(n):
+    """A map whose every pass pools only its last two blocks, ``n`` passes in all."""
+    return np.arange(n + 1, dtype=float), np.concatenate([np.arange(n, dtype=float), [-float(n) ** 2]]), np.ones(n + 1)
+
+
+map_points = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, 8).map(float), st.floats(-1e3, 1e3)),
+        st.one_of(st.floats(-1e3, 1e3).map(round).map(float), st.floats(-1e3, 1e3)),
+        st.floats(0.01, 100.0),
+    ),
+    min_size=1,
+    max_size=60,
+).map(lambda points: tuple(np.array(col) for col in zip(*points)))
+
+
+@given(st.lists(map_points, min_size=1, max_size=6), st.booleans(), st.none() | st.integers(0, 6), st.integers(20, 300))
+def test_property_batched_maps_match_isotonic_fit_alone(maps, weighted, stalled_at, n_stalled):
+    # a map's bits depend on its own points only, whatever else is in the
+    # batch; the map that pools one block per pass runs out of passes and
+    # finishes in the block stack
+    if not weighted:
+        maps = [(x, y, np.ones_like(x)) for x, y, _ in maps]
+    else:  # isotonic_fit takes all-unit weights as no weights, so keep one weight off 1
+        maps = [(x, y, np.where(np.arange(len(w)) == 0, 0.5, w) if (w == 1).all() else w) for x, y, w in maps]
+    if stalled_at is not None:
+        x, y, w = one_pool_per_pass(n_stalled)
+        maps.insert(min(stalled_at, len(maps)), (x, y, w * (0.5 if weighted else 1.0)))
+    alone = [isotonic_fit(x, y, w if weighted else None) for x, y, w in maps]
+    assert fit_batch(maps, weighted) == [(cmap.breakpoints, cmap.values) for cmap in alone]
+
+
+def test_recalibrate_linear_on_one_pool_per_pass_input():
+    # the global map of these rows pools one tied run per pass: 50,000 rows
+    # of x 1..50,000 (four tied corners each) and rising y between 1 and 2,
+    # then 50,000 rows at one x with y 0 that drag every other into their block
+    n = 50_000
+    pred = np.tile([0.0, 0.0, 1.0, 1.0], (2 * n, 1))
+    sigma = np.repeat(np.concatenate([np.arange(1.0, n + 1), np.full(n, n + 1.0)]), 4).reshape(-1, 4)
+    residual = np.concatenate([1.0 + np.arange(n) / n, np.zeros(n)])
+    gt = pred + residual[:, None]
+    start = time.perf_counter()
+    plan = sigma_plan(pred, gt, sigma, np.zeros(2 * n, dtype=int), SCOPE_GLOBAL)
+    out, n_excluded, fallback = recalibrate(plan, np.ones(2 * n, dtype=bool))
+    assert time.perf_counter() - start < 10.0
+    expected = isotonic_fit(sigma, np.abs(pred - gt))
+    assert expected.breakpoints == (1.0,)
+    assert_array_equal(out, np.full((2 * n, 4), expected.values[0]))
+    assert (n_excluded, fallback) == (0, ())
+
+
+def test_fit_is_non_decreasing_where_running_sums_round():
+    # y near 1e6 with noise below the running sums' last bit: block values
+    # from prefix differences round, and the fit must still not step down
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 3000))
+        x = rng.integers(0, n, size=n).astype(float)
+        y = 1e6 + rng.normal(scale=1e-6, size=n)
+        for w in (None, rng.uniform(0.01, 100.0, size=n)):
+            cmap = isotonic_fit(x, y, w)
+            assert (np.diff(cmap.values) >= 0).all()
+            assert np.all(np.abs(np.array(cmap.values) - 1e6) < 1e-3)
+    pred = np.tile([0.0, 0.0, 1.0, 1.0], (3000, 1))
+    gt = pred + 1e6 + rng.normal(scale=1e-6, size=(3000, 4))
+    sigma = rng.integers(1, 200, size=(3000, 4)).astype(float)
+    labels = rng.integers(0, 3, size=3000)
+    for scope in (SCOPE_GLOBAL, SCOPE_PER_CLASS):
+        plan = sigma_plan(pred, gt, sigma, labels, scope)
+        fit = rng.random(3000) < 0.7
+        for _, _, values in fit_plan(plan, fit)[2]:
+            assert (np.diff(values) >= 0).all()
+        out, _, _ = recalibrate(plan, fit)
+        for k in range(3):
+            for c in range(4):
+                rows = labels == k if scope == SCOPE_PER_CLASS else slice(None)
+                order = np.argsort(sigma[rows, c], kind="stable")
+                assert (np.diff(out[rows, c][order]) >= 0).all()
 
 
 # ---------------------------------------------------------------- properties
@@ -437,7 +532,7 @@ def test_recalibrate_checks_only_the_fit_rows():
     gt[3, 0] = np.inf
     sigma = np.ones((4, 4))
     plan = sigma_plan(pred, gt, sigma, np.zeros(4, dtype=int), SCOPE_PER_CLASS)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(DataError, match=r"record 3 \(counting from 0\) corner 0"):
         recalibrate(plan, np.ones(4, dtype=bool))
     out, n_excluded, fallback = recalibrate(plan, np.array([True, True, True, False]))
     assert_array_equal(out, np.full((4, 4), 2.0))  # |residual| / side is 0.25 in every fit row

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 import confdet
 from confdet.calibration import load_calibrator
 from confdet.cli import _parse_bias, _parse_grid, _parse_noise, _resolve_workers, main
+from confdet.core import MiscoverageConfig
 from confdet.errors import ConfigError
-from confdet.io import load_report, save_dataset
+from confdet.io import emit_report, load_dataset, load_report, save_dataset
 from confdet.oracle import OracleSpec, generate
+from confdet.pipeline import RunConfig, run_experiment
 
 import reference
 from conftest import make_dataset
@@ -350,6 +353,74 @@ def test_run_regime_and_scaling_flags(data_path, tmp_path):
     report = load_report(out)
     assert report.regime == "class_wise"
     assert report.config["scaling"] == "scaled"
+
+
+_PER_CLASS = ["--scaling", "scaled", "--scope", "per_coordinate_per_class_relative"]
+
+
+def test_calibrator_fit_frac_gives_the_library_report_bytes(data_path, tmp_path, capsys):
+    out = tmp_path / "frac.json"
+    assert main(run_args(data_path, str(out), extra=[*_PER_CLASS, "--calibrator-fit-frac", "0.5"])) == 0
+    assert capsys.readouterr().err == ""
+    config = RunConfig(
+        miscoverage=MiscoverageConfig(alpha_corner=0.025),
+        n_runs=2,
+        scaling="scaled",
+        calibration_scope="per_coordinate_per_class_relative",
+        master_seed=3,
+        calibrator_fit_fraction=0.5,
+    )
+    report = run_experiment(load_dataset(data_path)[0], config, workers=1)
+    assert out.read_text(encoding="utf-8") == emit_report(report, format="json")
+    # without the option the maps and the quantiles share every calibration row
+    shared = tmp_path / "shared.json"
+    assert main(run_args(data_path, str(shared), extra=_PER_CLASS)) == 0
+    assert shared.read_bytes() != out.read_bytes()
+    assert load_report(shared).config["calibrator_fit_fraction"] is None
+
+
+@pytest.mark.parametrize("extra", [_PER_CLASS, ["--scaling", "scaled", "--scope", "global_relative"], []])
+def test_shared_fit_rows_are_named_on_stderr_once(data_path, tmp_path, capsys, extra):
+    assert main(run_args(data_path, str(tmp_path / "r.json"), extra=extra)) == 0
+    err = capsys.readouterr().err
+    assert err.count("coverage is not guaranteed") == (1 if extra else 0)
+    assert ("--calibrator-fit-frac" in err) == bool(extra)
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "nan", "-0.5"])
+def test_calibrator_fit_frac_outside_the_unit_interval_exits_1(data_path, tmp_path, capsys, fraction):
+    out = tmp_path / "r.json"
+    assert main(run_args(data_path, str(out), extra=[*_PER_CLASS, "--calibrator-fit-frac", fraction])) == 1
+    assert "calibrator_fit_fraction must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--seed", "1", "--runs", "2", "--workers", "1", *_PER_CLASS],
+        ["run", "--seed", "1", "--runs", "2", "--workers", "1", "--scaling", "scaled", "--scope", "global_relative"],
+        ["calibrate-sigma", "--scope", "per_coordinate_per_class_relative"],
+        ["calibrate-sigma", "--scope", "global_relative"],
+    ],
+)
+def test_overflowing_normalized_sigma_exits_2_without_a_warning(data_path, tmp_path, capsys, command):
+    # a box 2e-6 wide is not degenerate, but sigma 1e308 over it overflows to
+    # an infinite x; the loader accepts every record, so the fit must name it
+    lines = [json.loads(line) for line in Path(data_path).read_text(encoding="utf-8").splitlines()]
+    for doc in lines[1::2]:
+        x0, y0, _, y1 = doc["pred_box"]
+        doc["pred_box"], doc["sigma"] = [x0, y0, x0 + 2e-6, y1], [1e308, 1.0, 1.0, 1.0]
+    path = tmp_path / "overflow.jsonl"
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in lines), encoding="utf-8")
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command[0], "--data", str(path), *command[1:], "--out", str(out)]) == 2
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "corner 0: sigma or residual over the box side is not finite" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # ---------------------------------------------------------------- simulate

@@ -353,11 +353,12 @@ def test_cli_output_bytes_match_golden(tmp_path, capsys):
     assert cli_digests(tmp_path, capsys) == CLI_GOLDEN
 
 
-# The calibrator files ``confdet calibrate-sigma`` writes, recorded before
-# sigma recalibration was fitted from rows presorted once per experiment.
+# The calibrator files ``confdet calibrate-sigma`` writes, at full precision,
+# recorded when block values came to be taken from running sums: against the
+# block sums before, no breakpoint moved and no value by more than 1e-13.
 CALIBRATOR_GOLDEN = {
-    "per_coordinate_per_class_relative": "4755d9842a113c20f3b943d2e98dea100f8e12f09e77f930ad2f57afa7b5d656",
-    "global_relative": "f27e213f1c7d3f67c369ab5ae9a53798a71586f1f455ef1d16d610d4c12d9bbe",
+    "per_coordinate_per_class_relative": "9039bc644d341c55c1bd683e7f661d5d2f64d5def8992c6a9a8b67041bbdcf9c",
+    "global_relative": "a45bc4941a5165ebd2a5f98c188dc55e0ea9d0c90ed1d41e9373ea291dd13726",
 }
 
 
