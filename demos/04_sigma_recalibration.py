@@ -22,7 +22,6 @@ import numpy as np
 from confdet import (
     SCOPE_GLOBAL,
     SCOPE_PER_CLASS,
-    SCOPE_RAW,
     MiscoverageConfig,
     OracleSpec,
     RunConfig,
@@ -66,21 +65,14 @@ def main():
         stratified=True,
         master_seed=9,
         scaling="scaled",
-        calibrator_fit_fraction=0.5,
     )
     rows = (
         ("unscaled", replace(base, scaling="unscaled")),
-        ("raw sigma", replace(base, calibration_scope=SCOPE_RAW)),
-        ("global map", replace(base, calibration_scope=SCOPE_GLOBAL)),
-        ("per-class map", replace(base, calibration_scope=SCOPE_PER_CLASS)),
-        (
-            "global, shared split",
-            replace(base, calibration_scope=SCOPE_GLOBAL, calibrator_fit_fraction=None),
-        ),
-        (
-            "per-class, shared split",
-            replace(base, calibration_scope=SCOPE_PER_CLASS, calibrator_fit_fraction=None),
-        ),
+        ("raw sigma", base),
+        ("global map", replace(base, calibration_scope=SCOPE_GLOBAL, calibrator_fit_fraction=0.5)),
+        ("per-class map", replace(base, calibration_scope=SCOPE_PER_CLASS, calibrator_fit_fraction=0.5)),
+        ("global, shared split", replace(base, calibration_scope=SCOPE_GLOBAL)),
+        ("per-class, shared split", replace(base, calibration_scope=SCOPE_PER_CLASS)),
     )
     print("alpha_bbox = 0.1, 60 runs each; sigma map fitted on a disjoint half")
     print("of the calibration split unless marked otherwise:\n")

@@ -21,6 +21,11 @@ import os
 import sys
 import traceback
 
+# The CLI calls no BLAS routine, so the thread pool OpenBLAS starts when
+# numpy loads only burns CPU.  This must run before the first import that
+# loads numpy; a value the caller set still wins, and pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .calibration import SCOPE_GLOBAL, SCOPE_RAW, SCOPES, fit_calibrator_arrays, save_calibrator
 from .core import BoundingBox, MiscoverageConfig, RAPSConfig
 from .errors import ConfigError, DataError

@@ -112,8 +112,9 @@ class RunConfig:
     A ``calibration_scope`` other than ``raw`` recalibrates sigma, so it
     needs ``scaling="scaled"``.
     ``calibrator_fit_fraction`` carves a disjoint part out of the
-    calibration split for sigma recalibration; by default the calibrator
-    and the quantiles share the full calibration split.
+    calibration split for sigma recalibration, so it needs a scope other
+    than ``raw``; by default the calibrator and the quantiles share the
+    full calibration split.
     """
 
     miscoverage: MiscoverageConfig
@@ -155,6 +156,10 @@ class RunConfig:
         if self.calibrator_fit_fraction is not None and not 0.0 < self.calibrator_fit_fraction < 1.0:
             raise OutOfRange(
                 f"calibrator_fit_fraction must lie in (0, 1), got {self.calibrator_fit_fraction}"
+            )
+        if self.calibrator_fit_fraction is not None and self.calibration_scope == _cal.SCOPE_RAW:
+            raise OutOfRange(
+                "calibrator_fit_fraction needs a calibration_scope other than 'raw'; raw sigma fits no map"
             )
 
     @property
@@ -639,12 +644,14 @@ def recovery_sweep(
     predicted box has IoU below a threshold, the ground truth counts as
     recovered when it lies fully inside the outer conformal box.  Returns
     one row dict per ``(scaling, alpha, threshold)``; the rate is None
-    when no record falls below the threshold.
+    when no record falls below the threshold.  Each alpha is a per-corner
+    level and must pass ``MiscoverageConfig``'s check, as in a run.
     """
     if image_bounds is not None and not image_bounds.is_image_extent():
         raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {image_bounds}")
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
+    alphas = [MiscoverageConfig(alpha_corner=alpha).alpha_corner for alpha in alphas]
     split = random_split(dataset, calib_fraction, seed, stratified=False)
     cal = dataset.take(split.calib_idx)
     ev = dataset.take(split.eval_idx)

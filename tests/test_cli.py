@@ -44,14 +44,66 @@ def run_args(data_path, out, extra=()):
     ]
 
 
+#: What OpenBLAS reads for its thread count, first match wins.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(code, **env):
+    """Run ``code`` in a fresh interpreter on this checkout's ``src``.
+
+    The BLAS thread settings of this process are dropped (importing the CLI
+    here sets one); ``env`` adds variables.
+    """
+    src = str(Path(confdet.__file__).resolve().parents[1])
+    env = {
+        **{k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES},
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        **env,
+    }
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # only `compare` needs scipy, and importing it doubles the start-up time;
     # only a run on more than one worker needs the process pool
-    src = str(Path(confdet.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import confdet.cli; import sys; print([m for m in ('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _fresh_python(code).stdout == "[]\n"
+
+
+_COUNT_THREADS = "print(len(os.listdir('/proc/self/task')), file=sys.stderr)"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+@pytest.mark.parametrize(
+    "code",
+    [
+        f"import os, sys\nimport confdet.cli\n{_COUNT_THREADS}",
+        # what `python -m confdet --help` runs, counting the threads before exit
+        "import os, runpy, sys\nsys.argv = ['confdet', '--help']\ntry:\n"
+        f"    runpy.run_module('confdet', run_name='__main__', alter_sys=True)\nexcept SystemExit:\n    {_COUNT_THREADS}",
+    ],
+    ids=["import-cli", "python-m-confdet-help"],
+)
+def test_the_cli_starts_no_blas_thread_pool(code):
+    # numpy's OpenBLAS starts one thread per core at import, and the CLI
+    # calls no BLAS routine
+    assert _fresh_python(code).stderr == "1\n"
+
+
+def test_a_blas_thread_count_the_caller_set_wins():
+    code = "import os, confdet.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").stdout == "2\n"
+
+
+def test_importing_the_library_loads_no_numpy_and_sets_no_variable():
+    # the package root imports a submodule when one of its names is first read
+    code = (
+        "import os, sys\nbefore = dict(os.environ)\nimport confdet\n"
+        "print('numpy' in sys.modules, os.environ == before)\n"
+        "confdet.run_experiment, confdet.load_dataset, confdet.SCOPES\n"
+        "print('numpy' in sys.modules, os.environ == before)"
+    )
+    assert _fresh_python(code).stdout == "False True\nTrue True\n"
 
 
 # ---------------------------------------------------------------- parsing helpers
@@ -174,6 +226,15 @@ def test_grid_too_many_points_exits_1(data_path, grid, capsys):
         main(["recovery", "--data", data_path, "--seed", "1", "--thresholds", grid])
     assert excinfo.value.code == 1
     assert "at most 10000 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["0.3", "0.025,0.25", "0", "nan"])
+def test_recovery_alpha_outside_the_run_range_exits_1(data_path, alphas, capsys):
+    # at 0.3 the Bonferroni box level 1 - 4 * alpha is negative; `run` rejects it too
+    assert main(["recovery", "--data", data_path, "--seed", "1", "--alpha-corner", alphas]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "alpha_corner must lie in (0, 0.25)" in captured.err
 
 
 @pytest.mark.parametrize("thresholds", ["0,2.5,-1", "0:1:0.25", "0.5,1.5", "nan"])
@@ -392,6 +453,18 @@ def test_calibrator_fit_frac_outside_the_unit_interval_exits_1(data_path, tmp_pa
     out = tmp_path / "r.json"
     assert main(run_args(data_path, str(out), extra=[*_PER_CLASS, "--calibrator-fit-frac", fraction])) == 1
     assert "calibrator_fit_fraction must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--data", "DATA"], ["simulate", "--records", "200"]], ids=["run", "simulate"])
+def test_calibrator_fit_frac_at_the_raw_scope_exits_1(data_path, tmp_path, capsys, command):
+    # raw sigma fits no map, so the fraction was echoed in `config` and ignored
+    out = tmp_path / "r.json"
+    options = ["--seed", "1", "--runs", "3", "--workers", "1", "--scaling", "scaled", "--calibrator-fit-frac", "0.5"]
+    assert main([data_path if a == "DATA" else a for a in command] + options + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "calibrator_fit_fraction needs a calibration_scope other than 'raw'" in captured.err
     assert not out.exists()
 
 

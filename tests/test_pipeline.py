@@ -393,6 +393,8 @@ def test_run_config_validation():
         RunConfig(miscoverage=mc, calibration_scope="classwise")
     with pytest.raises(OutOfRange):
         RunConfig(miscoverage=mc, calibrator_fit_fraction=0.0)
+    with pytest.raises(OutOfRange, match="calibrator_fit_fraction needs a calibration_scope other than 'raw'"):
+        RunConfig(miscoverage=mc, scaling="scaled", calibrator_fit_fraction=0.5)
     with pytest.raises(OutOfRange, match="min_per_class must be >= 0, got -1"):
         RunConfig(miscoverage=mc, min_per_class=-1)
     for scope in ("global_relative", "per_coordinate_per_class_relative"):
@@ -504,6 +506,13 @@ def test_recovery_sweep_grid_shape():
             assert 0.0 <= row["recovery_rate"] <= 1.0
     again = recovery_sweep(ds, alphas=(0.025, 0.1), thresholds=(0.3, 0.5, 0.7), seed=3)
     assert rows == again
+
+
+@pytest.mark.parametrize("alphas", [(0.3,), (0.025, 0.25), (0.0,), (math.nan,)])
+def test_recovery_sweep_takes_the_run_alpha_rule(alphas):
+    ds = make_dataset(100, seed=21)
+    with pytest.raises(OutOfRange, match=r"alpha_corner must lie in \(0, 0.25\)"):
+        recovery_sweep(ds, alphas=alphas, thresholds=(0.5,))
 
 
 def test_recovery_sweep_n_below_grows_with_threshold():
