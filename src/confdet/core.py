@@ -108,8 +108,8 @@ def _exact_sum(values) -> float:
         return sum(values)
 
 
-def _is_label(value) -> bool:
-    # exact: bool is an int subclass, and a float or string label is not converted
+def _is_integer(value) -> bool:
+    # labels and integer settings: exact, as bool is an int subclass and a float or string is not converted
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
@@ -176,7 +176,7 @@ def validate_columns(pred, gt, sigma, gt_class, probs) -> dict[int, list[str]]:
         if set(map(type, labels)) <= {int}:  # as parsed from JSON
             is_label = np.ones(n, dtype=bool)
         else:
-            is_label = np.fromiter(map(_is_label, labels), dtype=bool, count=n)
+            is_label = np.fromiter(map(_is_integer, labels), dtype=bool, count=n)
         in_range = is_label.copy()
         in_range[is_label] = (labels[is_label] >= 0) & (labels[is_label] < k)
         rules += [
@@ -259,7 +259,7 @@ class RAPSConfig:
     def __post_init__(self):
         if not (math.isfinite(self.penalty_a) and self.penalty_a >= 0):
             raise OutOfRange(f"penalty_a must be >= 0, got {self.penalty_a!r}")
-        if not (isinstance(self.threshold_b, (int, np.integer)) and self.threshold_b >= 0):
+        if not (_is_integer(self.threshold_b) and self.threshold_b >= 0):
             raise OutOfRange(f"threshold_b must be an integer >= 0, got {self.threshold_b!r}")
 
 
@@ -401,7 +401,7 @@ def records_to_arrays(records: Iterable[DetectionRecord]):
     recs = list(records)
     n_classes = len(recs[0].class_probs) if recs else 0
     for i, rec in enumerate(recs):
-        if not _is_label(rec.gt_class):
+        if not _is_integer(rec.gt_class):
             problem = f"gt_class {rec.gt_class!r} is not an integer"
         elif len(rec.class_probs) != n_classes:
             problem = f"class_probs length {len(rec.class_probs)} differs from {n_classes} inferred from the first record"

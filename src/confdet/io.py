@@ -219,19 +219,13 @@ def load_dataset(path, strict: bool = False) -> tuple[Dataset, LoadReport]:
         In strict mode, for the first offending line.
     """
     entry, seen, loaded = _cache_read(path, strict)
-    if loaded is None and seen:
-        # a repeated load: digest the bytes the parse reads, and store its result under them
+    if loaded is None:
         with open(path, "rb", buffering=0) as raw:
-            reader = _Digesting(raw)
+            reader = _Digesting(raw) if seen else raw  # a repeated load digests the bytes it parses
             with _stdio.TextIOWrapper(_stdio.BufferedReader(reader), encoding="utf-8", errors="surrogateescape") as fh:
                 loaded = _parse(fh, path, strict)
-        if reader.digest.hexdigest() == os.path.basename(entry):
-            _cache_write(entry, loaded)
-    elif loaded is None:
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            loaded = _parse(fh, path, strict)
-        if entry is not None:
-            _cache_write(entry)  # an empty entry: the next load of these bytes stores its result
+        if entry is not None:  # the result under the bytes' digest, or an empty entry that the next load fills
+            _cache_write(entry, loaded if seen and reader.digest.hexdigest() == os.path.basename(entry) else None)
     lines = loaded[1].rejected_lines
     if lines:
         logger.warning("%s: rejected %d line(s): %s", path, len(lines), list(lines[:20]))

@@ -56,6 +56,7 @@ from .core import (
     Dataset,
     MiscoverageConfig,
     RAPSConfig,
+    _is_integer,
     contains_xyxy,
 )
 from .errors import (
@@ -131,8 +132,12 @@ class RunConfig:
     calibrator_fit_fraction: float | None = None
 
     def __post_init__(self):
-        if self.n_runs < 1:
-            raise OutOfRange(f"n_runs must be >= 1, got {self.n_runs}")
+        for name, least in (("n_runs", 1), ("master_seed", 0), ("min_per_class", 0)):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise OutOfRange(f"{name} must be >= {least}, got {value}")
         if not 0.0 < self.calib_fraction < 1.0:
             raise OutOfRange(f"calib_fraction must lie in (0, 1), got {self.calib_fraction}")
         if self.scaling not in SCALINGS:
@@ -147,12 +152,8 @@ class RunConfig:
             )
         if self.regime not in REGIMES:
             raise OutOfRange(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.master_seed < 0:
-            raise OutOfRange(f"master_seed must be >= 0, got {self.master_seed}")
         if self.image_bounds is not None and not self.image_bounds.is_image_extent():
             raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {self.image_bounds}")
-        if self.min_per_class < 0:
-            raise OutOfRange(f"min_per_class must be >= 0, got {self.min_per_class}")
         if self.calibrator_fit_fraction is not None and not 0.0 < self.calibrator_fit_fraction < 1.0:
             raise OutOfRange(
                 f"calibrator_fit_fraction must lie in (0, 1), got {self.calibrator_fit_fraction}"
@@ -603,6 +604,8 @@ def run_experiment(
     ``workers`` only parallelizes execution; results are assembled in run
     order and are identical for any worker count.
     """
+    if not (_is_integer(workers) and workers >= 1):
+        raise OutOfRange(f"workers must be an integer >= 1, got {workers!r}")
     if len(dataset) == 0:
         raise EmptyCalibration("run_experiment needs a non-empty dataset")
     if config.regime == REGIME_TWO_STEP and config.raps.allow_empty:

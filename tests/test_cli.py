@@ -5,12 +5,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import confdet
 from confdet.calibration import load_calibrator
 from confdet.cli import _parse_bias, _parse_grid, _parse_noise, _resolve_workers, main
-from confdet.core import MiscoverageConfig
+from confdet.core import BoundingBox, MiscoverageConfig
 from confdet.errors import ConfigError
 from confdet.io import emit_report, load_dataset, load_report, save_dataset
 from confdet.oracle import OracleSpec, generate
@@ -414,6 +415,49 @@ def test_run_regime_and_scaling_flags(data_path, tmp_path):
     report = load_report(out)
     assert report.regime == "class_wise"
     assert report.config["scaling"] == "scaled"
+
+
+def test_eval_data_gives_the_library_transfer_report_bytes(data_path, tmp_path):
+    eval_path = tmp_path / "eval.jsonl"
+    save_dataset(make_dataset(80, n_classes=2, noise=15.0, seed=42), eval_path)
+    out = tmp_path / "transfer.json"
+    assert main(run_args(data_path, str(out), extra=["--eval-data", str(eval_path)])) == 0
+    config = RunConfig(miscoverage=MiscoverageConfig(alpha_corner=0.025), n_runs=2, master_seed=3)
+    report = run_experiment(load_dataset(data_path)[0], config, eval_dataset=load_dataset(eval_path)[0])
+    assert out.read_text(encoding="utf-8") == emit_report(report, format="json")
+    assert load_report(out).config["transfer_evaluation"] is True
+
+
+def test_eval_data_with_another_class_count_exits_2(data_path, tmp_path, capsys):
+    eval_path = tmp_path / "eval.jsonl"
+    save_dataset(make_dataset(80, n_classes=3, seed=42), eval_path)
+    out = tmp_path / "transfer.json"
+    assert main(run_args(data_path, str(out), extra=["--eval-data", str(eval_path)])) == 2
+    assert "evaluation dataset has 3 classes, expected 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_image_bounds_give_the_library_report_bytes(tmp_path):
+    # class 1 keeps about 20 rows, too few for a finite quantile at alpha_corner 0.025,
+    # so its intervals are the image bounds
+    dataset = make_dataset(200, n_classes=2, seed=41)
+    path = tmp_path / "data.jsonl"
+    save_dataset(dataset.take(np.flatnonzero((dataset.gt_class == 0) | (np.arange(200) < 40))), path)
+    out, unbounded = tmp_path / "bounds.json", tmp_path / "unbounded.json"
+    assert main(run_args(str(path), str(out), extra=["--regime", "class_wise", "--image-bounds=-10,-10,720,720"])) == 0
+    config = RunConfig(
+        miscoverage=MiscoverageConfig(alpha_corner=0.025),
+        n_runs=2,
+        regime="class_wise",
+        master_seed=3,
+        image_bounds=BoundingBox(-10.0, -10.0, 720.0, 720.0),
+    )
+    report = run_experiment(load_dataset(path)[0], config)
+    assert out.read_text(encoding="utf-8") == emit_report(report, format="json")
+    assert load_report(out).config["image_bounds"] == [-10.0, -10.0, 720.0, 720.0]
+    assert all(run.quantiles["n_vacuous"] == 4 for run in report.per_run)  # class 1's four corners
+    assert main(run_args(str(path), str(unbounded), extra=["--regime", "class_wise"])) == 0
+    assert load_report(unbounded).aggregate != load_report(out).aggregate
 
 
 _PER_CLASS = ["--scaling", "scaled", "--scope", "per_coordinate_per_class_relative"]

@@ -43,6 +43,11 @@ def test_every_exported_name_resolves():
     assert set(confdet.__all__) <= set(namespace)
 
 
+def test_dir_lists_every_exported_name():
+    # the lazy package root binds a name only once it is read, so dir() must add the rest
+    assert set(confdet.__all__) <= set(dir(confdet))
+
+
 def test_only_core_binds_the_record_form():
     # records enter as DetectionRecord and leave as columns in core alone; the
     # kernels and the pipeline take arrays (the package root re-exports the type)
@@ -129,6 +134,13 @@ def test_raps_config_validation():
         RAPSConfig(penalty_a=-0.1)
     with pytest.raises(OutOfRange):
         RAPSConfig(threshold_b=-1)
+
+
+def test_raps_threshold_b_takes_no_bool():
+    # bool is an int subclass; threshold_b=True would be a depth of 1
+    RAPSConfig(threshold_b=np.int64(2))
+    with pytest.raises(OutOfRange, match="threshold_b must be an integer >= 0, got True"):
+        RAPSConfig(threshold_b=True)
 
 
 def test_quantile_table_accessors():

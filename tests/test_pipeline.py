@@ -79,6 +79,11 @@ def test_random_split_fraction_validation():
         random_split(ds, 1.0, seed=0)
 
 
+def test_random_split_of_an_empty_dataset_raises():
+    with pytest.raises(EmptyCalibration, match="cannot split an empty dataset"):
+        random_split(make_dataset(5).take(np.arange(0)), 0.8, seed=0)
+
+
 def test_stratified_split_balances_classes():
     records = [
         make_record(gt_class=0, class_probs=(1.0, 0.0), image_id=f"a-{i}")
@@ -379,6 +384,20 @@ def test_transfer_evaluation_requires_matching_classes():
         run_experiment(source, small_config(), eval_dataset=target)
 
 
+def test_a_disjoint_fit_split_keeps_per_class_recalibration_at_nominal():
+    # fitting the per-class sigma maps on the rows that calibrate the quantiles breaks
+    # split conformal's rule that the score is fixed apart from its calibration scores
+    spec = OracleSpec(n_records=4000, n_classes=5, corner_noise=((2.0, 20.0),) * 5, sigma_bias=("power", 1.5), seed=11)
+    dataset, _ = generate(spec)
+    config = small_config(
+        n_runs=40, master_seed=3, scaling="scaled", calibration_scope="per_coordinate_per_class_relative"
+    )
+    shared = run_experiment(dataset, config)
+    disjoint = run_experiment(dataset, dataclasses.replace(config, calibrator_fit_fraction=0.5))
+    assert shared.aggregate["coverage_below_nominal"] is True
+    assert disjoint.aggregate["coverage_below_nominal"] is False
+
+
 def test_run_config_validation():
     mc = MiscoverageConfig(alpha_corner=0.025)
     with pytest.raises(OutOfRange):
@@ -415,6 +434,23 @@ def test_run_config_validation():
     for regime in REGIMES:
         cfg = RunConfig(miscoverage=mc, regime=regime)
         assert cfg.resolved_stratified is (regime != "class_agnostic")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_runs", 2.5), ("n_runs", True), ("master_seed", 1.5), ("master_seed", True), ("min_per_class", 2.5)],
+)
+def test_integer_settings_take_integers_only(field, value):
+    # one integer rule for labels and settings: a float is not truncated, and bool is not an int
+    with pytest.raises(OutOfRange, match=f"{field} must be an integer, got {value!r}"):
+        small_config(**{field: value})
+    assert getattr(small_config(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
+def test_run_experiment_takes_a_worker_count_of_at_least_one(workers):
+    with pytest.raises(OutOfRange, match=f"workers must be an integer >= 1, got {workers!r}"):
+        run_experiment(make_dataset(40, seed=23), small_config(), workers=workers)
 
 
 def test_hand_built_dataset_with_nan_prediction_is_rejected():
