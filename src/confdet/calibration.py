@@ -15,14 +15,15 @@ batch; a pass budget per map hands the rare input that pools one block
 per pass to a block stack; and the values are non-decreasing by
 construction, within a stated rounding bound of the exact fit.
 :func:`isotonic_fit` is the one-map case.  :func:`sigma_plan` normalizes
-a table once and lays the points of every map out back to back, each
-map's stably sorted by x: one per ``(class, corner)`` and, when a fit
-needs it, the global one.  :func:`recalibrate` fits every map of a run on
-any subset of the rows in one call of the kernel, with no sort, and
-looks every row up as :func:`evaluate_map` does.  A resplit experiment
-builds one plan and fits it in every run; :func:`fit_calibrator_arrays`
-is the plan fitted on all its rows, and :func:`calibrated_sigma_array`
-the lookup for a saved calibrator.
+a table once and sorts the corners of its usable rows by x once: those
+points are the global map, and at the per-class scope the same points,
+split by ``(class, corner)``, are the class maps.  :func:`recalibrate`
+fits every map of a run on any subset of the rows in one call of the
+kernel, with no sort, and looks every row up as :func:`evaluate_map`
+does.  A resplit experiment builds one plan, which no fit changes, and
+fits it in every run; :func:`fit_calibrator_arrays` is the plan fitted
+on all its rows, and :func:`calibrated_sigma_array` the lookup for a
+saved calibrator.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def evaluate_map(cmap: CalibrationMap, x):
     above the last.
     """
     idx = np.searchsorted(np.asarray(cmap.breakpoints, dtype=float), np.asarray(x, dtype=float), side="right") - 1
-    out = np.asarray(cmap.values, dtype=float)[np.clip(idx, 0, len(cmap.breakpoints) - 1)]
+    out = np.asarray(cmap.values, dtype=float)[np.maximum(idx, 0)]  # side="right" keeps idx below len, NaN too
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -322,7 +323,7 @@ class _Map(NamedTuple):
     stop: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SigmaPlan:
     """What every sigma-recalibration fit over rows of one table shares.
 
@@ -335,8 +336,8 @@ class SigmaPlan:
     sorted by x (stable, so ties stay in row order): ``flat`` is each
     point's ``row * 4 + corner``, ``tie_start`` the layout position of the
     first point of its run of tied x, and ``maps`` each map's slice.  The
-    global map comes first when present; it joins the layout only when a
-    fit first needs it (:func:`_with_global`).
+    global map comes first; at the per-class scope the class maps follow,
+    class by class and, within a class, corner by corner.
     """
 
     scope: str
@@ -358,10 +359,12 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPla
 
     A subset of a stable sort is the stable sort of the subset, so a fit
     over any rows takes its points from the plan in the order
-    :func:`isotonic_fit` would sort them in.  Each corner's class maps come
-    from one stable sort of its points by class, then x; the global map's
-    points are sorted when a fit first needs them.  At the per-class scope a
-    negative class id raises :class:`InvalidClass`.
+    :func:`isotonic_fit` would sort them in.  The global map is one stable
+    sort of every usable row's corners by x.  The class maps are those same
+    points, of the classes with at least ``MIN_CLASS_FIT`` usable rows,
+    stably sorted by ``class * 4 + corner``, which keeps each map's x order
+    and its ties in row order.  At the per-class scope a negative class id
+    raises :class:`InvalidClass`.
     """
     if scope not in (SCOPE_GLOBAL, SCOPE_PER_CLASS):
         raise OutOfRange(f"calibration scope {scope!r} fits no maps")
@@ -376,31 +379,22 @@ def sigma_plan(pred, gt, sigma, gt_class, scope: str = SCOPE_GLOBAL) -> SigmaPla
     if scope == SCOPE_PER_CLASS and classes[0] < 0:  # load_calibrator reads class map keys >= 0 only
         raise InvalidClass(f"per-class maps need class ids >= 0, got {int(classes[0])}")
     x, y = x.ravel(), y.ravel()
-    maps, flat = _class_layout(usable, cls, classes, x) if scope == SCOPE_PER_CLASS else ((), np.empty(0, dtype=np.intp))
+    flat = np.flatnonzero(np.repeat(usable, 4))
+    flat = flat.take(np.argsort(x.take(flat), kind="stable"))
+    maps = (_Map("global", -1, 0, len(flat)),)
+    if scope == SCOPE_PER_CLASS:
+        # a key of 16 bits or fewer sorts by radix
+        key = (cls.take(flat // 4) * 4 + flat % 4).astype(np.min_scalar_type(4 * len(classes)))
+        counts = np.bincount(cls[usable], minlength=len(classes))
+        points = np.flatnonzero(counts.take(key // 4) >= MIN_CLASS_FIT)
+        points = points.take(np.argsort(key.take(points), kind="stable"))
+        groups = np.flatnonzero(counts >= MIN_CLASS_FIT).repeat(4)  # the class of each map, corner by corner
+        edges = np.cumsum(np.append(len(flat), counts.take(groups))).tolist()
+        maps += tuple(
+            _Map((int(classes[k]), i % 4), k, a, b) for i, (k, a, b) in enumerate(zip(groups.tolist(), edges, edges[1:]))
+        )
+        flat = np.concatenate([flat, flat.take(points)])
     return SigmaPlan(scope, sigma, usable, dims, finite, cls, classes, x, y, maps, flat, _tie_starts(x.take(flat), maps))
-
-
-def _class_layout(usable, cls, classes, x):
-    """The ``maps`` and ``flat`` of the class maps, class by class, each
-    class's four corner maps back to back (equal sizes, so one call sums
-    them): each corner's points, sorted by class then x, go to position
-    ``4 * start + corner * size + i`` of their class's maps."""
-    counts = np.bincount(cls[usable], minlength=len(classes))
-    groups = np.flatnonzero(counts >= MIN_CLASS_FIT)
-    rows = np.flatnonzero(usable & (counts >= MIN_CLASS_FIT)[cls])
-    sizes = counts[groups]
-    starts = np.cumsum(sizes) - sizes
-    at = np.repeat(3 * starts, sizes) + np.arange(len(rows))
-    step = np.repeat(sizes, sizes)
-    flat = np.empty(4 * len(rows), dtype=np.intp)
-    for c in range(4):
-        flat[at + c * step] = rows[np.lexsort((x[rows * 4 + c], cls[rows]))] * 4 + c
-    maps = tuple(
-        _Map((int(classes[k]), c), k, 4 * start + c * size, 4 * start + (c + 1) * size)
-        for k, size, start in zip(groups.tolist(), sizes.tolist(), starts.tolist())
-        for c in range(4)
-    )
-    return maps, flat
 
 
 def _tie_starts(x, maps) -> np.ndarray:
@@ -411,20 +405,6 @@ def _tie_starts(x, maps) -> np.ndarray:
     start = np.arange(len(x))
     start[tied] = 0
     return np.maximum.accumulate(start, out=start)
-
-
-def _with_global(plan: SigmaPlan) -> int:
-    """The global map's point count, after putting the map, over every usable
-    row's corners, at the head of the plan's layout if it is not there yet."""
-    if plan.maps and plan.maps[0].group < 0:
-        return plan.maps[0].stop
-    flat = np.flatnonzero(np.repeat(plan.usable, 4))
-    flat = flat.take(np.argsort(plan.x.take(flat), kind="stable"))
-    n = len(flat)
-    plan.maps = (_Map("global", -1, 0, n),) + tuple(m._replace(start=m.start + n, stop=m.stop + n) for m in plan.maps)
-    plan.tie_start = np.concatenate([_tie_starts(plan.x.take(flat), plan.maps[:1]), plan.tie_start + n])
-    plan.flat = np.concatenate([flat, plan.flat])
-    return n
 
 
 def _run_starts(keys) -> np.ndarray:
@@ -459,24 +439,23 @@ def _fit_blocks(plan: SigmaPlan, fit_mask: np.ndarray, lookup: bool):
     fitted = counts >= MIN_CLASS_FIT  # a class fitted here has maps in the plan
     fallback = tuple(plan.classes[(counts > 0) & ~fitted].tolist()) if plan.scope == SCOPE_PER_CLASS else ()
     need_global = not (lookup and plan.scope == SCOPE_PER_CLASS and fitted[plan.cls[plan.usable]].all())
-    n_global = _with_global(plan) if need_global else plan.maps[0].stop if plan.maps[0].group < 0 else 0
     maps = [m for m in plan.maps if (need_global if m.group < 0 else fitted[m.group])]
     sizes = [4 * np.count_nonzero(fit) if m.group < 0 else int(counts[m.group]) for m in maps]
     bounds = np.cumsum([0] + sizes)
-    tie, sums = _fit_points(plan, fit & fitted[plan.cls], fit if need_global else None, n_global, bounds)
+    tie, sums = _fit_points(plan, fit & fitted[plan.cls], fit if need_global else None, bounds)
     return int(np.count_nonzero(fit_mask) - np.count_nonzero(fit)), fallback, maps, tie, _pool(sums, None, _run_starts(tie), bounds)
 
 
-def _fit_points(plan: SigmaPlan, class_rows, global_rows, n_global: int, maps):
+def _fit_points(plan: SigmaPlan, class_rows, global_rows, maps):
     """For the points fitted, in layout order, the position where each one's
     run of tied x starts, and the :func:`_running_sums` of their y over ``maps``.
 
     The class maps fit the points of ``class_rows``, and the global map (the
-    first ``n_global`` points of the layout) those of ``global_rows`` if given.
+    layout's first map) those of ``global_rows`` if given.
     """
+    n_global = plan.maps[0].stop
     idx = np.flatnonzero(np.repeat(class_rows, 4).take(plan.flat[n_global:]))
-    if n_global:
-        idx += n_global
+    idx += n_global
     if global_rows is not None:
         idx = np.concatenate([np.flatnonzero(np.repeat(global_rows, 4).take(plan.flat[:n_global])), idx])
     return plan.tie_start.take(idx), _running_sums(plan.y.take(plan.flat.take(idx)), maps)
@@ -508,11 +487,11 @@ def recalibrate(plan: SigmaPlan, fit_mask: np.ndarray) -> tuple[np.ndarray, int,
     n_excluded, fallback, maps, tie, (first, values, block_maps) = _fit_blocks(plan, np.asarray(fit_mask, dtype=bool), lookup=True)
     at = tie.take(first)
     at[block_maps[:-1]] = [m.start for m in maps]
-    at[0] = 0  # the points ahead of the first map fitted are in no map fitted, and never read
+    lead = at[0]  # the points ahead of the first map fitted are in no map fitted, and never read
     looked_up = np.repeat(values, np.diff(np.append(at, len(plan.flat))))
     mapped = np.zeros(plan.x.size)
     for m in maps:  # global (if fitted) first, then class maps overwrite their rows
-        mapped[plan.flat[m.start : m.stop]] = looked_up[m.start : m.stop]
+        mapped[plan.flat[m.start : m.stop]] = looked_up[m.start - lead : m.stop - lead]
     return _denormalize(mapped.reshape(-1, 4), plan.usable, plan.dims, plan.sigma), n_excluded, fallback
 
 

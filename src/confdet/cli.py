@@ -152,7 +152,7 @@ def _resolve_workers(flag_value: int | None) -> int:
     return min(workers, cores)
 
 
-def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
+def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regime", choices=REGIMES, default=RunConfig.regime)
     p.add_argument("--alpha-corner", type=float, default=0.025, help="per-corner miscoverage")
     p.add_argument("--alpha-class", type=float, default=MiscoverageConfig.alpha_class, help="label-set miscoverage")
@@ -168,7 +168,7 @@ def _add_run_options(p: argparse.ArgumentParser, require_seed: bool) -> None:
     )
     p.add_argument("--runs", type=int, default=RunConfig.n_runs, help="number of seeded runs")
     p.add_argument("--calib-frac", type=float, default=RunConfig.calib_fraction)
-    p.add_argument("--seed", type=int, required=require_seed, default=None, help="master seed")
+    p.add_argument("--seed", type=int, required=True, help="master seed")
     p.add_argument("--min-per-class", type=int, default=RunConfig.min_per_class)
     p.add_argument("--raps-a", type=float, default=RunConfig.raps.penalty_a, help="set-size penalty weight")
     p.add_argument("--raps-b", type=int, default=RunConfig.raps.threshold_b, help="penalty-free set depth")
@@ -300,7 +300,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--data", required=True, help="JSONL dataset path")
     p_run.add_argument("--eval-data", default=None, help="separate evaluation dataset (transfer mode)")
     p_run.add_argument("--strict", action="store_true", help="abort on the first invalid line")
-    _add_run_options(p_run, require_seed=True)
+    _add_run_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data, then run")
@@ -320,7 +320,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--oracle-seed", type=int, default=None, help="generator seed (default: --seed)")
     p_sim.add_argument("--data-out", default=None, help="write the generated JSONL here")
     p_sim.add_argument("--oracle-out", default=None, help="write the true-scale side channel here")
-    _add_run_options(p_sim, require_seed=True)
+    _add_run_options(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="paired significance tests between two reports")
@@ -350,9 +350,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _joined_bounds(argv: list) -> list:
+    """``argv`` with ``--image-bounds V`` written as ``--image-bounds=V``, so that a
+    V starting with '-' (a negative first corner) reads as the value, not as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--image-bounds":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_bounds(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

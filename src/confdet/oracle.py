@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _is_integer
 from .errors import InvalidSpec
 
 #: Supported sigma-bias function tags.
@@ -80,12 +80,12 @@ class OracleSpec:
     box_size: tuple[float, float] = (80.0, 400.0)
 
     def __post_init__(self):
-        if self.n_records < 1:
-            raise InvalidSpec(f"n_records must be >= 1, got {self.n_records}")
-        if self.n_classes < 1:
-            raise InvalidSpec(f"n_classes must be >= 1, got {self.n_classes}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("n_records", 1), ("n_classes", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise InvalidSpec(f"{name} must be >= {least}, got {value}")
         if len(self.corner_noise) != self.n_classes:
             raise InvalidSpec(
                 f"corner_noise needs one entry per class ({self.n_classes}), "

@@ -652,6 +652,8 @@ def recovery_sweep(
     """
     if image_bounds is not None and not image_bounds.is_image_extent():
         raise OutOfRange(f"image_bounds must be finite with x0 < x1 and y0 < y1, got {image_bounds}")
+    if not _is_integer(seed):
+        raise OutOfRange(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise OutOfRange(f"seed must be >= 0, got {seed}")
     alphas = [MiscoverageConfig(alpha_corner=alpha).alpha_corner for alpha in alphas]

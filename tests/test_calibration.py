@@ -1,4 +1,5 @@
 import json
+import pickle
 import time
 
 import numpy as np
@@ -506,11 +507,14 @@ def test_recalibrate_reads_the_global_map_only_where_a_class_has_no_map():
 
     def recalibrated(n, fit):
         plan = sigma_plan(pred[:n], gt[:n], sigma[:n], gt_class[:n], SCOPE_PER_CLASS)
+        built = pickle.dumps(plan)
         rows = (pred[fit], gt[fit], sigma[fit], gt_class[fit])
         expected = calibrated_sigma_array(fit_calibrator_arrays(*rows, SCOPE_PER_CLASS), pred[:n], sigma[:n], gt_class[:n])
         out, _, fallback = recalibrate(plan, fit[:n])
         assert_array_equal(out, expected)
-        return out, fallback, {m.key for m, *_ in fit_plan(plan, fit[:n], lookup=True)[2]}
+        keys = {m.key for m, *_ in fit_plan(plan, fit[:n], lookup=True)[2]}
+        assert pickle.dumps(plan) == built  # a fit, of the global map too, leaves the plan as built
+        return out, fallback, keys
 
     out, fallback, keys = recalibrated(10, fit)
     assert "global" in keys and fallback == ()

@@ -460,6 +460,25 @@ def test_image_bounds_give_the_library_report_bytes(tmp_path):
     assert load_report(unbounded).aggregate != load_report(out).aggregate
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--data", "DATA", "--seed", "3", "--runs", "2", "--workers", "1", "--regime", "class_wise"],
+        ["simulate", "--records", "200", "--classes", "2", "--seed", "1", "--runs", "2", "--workers", "1"],
+        ["recovery", "--data", "DATA", "--seed", "4", "--thresholds", "0.3,0.6"],
+    ],
+    ids=["run", "simulate", "recovery"],
+)
+def test_image_bounds_with_a_negative_corner_read_the_same_in_both_forms(data_path, tmp_path, monkeypatch, args):
+    # argparse takes a separate value starting with '-' for an option ("expected one argument")
+    args = [data_path if a == "DATA" else a for a in args]
+    joined, separate = tmp_path / "joined.out", tmp_path / "separate.out"
+    assert main(args + ["--image-bounds=-10,-10,720,720", "--out", str(joined)]) == 0
+    monkeypatch.setattr(sys, "argv", ["confdet", *args, "--image-bounds", "-10,-10,720,720", "--out", str(separate)])
+    assert main() == 0
+    assert separate.read_bytes() == joined.read_bytes()
+
+
 _PER_CLASS = ["--scaling", "scaled", "--scope", "per_coordinate_per_class_relative"]
 
 

@@ -200,6 +200,16 @@ def test_spec_validation():
             OracleSpec(**{**ok, **bad})
 
 
+@pytest.mark.parametrize("field, value", [("n_records", 10.5), ("n_records", True), ("n_classes", 2.0), ("seed", 1.5)])
+def test_spec_integer_fields_take_integers_only(field, value):
+    # a float or bool is not truncated: generate would meet it as a bare numpy TypeError
+    ok = dict(n_records=10, n_classes=2, corner_noise=(3.0, 3.0))
+    with pytest.raises(InvalidSpec, match=f"{field} must be an integer, got {value!r}"):
+        OracleSpec(**{**ok, field: value})
+    dataset, _ = generate(OracleSpec(**{**ok, field: np.int64(2)}))
+    assert len(dataset) == (2 if field == "n_records" else 10)
+
+
 def test_generate_columns_equal_record_round_trip():
     dataset, _ = generate(
         OracleSpec(

@@ -551,6 +551,13 @@ def test_recovery_sweep_takes_the_run_alpha_rule(alphas):
         recovery_sweep(ds, alphas=alphas, thresholds=(0.5,))
 
 
+@pytest.mark.parametrize("seed", [True, "3", 1.5])
+def test_recovery_sweep_takes_an_integer_seed(seed):
+    # a bool would run as seed 0 or 1, and a string would fail the range check with a TypeError
+    with pytest.raises(OutOfRange, match=f"seed must be an integer, got {seed!r}"):
+        recovery_sweep(make_dataset(100, seed=21), alphas=(0.025,), thresholds=(0.5,), seed=seed)
+
+
 def test_recovery_sweep_n_below_grows_with_threshold():
     ds = make_dataset(300, noise=30.0, seed=22)
     rows = recovery_sweep(ds, alphas=(0.05,), thresholds=(0.2, 0.5, 0.9), seed=4)
